@@ -41,18 +41,8 @@ def hermite_psi(n_max: int, x: float) -> np.ndarray:
         raise ConfigurationError(f"hermite_psi: n_max must be in [0, {_N_MAX}], got {n_max}")
     if abs(x) > 40.0:
         raise ConfigurationError(f"hermite_psi: |x| capped at 40, got {x}")
-    return _psi_scalar(n_max, float(x), include_gaussian=True)
-
-
-def hermite_psi_scaled(n_max: int, x: float) -> np.ndarray:
-    """psi_n(x) * exp(x^2/2): the polynomial part, as Gauss-Hermite wants it."""
-    if not 0 <= n_max <= _N_MAX:
-        raise ConfigurationError(f"hermite_psi_scaled: n_max must be in [0, {_N_MAX}]")
-    return _psi_scalar(n_max, float(x), include_gaussian=False)
-
-
-def _psi_scalar(n_max, x, include_gaussian):
-    ln0 = -0.25 * math.log(math.pi) - (0.5 * x * x if include_gaussian else 0.0)
+    x = float(x)
+    ln0 = -0.25 * math.log(math.pi) - 0.5 * x * x
     exp0 = int(math.floor(ln0 / _LN2))
     out = np.empty(n_max + 1)
     v_prev = 0.0

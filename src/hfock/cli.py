@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import random
 import sys
 
-from . import bargmann, dbar, expint, golden, lerch, moments, space, verify
+from . import bargmann, dbar, expint, lerch, moments, space, verify
 from .errors import (AccuracyError, ConfigurationError, DomainError,
                      PrecisionLossError, ValidationError)
+from .numerics import disk_point
 
 SCHEMA = 1
 
@@ -62,15 +62,6 @@ def _emit(text: str, out_path: str | None) -> None:
 def _emit_json(obj: dict, out_path: str | None) -> None:
     obj.setdefault("schema", SCHEMA)
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
-
-
-def _disk_points(rng: random.Random, count: int, radius: float) -> list[complex]:
-    pts = []
-    for _ in range(count):
-        r = radius * math.sqrt(rng.random())
-        theta = 2.0 * math.pi * rng.random()
-        pts.append(complex(r * math.cos(theta), r * math.sin(theta)))
-    return pts
 
 
 def _cmd_moments(args) -> int:
@@ -128,7 +119,7 @@ def _cmd_gram(args) -> int:
         tol = float(payload.get("tol", tol))
     else:
         rng = random.Random(args.seed)
-        pts = _disk_points(rng, args.random, args.radius)
+        pts = [disk_point(rng, args.radius) for _ in range(args.random)]
     g = space.gram_kernel(pts, tol)
     obj = g.as_json_obj()
     obj["schema"] = SCHEMA
@@ -213,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hfock",
         description="moment sequences, reproducing kernels and verification "
                     "suites for a weighted Fock-type space")
-    parser.add_argument("--golden", default=None,
-                        help="path to an alternative golden-values file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_default="json"):
@@ -291,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.golden:
-        golden.load(args.golden)  # fail fast on a bad path
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

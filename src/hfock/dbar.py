@@ -121,20 +121,6 @@ def weight_mass(f: space.EntireSeries, include_pi: bool = True) -> float:
     return PI * val if include_pi else val
 
 
-def log_weight_mass(f: space.EntireSeries, include_pi: bool = True) -> float:
-    """log of weight_mass, usable past the degree-170 overflow point."""
-    terms = []
-    for n, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        terms.append(math.lgamma(n + 1) + 2.0 * math.log(abs(a)))
-    if not terms:
-        return -math.inf
-    m = max(terms)
-    s = m + math.log(math.fsum(math.exp(t - m) for t in terms))
-    return s + (math.log(PI) if include_pi else 0.0)
-
-
 def _factorial_mass(f: space.EntireSeries) -> float:
     terms = []
     for n, a in enumerate(f.coeffs):
@@ -161,11 +147,7 @@ def weighted_budget_check(u0: space.EntireSeries, f: space.EntireSeries) -> Budg
     Left side is pi times the squared space norm (both sides un-normalized);
     the ratio is exposed so any other threshold can be applied downstream.
     """
-    lhs = PI * h_norm_sq(u0)
+    lhs = PI * space.h_inner(u0, u0).real
     budget = 3.0 * weight_mass(f, include_pi=True)
     ratio = lhs / budget if budget > 0 else math.inf
     return BudgetReport(lhs=lhs, budget=budget, ratio=ratio, ok=lhs <= budget)
-
-
-def h_norm_sq(f: space.EntireSeries) -> float:
-    return space.h_inner(f, f).real

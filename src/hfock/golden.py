@@ -10,29 +10,16 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal
+from functools import lru_cache
 from importlib import resources
-from pathlib import Path
-
-_cache: dict[str, dict] = {}
 
 
-def load(path: str | Path | None = None) -> dict:
-    """Return the golden-values map, from ``path`` or the bundled copy."""
-    key = str(path) if path is not None else "<bundled>"
-    if key not in _cache:
-        if path is not None:
-            raw = Path(path).read_text()
-        else:
-            raw = resources.files("hfock.data").joinpath("golden_values.json").read_text()
-        _cache[key] = json.loads(raw)
-    return _cache[key]
+@lru_cache(maxsize=1)
+def load() -> dict:
+    """Return the bundled golden-values map."""
+    return json.loads(resources.files("hfock.data").joinpath("golden_values.json").read_text())
 
 
-def value(name: str, path: str | Path | None = None) -> float:
-    """Golden value rounded to double precision."""
-    return float(load(path)[name]["value"])
-
-
-def decimal(name: str, path: str | Path | None = None) -> Decimal:
+def decimal(name: str) -> Decimal:
     """Golden value as an exact Decimal."""
-    return Decimal(load(path)[name]["value"])
+    return Decimal(load()[name]["value"])

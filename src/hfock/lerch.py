@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import expint, moments, space
 from .errors import ConfigurationError, DomainError
-from .numerics import csum, integrate_semi_infinite
+from .numerics import csum, disk_point, integrate_semi_infinite
 
 DISK_MARGIN = 1e-6
 
@@ -246,7 +246,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) ->
     if kernel == "phi_tilde":
         value0 = phi_tilde(n, 0.0).real
         slope0 = phi_tilde_slope_at_zero(n)
-        pts = [_disk_point(rng, 0.95) for _ in range(sample_points)]
+        pts = [disk_point(rng, 0.95) for _ in range(sample_points)]
         gram = space.build_gram(pts, lambda zi, zj: phi_tilde(n, zi * zj.conjugate()))
         cm = cm_evidence(lambda a: n * expint.laplace_en(n, a),
                          [0.1 + 0.1 * i for i in range(50)], 6)
@@ -256,7 +256,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) ->
         eta1 = moments.eta_closed_form(1)
         value0 = eta0 * space.efun(0.0).real
         slope0 = eta0 / eta1
-        pts = [_disk_point(rng, 2.0) for _ in range(sample_points)]
+        pts = [disk_point(rng, 2.0) for _ in range(sample_points)]
         gram = space.build_gram(pts, lambda zi, zj: space.kernel(zi, zj, ml_normalized=True))
         cm = cm_evidence(lambda a: eta0 * space.efun(-a).real,
                          [0.1 + 0.1 * i for i in range(50)], 6)
@@ -282,9 +282,3 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) ->
          "min_signed": list(cm.min_signed)}))
     return {"kernel": label, "conditions": conditions,
             "passed_i_ii": ok_i and ok_ii}
-
-
-def _disk_point(rng, radius):
-    r = radius * math.sqrt(rng.random())
-    theta = 2.0 * math.pi * rng.random()
-    return complex(r * math.cos(theta), r * math.sin(theta))

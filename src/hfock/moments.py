@@ -83,9 +83,9 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
 def _eta_integrand(n):
     if n == 0:
         return lambda t: math.exp(-t) / ((1.0 + t) * (1.0 + t))
-    if n <= 100:
+    if n <= 65:
         return lambda t: t ** n * math.exp(-t) / ((1.0 + t) * (1.0 + t))
-    # large n: assemble in log scale so t^n cannot overflow on the way in
+    # from n = 66, t^n overflows on the integrator's far nodes: assemble in log scale
     return lambda t: math.exp(n * math.log(t) - t - 2.0 * math.log1p(t)) if t > 0 else 0.0
 
 

@@ -2,8 +2,9 @@
 
 Gauss-Laguerre and Gauss-Hermite rules (Golub-Welsch on the Jacobi matrix),
 an adaptive integrator for absolutely convergent integrals on (0, inf),
-a guarded smallest-eigenvalue routine for Hermitian matrices, and central
-finite differences for the Wirtinger derivative d/d(conj z).
+a guarded smallest-eigenvalue routine for Hermitian matrices, central
+finite differences for the Wirtinger derivative d/d(conj z), and a seeded
+uniform sampler of the disk.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share between threads.
@@ -204,6 +205,17 @@ def wirtinger_fd(F, z: complex, h: float = 1e-5) -> complex:
     dx = (F(z + h) - F(z - h)) / (2.0 * h)
     dy = (F(z + 1j * h) - F(z - 1j * h)) / (2.0 * h)
     return 0.5 * (dx + 1j * dy)
+
+
+def disk_point(rng, radius: float) -> complex:
+    """A point uniform on the disk |z| <= radius, drawn from ``rng``.
+
+    Draws the radius, then the angle; the seeded point sets of the CLI, the
+    verify suites and the kernel-class audits depend on that order.
+    """
+    r = radius * math.sqrt(rng.random())
+    theta = 2.0 * math.pi * rng.random()
+    return complex(r * math.cos(theta), r * math.sin(theta))
 
 
 def min_eig_hermitian(M) -> float:

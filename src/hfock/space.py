@@ -78,17 +78,21 @@ def _trunc_index(abs_z: float, tol: float) -> int:
     raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
 
 
+def _kernel_terms(q: complex, n_max: int) -> list[complex]:
+    """q^n / eta_n for n = 0..n_max, built by stable ratio updates."""
+    logs = moments.log_eta_sequence(max(n_max, 1))
+    terms = [math.exp(-logs[0]) + 0j]
+    for n in range(1, n_max + 1):
+        terms.append(terms[-1] * q * math.exp(logs[n - 1] - logs[n]))
+    return terms
+
+
 def efun(z: complex, tol: float = 1e-12) -> complex:
     """The entire function sum_n z^n / eta_n with a certified truncation tail."""
     if tol <= 0.0:
         raise ConfigurationError(f"efun: tol must be > 0, got {tol}")
     z = complex(z)
-    n_trunc = _trunc_index(abs(z), tol)
-    logs = moments.log_eta_sequence(max(n_trunc, 1))
-    terms = [math.exp(-logs[0]) + 0j]
-    for n in range(1, n_trunc + 1):
-        terms.append(terms[-1] * z * math.exp(logs[n - 1] - logs[n]))
-    val = csum(terms)
+    val = csum(_kernel_terms(z, _trunc_index(abs(z), tol)))
     return val if isinstance(val, complex) else complex(val)
 
 
@@ -180,12 +184,8 @@ def reproducing_check(f: EntireSeries, z: complex) -> tuple[complex, complex]:
     if f.degree > 1000:
         raise ConfigurationError("reproducing_check: degree capped at 1000")
     z = complex(z)
-    logs = moments.log_eta_sequence(max(f.degree, 1))
-    # coefficients of K_z: conj(z)^n / eta_n, built by stable ratio updates
-    kz = [math.exp(-logs[0]) + 0j]
-    for n in range(1, f.degree + 1):
-        kz.append(kz[-1] * z.conjugate() * math.exp(logs[n - 1] - logs[n]))
-    kz_series = EntireSeries(tuple(kz), label=f"K_{z}")
+    # coefficients of K_z: conj(z)^n / eta_n
+    kz_series = EntireSeries(tuple(_kernel_terms(z.conjugate(), f.degree)), label=f"K_{z}")
     return h_inner(f, kz_series), f(z)
 
 
@@ -271,33 +271,3 @@ def membership(f: EntireSeries) -> MembershipReport:
                             ratio=fn / hn if hn > 0 else math.nan,
                             term_contributions=terms)
 
-
-def classify_tail_growth(coeff_fn, n_from: int, n_to: int) -> dict:
-    """Evidence-only growth classification for streamed coefficients.
-
-    Fits log(eta_n |a_n|^2) ~ -p log n over the window and reports whether
-    the membership series looks summable (p > 1), divergent (p < 1), or
-    inconclusive near the boundary.  The sequential criterion is exact only
-    in the limit, so this is a diagnosis, not a decision.
-    """
-    if not 2 <= n_from < n_to <= moments.N_MAX:
-        raise ConfigurationError("classify_tail_growth: need 2 <= n_from < n_to <= 1e4")
-    logs = moments.log_eta_sequence(n_to)
-    ns, lt = [], []
-    for n in range(n_from, n_to + 1):
-        a = complex(coeff_fn(n))
-        if a == 0:
-            continue
-        ns.append(math.log(n))
-        lt.append(logs[n] + 2.0 * math.log(abs(a)))
-    if len(ns) < 8:
-        return {"classification": "inconclusive", "exponent": math.nan}
-    slope = float(np.polyfit(np.asarray(ns), np.asarray(lt), 1)[0])
-    p = -slope
-    if p > 1.2:
-        label = "summable-evidence"
-    elif p < 0.8:
-        label = "divergent-evidence"
-    else:
-        label = "inconclusive"
-    return {"classification": label, "exponent": p}

@@ -15,22 +15,16 @@ import numpy as np
 
 from . import bargmann, dbar, expint, lerch, moments, space
 from .errors import ConfigurationError
-from .numerics import (gauss_hermite, gauss_laguerre, integrate_semi_infinite,
-                       min_eig_hermitian, wirtinger_fd)
+from .numerics import (disk_point, gauss_hermite, gauss_laguerre,
+                       integrate_semi_infinite, min_eig_hermitian, wirtinger_fd)
 
 
 def _check(name: str, ok: bool, **details) -> dict:
     return {"name": name, "status": "pass" if ok else "fail", "details": details}
 
 
-def _disk_point(rng: random.Random, radius: float) -> complex:
-    r = radius * math.sqrt(rng.random())
-    theta = 2.0 * math.pi * rng.random()
-    return complex(r * math.cos(theta), r * math.sin(theta))
-
-
 def _random_series(rng: random.Random, degree: int) -> space.EntireSeries:
-    return space.EntireSeries(tuple(_disk_point(rng, 1.0) for _ in range(degree + 1)))
+    return space.EntireSeries(tuple(disk_point(rng, 1.0) for _ in range(degree + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +78,7 @@ def suite_numerics(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     worst = 0.0
     for _ in range(20):
         f = _random_series(rng, 5)
-        z = _disk_point(rng, 2.0)
+        z = disk_point(rng, 2.0)
         worst = max(worst, abs(wirtinger_fd(f, z, 1e-5)))
     checks.append(_check("wirtinger-analytic-null", worst <= 1e-8, max_abs=worst))
 
@@ -183,7 +177,11 @@ def _gfs_checks(seed: int, points: int) -> list[dict]:
         gap = abs(moments.generating_series(x) - moments.generating_closed_form(x))
         worst = max(worst, gap)
     for _ in range(5):
-        z = complex(rng.uniform(-0.4, 2.5), rng.uniform(-2.0, 2.0))
+        while True:  # redraw until z lies where generating_series is validated
+            z = complex(rng.uniform(-0.4, 2.5), rng.uniform(-2.0, 2.0))
+            if (abs(z) <= moments._DIRECT_RADIUS
+                    or abs(z / (1.0 + z)) <= moments._ACCEL_RATIO):
+                break
         gap = abs(moments.generating_series(z) - moments.generating_closed_form(z))
         worst = max(worst, gap)
     checks.append(_check("generating-function-identity", worst <= 1e-9, max_gap=worst))
@@ -279,7 +277,7 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
 
     worst = 0.0
     for _ in range(25):
-        z, w = _disk_point(rng, 2.0), _disk_point(rng, 2.0)
+        z, w = disk_point(rng, 2.0), disk_point(rng, 2.0)
         k1 = space.kernel(z, w, tol)
         k2 = space.kernel(w, z, tol).conjugate()
         worst = max(worst, abs(k1 - k2) / max(abs(k1), 1.0))
@@ -288,7 +286,7 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     worst = 0.0
     for _ in range(100):
         f = _random_series(rng, 10)
-        z = _disk_point(rng, 2.0)
+        z = disk_point(rng, 2.0)
         inner, direct = space.reproducing_check(f, z)
         worst = max(worst, abs(inner - direct) / (1.0 + abs(direct)))
     checks.append(_check("reproducing-identity", worst <= 1e-12, max_rel_gap=worst))
@@ -323,7 +321,7 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     ok = True
     for s in range(20):
         local = random.Random(seed + 1000 + s)
-        pts = [_disk_point(local, 2.0) for _ in range(50)]
+        pts = [disk_point(local, 2.0) for _ in range(50)]
         g = space.gram_kernel(pts, tol)
         ok = ok and g.is_psd()
         worst = min(worst, g.min_eig / g.trace)
@@ -332,7 +330,7 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     ok = True
     for f, z in ((space.EntireSeries((1.0,)), 3.0),
                  (space.EntireSeries.monomial(5), 2.0),
-                 (_random_series(rng, 8), _disk_point(rng, 2.0))):
+                 (_random_series(rng, 8), disk_point(rng, 2.0))):
         ok = ok and space.pointwise_bound_check(f, z).ok
     # Cauchy-Schwarz saturation: f = K_w (truncated) meets the bound at z = w
     w = 0.8 + 0.4j
@@ -380,7 +378,7 @@ def suite_bargmann(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
 
     worst = 0.0
     for _ in range(50):
-        z = _disk_point(rng, 3.0)
+        z = disk_point(rng, 3.0)
         x = rng.uniform(-5.0, 5.0)
         lhs, rhs = bargmann.hermite_generating_pair(z, x)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
@@ -459,7 +457,7 @@ def suite_lerch(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
 
     worst = 0.0
     for _ in range(50):
-        z = _disk_point(rng, 0.9)
+        z = disk_point(rng, 0.9)
         n = rng.randrange(1, 6)
         worst = max(worst, abs(lerch.lerch_phi(z, 1.0, float(n)) - lerch.phi(n, z)))
     checks.append(_check("lerch-phi-consistency", worst <= 1e-12, max_gap=worst))
@@ -479,7 +477,7 @@ def suite_lerch(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     for n in (1, 2, 3):
         for s in range(10):
             local = random.Random(seed + 100 * n + s)
-            pts = [_disk_point(local, 0.95) for _ in range(30)]
+            pts = [disk_point(local, 0.95) for _ in range(30)]
             g = lerch.gram_phi(n, pts)
             ok = ok and g.is_psd()
             worst = min(worst, g.min_eig / g.trace)
@@ -511,7 +509,7 @@ def suite_dbar(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
         f = _random_series(rng, rng.randrange(0, 7))
         u0 = _random_series(rng, rng.randrange(0, 7))
         u = dbar.assemble_solution(f, u0)
-        samples = [_disk_point(rng, 2.0) for _ in range(10)]
+        samples = [disk_point(rng, 2.0) for _ in range(10)]
         rep = dbar.dbar_residual(u, f, samples, 1e-5)
         worst = max(worst, rep.max_residual)
         symbolic_ok = symbolic_ok and rep.symbolic_zero
@@ -534,14 +532,14 @@ def suite_dbar(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     checks.append(_check("negative-controls-flagged", flagged == 10, flagged=flagged))
 
     local = random.Random(seed + 7)
-    pts = [_disk_point(local, 1.5) for _ in range(20)]
+    pts = [disk_point(local, 1.5) for _ in range(20)]
     g = space.build_gram(pts, lambda zi, zj: dbar.poly_fock_kernel(2, zi, zj))
     checks.append(_check("order-2-kernel-psd", g.is_psd(),
                          min_eig=g.min_eig, trace=g.trace))
 
     worst = 0.0
     for _ in range(25):
-        z, w = _disk_point(rng, 2.0), _disk_point(rng, 2.0)
+        z, w = disk_point(rng, 2.0), disk_point(rng, 2.0)
         ref = cmath.exp(z * w.conjugate())
         worst = max(worst, abs(dbar.poly_fock_kernel(1, z, w) - ref) / abs(ref))
     checks.append(_check("order-1-kernel-exponential", worst <= 1e-14, max_rel_gap=worst))

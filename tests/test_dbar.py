@@ -142,10 +142,6 @@ class TestWeightMass:
         f = space.EntireSeries.exponential(1.0, 30)
         assert dbar.weight_mass(f, include_pi=False) == pytest.approx(math.e, abs=1e-10)
 
-    def test_log_route(self):
-        f = space.EntireSeries((0.0, 2.0))
-        assert dbar.log_weight_mass(f) == pytest.approx(math.log(4.0 * math.pi), rel=1e-13)
-
 
 class TestBudget:
     def test_zero_candidate(self):

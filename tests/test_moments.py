@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -17,6 +18,12 @@ class TestQuadratureRoute:
         for n in (150, 200, 300):
             assert moments.log_eta_quadrature(n, 1e-12) == pytest.approx(
                 moments.log_eta(n), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [66, 83, 100])
+    def test_log_scale_integrand_orders(self, n):
+        # t**n overflows on the far nodes from n = 66 on
+        cf = moments.eta_closed_form(n)
+        assert abs(moments.eta_quadrature(n, 1e-12) - cf) <= 1e-10 * cf
 
     def test_order_bound(self):
         with pytest.raises(ConfigurationError):
@@ -131,7 +138,7 @@ class TestFactorialSum:
         assert 1.0 - 1.1 / n_terms < s <= 1.0
 
     def test_monotone(self):
-        vals = [moments.eta_factorial_sum(n) for n in (0, 1, 2, 5, 10, 100, 500)]
+        vals = [moments.eta_factorial_sum(n) for n in (0, 1, 2, 5, 10, 100, 500, 1000)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -150,7 +157,8 @@ class TestGeneratingFunction:
         gap = abs(moments.generating_series(-0.5) - moments.generating_closed_form(-0.5))
         assert gap <= 1e-10
 
-    @pytest.mark.parametrize("z", [5.0, 2.5, 1.0 + 1.0j, 2 + 2j, -0.85, 0.9j])
+    @pytest.mark.parametrize("z", [5.0, 2.5, 1.0 + 1.0j, 2 + 2j, -0.85, 0.9j,
+                                   0.5 + 0.5j, 1j, 3 - 1j, -0.7 + 0.2j])
     def test_identity_outside_disk(self, z):
         gap = abs(moments.generating_series(z) - moments.generating_closed_form(z))
         assert gap <= 1e-9
@@ -195,3 +203,11 @@ class TestCrossRoutes:
         for n in range(31):
             cf = moments.eta_closed_form(n)
             assert abs(moments.eta_quadrature(n, 1e-12) - cf) <= 1e-10 * cf
+
+    def test_both_witness_routes_within_time_bound(self):
+        t0 = time.perf_counter()
+        for n in range(31):
+            moments.eta_quadrature(n, 1e-12)
+        for n in range(21):
+            moments.eta_binomial(n)
+        assert time.perf_counter() - t0 < 2.0

@@ -182,15 +182,6 @@ class TestMembership:
             ns = space.norms(f)
             assert ns.h_norm <= ns.fock_norm * (1.0 + 1e-12)
 
-    def test_stream_classification(self):
-        logs = moments.log_eta_sequence(400)
-        summable = space.classify_tail_growth(
-            lambda n: math.exp(-0.5 * math.lgamma(n + 1)), 10, 300)
-        assert summable["classification"] == "summable-evidence"
-        divergent = space.classify_tail_growth(
-            lambda n: math.exp(-0.5 * logs[n]), 10, 300)
-        assert divergent["classification"] == "divergent-evidence"
-
 
 def test_min_eig_rejects_asymmetric_input():
     import numpy as np
