@@ -108,7 +108,7 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
         else:
             raise ConfigurationError("bargmann_kernel: truncation bound not reached")
     psi = hermite_psi(n_trunc, x)
-    logs = moments.log_eta_sequence(max(n_trunc, 1))
+    logs = moments.log_eta_sequence(n_trunc)
     terms = []
     zp = 1.0 + 0j
     for n in range(n_trunc + 1):

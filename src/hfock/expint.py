@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ConfigurationError, DomainError
+from .errors import AccuracyError, ConfigurationError, DomainError
 
 # 40-digit literal; pinned against the golden-values file by the test suite,
 # never computed at runtime.
@@ -19,6 +19,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024310422
 E1_SERIES_RADIUS = 1.5
 
 _MAX_ORDER = 10_000
+_LAPLACE_TERMS = 2_000_000
 
 
 def _e1_series(x):
@@ -180,8 +181,8 @@ def laplace_en(n: int, a: float) -> float:
     Closed form ((-1)^(n-1)/a^n) (log(1+a) + sum_{k<n} (-a)^k / k) for a >= 1.
     For |a| < 1 that expression cancels to its own leading order and sheds
     roughly n log10(1/a) digits, so the convergent series
-    sum_{k>=0} (-a)^k / (k+n) is used there instead.  At a = 0 the removable
-    limit 1/n is returned.
+    sum_{k>=0} (-a)^k / (k+n) is used there instead; past 2 000 000 terms
+    (|a| > about 1 - 1.35e-5) it raises :class:`AccuracyError`.  At a = 0 it returns 1/n.
     """
     if n < 1:
         raise ConfigurationError(f"laplace_en: requires n >= 1, got {n}")
@@ -190,9 +191,12 @@ def laplace_en(n: int, a: float) -> float:
     if a == 0.0:
         return 1.0 / n
     if abs(a) < 1.0:
+        # the terms fall monotonically: the series ends inside the cap iff its last term is small
+        if (_LAPLACE_TERMS - 1) * math.log(abs(a)) >= math.log(1e-18 * (_LAPLACE_TERMS - 1 + n)):
+            raise AccuracyError(f"laplace_en: a={a} needs more than {_LAPLACE_TERMS} series terms")
         term = 1.0
         terms = []
-        for k in range(0, 2_000_000):
+        for k in range(0, _LAPLACE_TERMS):
             contrib = term / (k + n)
             terms.append(contrib)
             if abs(contrib) < 1e-18:

@@ -25,27 +25,29 @@ from functools import lru_cache
 
 from . import expint
 from .errors import AccuracyError, ConfigurationError, DomainError, PrecisionLossError
-from .numerics import IntegralResult, csum, integrate_semi_infinite
+from .numerics import csum, integrate_semi_infinite
 
 N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
 
-_E = math.e
+
+@lru_cache(maxsize=1)
+def _table() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """(eta_0, (r_1 .. r_N_MAX), (log eta_0 .. log eta_N_MAX)), built once."""
+    e1_at_1 = expint.e1(1.0)
+    eta0, r = 1.0 - math.e * e1_at_1, [2.0 * math.e * e1_at_1 - 1.0]
+    for n in range(1, N_MAX):
+        r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
+    logs = [math.log(eta0)] + [math.log(r[n - 1]) + math.lgamma(n) for n in range(1, N_MAX + 1)]
+    return eta0, tuple(r), tuple(logs)
 
 
-def _r_seed() -> float:
-    return 2.0 * _E * expint.e1(1.0) - 1.0
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
 def residual_sequence(n_max: int) -> tuple[float, ...]:
     """Residuals r_1 .. r_{n_max}, r_n = e (1+n) E_n(1) - 1, in (0, 1/n]."""
     if not 1 <= n_max <= N_MAX:
         raise ConfigurationError(f"residual_sequence: n_max must be in [1, {N_MAX}]")
-    r = [_r_seed()]
-    for n in range(1, n_max):
-        r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
-    return tuple(r)
+    return _table()[1][:n_max]
 
 
 def eta_closed_form(n: int) -> float:
@@ -54,30 +56,23 @@ def eta_closed_form(n: int) -> float:
         raise ConfigurationError(
             f"eta_closed_form: linear values require 0 <= n <= {LINEAR_LIMIT}, got {n}; "
             "use log_eta for larger orders")
-    if n == 0:
-        return 1.0 - _E * expint.e1(1.0)
-    return residual_sequence(n)[n - 1] * math.gamma(n)
+    eta0, r, _ = _table()
+    return eta0 if n == 0 else r[n - 1] * math.gamma(n)
 
 
 def log_eta(n: int) -> float:
     """log(eta_n), valid for 0 <= n <= 10^4."""
     if not 0 <= n <= N_MAX:
         raise ConfigurationError(f"log_eta: n must be in [0, {N_MAX}], got {n}")
-    if n == 0:
-        return math.log(eta_closed_form(0))
-    return math.log(residual_sequence(n)[n - 1]) + math.lgamma(n)
+    return _table()[2][n]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
 def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     """log(eta_0) .. log(eta_{n_max}) as an immutable, shareable table."""
     if not 0 <= n_max <= N_MAX:
         raise ConfigurationError(f"log_eta_sequence: n_max must be in [0, {N_MAX}]")
-    out = [math.log(eta_closed_form(0))]
-    if n_max >= 1:
-        res = residual_sequence(n_max)
-        out.extend(math.log(res[n - 1]) + math.lgamma(n) for n in range(1, n_max + 1))
-    return tuple(out)
+    return _table()[2][:n_max + 1]
 
 
 def _eta_integrand(n):
@@ -128,11 +123,11 @@ def eta_binomial(n: int) -> float:
     terms = []
     for k in range(n + 1):
         if k == 0:
-            e_val = _E * expint.en(2, 1.0)
+            e_val = math.e * expint.en(2, 1.0)
         elif k == 1:
-            e_val = _E * expint.e1(1.0)
+            e_val = math.e * expint.e1(1.0)
         else:
-            e_val = _E * expint.en_negative_order_at_1(k)
+            e_val = math.e * expint.en_negative_order_at_1(k)
         terms.append((-1.0) ** (n - k) * math.comb(n, k) * e_val)
     return math.fsum(terms)
 

@@ -126,14 +126,14 @@ def _panel_estimates(g, a, b):
     return hi, float(abs(hi - lo))
 
 
-def integrate_semi_infinite(f, tol: float = 1e-12, *, atol: float = 0.0,
+def integrate_semi_infinite(f, tol: float = 1e-12, *,
                             max_evals: int = 2_000_000) -> IntegralResult:
     """Integrate ``f`` over (0, inf) adaptively to relative tolerance ``tol``.
 
     The substitution t = u/(1-u) maps the half line to (0, 1); the unit
     interval is then covered by panels carrying an embedded Gauss-Legendre
     pair (8 and 16 points), and the worst panel is bisected until the summed
-    pair discrepancy drops below ``max(atol, tol * |value|)``.  Endpoints are
+    pair discrepancy drops below ``tol * |value|``.  Endpoints are
     never sampled, so integrable endpoint singularities and the decay of the
     integrand at infinity need no special casing.
 
@@ -165,7 +165,7 @@ def integrate_semi_infinite(f, tol: float = 1e-12, *, atol: float = 0.0,
                 math.isfinite(-p[0]) for p in panels if -p[0] > 0):
             raise AccuracyError("integrand produced non-finite values",
                                 result=IntegralResult(total, math.inf, evals))
-        if total_err <= max(atol, tol * abs(total)):
+        if total_err <= tol * abs(total):
             return IntegralResult(total, total_err, evals)
         if evals >= max_evals:
             raise AccuracyError(

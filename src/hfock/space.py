@@ -21,6 +21,7 @@ from .numerics import csum, min_eig_hermitian
 
 _LOG8 = math.log(8.0)
 _TRUNC_CAP = 4000
+_MAX_GRAM_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def _trunc_index(abs_z: float, tol: float) -> int:
 
 def _kernel_terms(q: complex, n_max: int) -> list[complex]:
     """q^n / eta_n for n = 0..n_max, built by stable ratio updates."""
-    logs = moments.log_eta_sequence(max(n_max, 1))
+    logs = moments.log_eta_sequence(n_max)
     terms = [math.exp(-logs[0]) + 0j]
     for n in range(1, n_max + 1):
         terms.append(terms[-1] * q * math.exp(logs[n - 1] - logs[n]))
@@ -126,7 +127,7 @@ def _eta_weighted_terms(pairs, log_weights):
 def h_inner(f: EntireSeries, g: EntireSeries) -> complex:
     """Inner product sum_n eta_n a_n conj(b_n)."""
     deg = min(f.degree, g.degree)
-    logs = moments.log_eta_sequence(max(deg, 1))
+    logs = moments.log_eta_sequence(deg)
     pairs = ((n, f.coeffs[n] * g.coeffs[n].conjugate()) for n in range(deg + 1))
     terms = _eta_weighted_terms(pairs, logs)
     val = csum(terms) if terms else 0.0
@@ -213,8 +214,8 @@ class GramMatrix:
     min_eig: float
     trace: float
 
-    def is_psd(self, tol_factor: float = 1e-8) -> bool:
-        return self.min_eig >= -tol_factor * max(self.trace, 0.0) - 1e-300
+    def is_psd(self) -> bool:
+        return self.min_eig >= -1e-8 * max(self.trace, 0.0) - 1e-300
 
     def as_json_obj(self) -> dict:
         return {
@@ -226,12 +227,12 @@ class GramMatrix:
         }
 
 
-def build_gram(points, entry_fn, max_points: int = 200) -> GramMatrix:
+def build_gram(points, entry_fn) -> GramMatrix:
     points = tuple(complex(p) for p in points)
     if not points:
         raise ConfigurationError("build_gram: need at least one point")
-    if len(points) > max_points:
-        raise ConfigurationError(f"build_gram: at most {max_points} points, got {len(points)}")
+    if len(points) > _MAX_GRAM_POINTS:
+        raise ConfigurationError(f"build_gram: at most {_MAX_GRAM_POINTS} points, got {len(points)}")
     m = len(points)
     M = np.zeros((m, m), dtype=complex)
     for i in range(m):
@@ -262,7 +263,7 @@ def membership(f: EntireSeries) -> MembershipReport:
     The Fock-to-space norm ratio is reported because the two spaces differ:
     the space here is strictly larger than the Gaussian one.
     """
-    logs = moments.log_eta_sequence(max(f.degree, 1))
+    logs = moments.log_eta_sequence(f.degree)
     terms = tuple(abs(a) ** 2 * math.exp(logs[n]) if logs[n] < 700.0 else math.inf
                   for n, a in enumerate(f.coeffs))
     hn = h_norm(f)

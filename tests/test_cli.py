@@ -150,6 +150,11 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_laplace_past_the_term_cap_exit_code(self, capsys):
+        code, _, err = _run(capsys, ["expint", "--x", "1", "--laplace", "-0.999999"])
+        assert code == 2
+        assert "series terms" in err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["moments", "--bogus"])

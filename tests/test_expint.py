@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hfock import expint, golden
-from hfock.errors import ConfigurationError, DomainError
+from hfock.errors import AccuracyError, ConfigurationError, DomainError
 from hfock.numerics import integrate_semi_infinite
 
 
@@ -150,6 +150,16 @@ class TestLaplaceEn:
         closed = sign * (math.log1p(a)
                          + math.fsum((-a) ** k / k for k in range(1, n))) / a ** n
         assert abs(series - closed) <= 1e-11
+
+    def test_series_near_the_term_cap(self):
+        # about 410 000 terms, inside the 2 000 000-term cap
+        assert expint.laplace_en(1, -0.9999) == pytest.approx(
+            math.log1p(-0.9999) / -0.9999, rel=1e-12)
+
+    @pytest.mark.parametrize("n,a", [(1, -0.999999), (2, 1.0 - 1e-7)])
+    def test_series_past_the_term_cap_raises(self, n, a):
+        with pytest.raises(AccuracyError):
+            expint.laplace_en(n, a)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hfock import expint, lerch
-from hfock.errors import ConfigurationError, DomainError
+from hfock.errors import AccuracyError, ConfigurationError, DomainError
 from hfock.numerics import integrate_semi_infinite
 
 
@@ -31,6 +31,10 @@ class TestPhi:
             lambda t: math.exp(-(a + 1.0) * t) * expint.en_scaled(n, t) if t > 0 else 0.0,
             1e-10).value
         assert abs(val - quad) <= 1e-8
+
+    def test_negative_axis_past_the_laplace_term_cap_raises(self):
+        with pytest.raises(AccuracyError):
+            lerch.phi(1, -0.9999999)
 
     def test_boundary_rejection(self):
         with pytest.raises(DomainError):

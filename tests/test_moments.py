@@ -1,11 +1,13 @@
 import math
+import random
 import time
 
 import pytest
 
-from hfock import expint, moments
+from hfock import expint, moments, space
 from hfock.errors import (AccuracyError, ConfigurationError, DomainError,
                           PrecisionLossError)
+from hfock.numerics import disk_point
 
 
 class TestQuadratureRoute:
@@ -125,6 +127,38 @@ class TestMomentTable:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "n,eta,log_eta,abs_err,route"
         assert len(lines) == 5
+
+
+def _rebuilt_for_one_size(n_max):
+    """eta_0, r_1 .. r_{n_max} and log eta_0 .. log eta_{n_max}, recomputed from scratch."""
+    r = [2.0 * math.e * expint.e1(1.0) - 1.0]
+    for n in range(1, n_max):
+        r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
+    eta0 = 1.0 - math.e * expint.e1(1.0)
+    logs = [math.log(eta0)] + [math.log(r[n - 1]) + math.lgamma(n) for n in range(1, n_max + 1)]
+    return eta0, r[:n_max], logs
+
+
+class TestSharedTable:
+    @pytest.mark.parametrize("n_max", [0, 1, 63, 64, 65, 170, 1000, 4097, moments.N_MAX])
+    def test_accessors_bit_identical_to_rebuild(self, n_max):
+        eta0, r, logs = _rebuilt_for_one_size(n_max)
+        if n_max >= 1:
+            assert moments.residual_sequence(n_max) == tuple(r)
+        assert moments.log_eta_sequence(n_max) == tuple(logs)
+        assert moments.log_eta(n_max) == logs[n_max]
+        if n_max <= moments.LINEAR_LIMIT:
+            expected = eta0 if n_max == 0 else r[n_max - 1] * math.gamma(n_max)
+            assert moments.eta_closed_form(n_max) == expected
+
+    def test_gram_kernel_does_not_rebuild_the_table(self, monkeypatch):
+        # building the moment table from scratch evaluates E1(1): the count bounds the rebuilds
+        calls = []
+        e1 = expint.e1
+        monkeypatch.setattr(expint, "e1", lambda x: calls.append(x) or e1(x))
+        rng = random.Random(5)
+        space.gram_kernel([disk_point(rng, 2.0) for _ in range(100)])
+        assert len(calls) <= 20
 
 
 class TestFactorialSum:

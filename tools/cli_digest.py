@@ -18,10 +18,12 @@ import sys
 COMMANDS = (
     "moments --nmax 170",
     "moments --nmax 30 --format json",
+    "moments --nmax 1000 --format json",
     "efun --z 0 --z 1 --z 0,1 --z -3 --z 2.5,-1.5 --z 20 --z 200",
     "kernel --z 1,0.5 --w=-0.3,2",
     "kernel --z 1,0.5 --w=-0.3,2 --ml-normalized",
     "expint --x 1.5 --family 50",
+    "expint --x 1 --n 3 --laplace 0.5",
     "bargmann --z 0.5,0.2",
     "lerch --phi 2 0.3,0.4",
     "lerch --phi 3 -0.7",
