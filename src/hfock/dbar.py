@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import space
 from .errors import ConfigurationError
@@ -58,9 +59,14 @@ def poly_fock_kernel(n: int, z: complex, w: complex) -> complex:
         raise ConfigurationError(f"poly_fock_kernel: order must be in [1, 20], got {n}")
     z, w = complex(z), complex(w)
     d2 = abs(z - w) ** 2
-    poly = math.fsum((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) * d2 ** k
-                     for k in range(n))
+    poly = math.fsum(c * d2 ** k for k, c in enumerate(_poly_fock_coefficients(n)))
     return cmath.exp(z * w.conjugate()) * poly
+
+
+@lru_cache(maxsize=20)
+def _poly_fock_coefficients(n: int) -> tuple[float, ...]:
+    """(-1)^k / k! * C(n, k+1) for k < n, multiplied in that order."""
+    return tuple((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) for k in range(n))
 
 
 def assemble_solution(f: space.EntireSeries, u0: space.EntireSeries) -> PolyanalyticSeries:

@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import expint, moments, space
 from .errors import ConfigurationError, DomainError
 from .numerics import csum, disk_point, integrate_semi_infinite
@@ -25,6 +27,15 @@ def phi_series_coefficient(n: int, p: int) -> float:
     if n < 1 or p < 0:
         raise ConfigurationError("phi_series_coefficient: need n >= 1, p >= 0")
     return 1.0 / (n + p)
+
+
+def _phi_order(n: int, r: float, tol: float) -> int:
+    """Number of terms phi_n sums at |z| = r: the first K >= 1 whose tail
+    bound sum_{j>=K} r^j/(j+n) <= r^K / ((K+n)(1-r)) is below ``tol``."""
+    k = 1
+    while r ** k / ((k + n) * (1.0 - r)) >= tol:
+        k += 1
+    return k
 
 
 def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
@@ -48,14 +59,9 @@ def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
         return complex(1.0 / n)
     terms = []
     zp = 1.0 + 0j
-    k = 0
-    while True:
+    for k in range(_phi_order(n, r, tol)):
         terms.append(zp / (k + n))
         zp *= z
-        k += 1
-        # remaining tail starts at index k: sum_{j>=k} r^j/(j+n)
-        if r ** k / ((k + n) * (1.0 - r)) < tol:
-            break
     val = csum(terms)
     return val if isinstance(val, complex) else complex(val)
 
@@ -222,10 +228,19 @@ def phi_cm_evidence(n: int, a_grid, max_order: int = 6) -> CMReport:
 
 def gram_phi(n: int, points) -> space.GramMatrix:
     """Gram matrix of k_n(z, w) = phi_n(z conj(w)) over points in the disk."""
+    if n < 1:
+        raise ConfigurationError(f"gram_phi: order must be >= 1, got {n}")
     pts = [complex(p) for p in points]
     if any(abs(p) > 1.0 - 1e-3 for p in pts):
         raise ConfigurationError("gram_phi: points must satisfy |z| <= 1 - 1e-3")
-    return space.build_gram(pts, lambda zi, zj: phi(n, zi * zj.conjugate()))
+    return _scaled_phi_gram(n, pts, 0.0)
+
+
+def _scaled_phi_gram(n: int, points, log_scale: float) -> space.GramMatrix:
+    """Factored Gram matrix of exp(log_scale) phi_n(z conj w): c_k = exp(log_scale)/(k+n),
+    truncated by phi's own tail rule and default tolerance."""
+    return space._diagonal_gram(
+        points, lambda r: log_scale - np.log(np.arange(_phi_order(n, r, 1e-13)) + n))
 
 
 def _audit_condition(name, status, details):
@@ -247,7 +262,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) ->
         value0 = phi_tilde(n, 0.0).real
         slope0 = phi_tilde_slope_at_zero(n)
         pts = [disk_point(rng, 0.95) for _ in range(sample_points)]
-        gram = space.build_gram(pts, lambda zi, zj: phi_tilde(n, zi * zj.conjugate()))
+        gram = _scaled_phi_gram(n, pts, math.log(n))
         cm = cm_evidence(lambda a: n * expint.laplace_en(n, a),
                          [0.1 + 0.1 * i for i in range(50)], 6)
         label = f"phi_tilde({n})"
@@ -257,7 +272,9 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) ->
         value0 = eta0 * space.efun(0.0).real
         slope0 = eta0 / eta1
         pts = [disk_point(rng, 2.0) for _ in range(sample_points)]
-        gram = space.build_gram(pts, lambda zi, zj: space.kernel(zi, zj, ml_normalized=True))
+        # c_k = eta_0 / eta_k, cut where efun's tail meets kernel's default 1e-12
+        gram = space._diagonal_gram(pts, lambda r: moments.log_eta(0) - np.array(
+            moments.log_eta_sequence(space._trunc_index(r, 1e-12))))
         cm = cm_evidence(lambda a: eta0 * space.efun(-a).real,
                          [0.1 + 0.1 * i for i in range(50)], 6)
         label = "eta0_K"

@@ -69,6 +69,8 @@ class EntireSeries:
 
 def _trunc_index(abs_z: float, tol: float) -> int:
     # tail of sum z^n/eta_n after N is below 8 (2|z|)^{N+1}/(N+1)! e^{2|z|}
+    if tol <= 0.0:
+        raise ConfigurationError(f"efun: tol must be > 0, got {tol}")
     if abs_z == 0.0:
         return 0
     target = math.log(tol)
@@ -90,8 +92,6 @@ def _kernel_terms(q: complex, n_max: int) -> list[complex]:
 
 def efun(z: complex, tol: float = 1e-12) -> complex:
     """The entire function sum_n z^n / eta_n with a certified truncation tail."""
-    if tol <= 0.0:
-        raise ConfigurationError(f"efun: tol must be > 0, got {tol}")
     z = complex(z)
     val = csum(_kernel_terms(z, _trunc_index(abs(z), tol)))
     return val if isinstance(val, complex) else complex(val)
@@ -227,12 +227,18 @@ class GramMatrix:
         }
 
 
-def build_gram(points, entry_fn) -> GramMatrix:
+def _gram_points(points) -> tuple[complex, ...]:
     points = tuple(complex(p) for p in points)
     if not points:
         raise ConfigurationError("build_gram: need at least one point")
     if len(points) > _MAX_GRAM_POINTS:
         raise ConfigurationError(f"build_gram: at most {_MAX_GRAM_POINTS} points, got {len(points)}")
+    return points
+
+
+def build_gram(points, entry_fn) -> GramMatrix:
+    """Gram matrix of any kernel, one ``entry_fn(z_i, z_j)`` call per upper entry."""
+    points = _gram_points(points)
     m = len(points)
     M = np.zeros((m, m), dtype=complex)
     for i in range(m):
@@ -244,9 +250,40 @@ def build_gram(points, entry_fn) -> GramMatrix:
                       min_eig=min_eig_hermitian(M), trace=float(M.trace().real))
 
 
+def _diagonal_gram(points, log_coeffs) -> GramMatrix:
+    """Gram matrix of a kernel sum_k c_k (z conj w)^k with c_k > 0, as B B^H
+    where B[i, k] = z_i^k sqrt(c_k).
+
+    ``log_coeffs(r)`` returns log c_0 .. log c_N, with N large enough that
+    the kernel's truncation tail at |z conj w| = r meets its tolerance; r is
+    the largest |z_i|^2 of the set, so every entry keeps that tail.  The
+    matrix is exactly Hermitian, its diagonal is the real sum_k |B_ik|^2,
+    and min_eig is sigma_min(B)^2: the smallest eigenvalue of the exact
+    product B B^H, never negative, and 0 when there are more points than
+    terms.
+    """
+    points = _gram_points(points)
+    z = np.array(points)
+    log_c = np.asarray(log_coeffs(max(abs(p) for p in points) ** 2), dtype=float)
+    # column k is column k-1 times z sqrt(c_k / c_{k-1}): the ratio updates of
+    # _kernel_terms, which stay finite where z^k or c_k alone would not
+    B = np.empty((len(points), len(log_c)), dtype=complex)
+    B[:, 0] = math.exp(0.5 * log_c[0])
+    B[:, 1:] = np.outer(z, np.exp(0.5 * np.diff(log_c)))
+    np.cumprod(B, axis=1, out=B)
+    upper = np.triu(B @ B.conj().T, 1)
+    diag = np.sum(B.real ** 2 + B.imag ** 2, axis=1)
+    M = upper + upper.conj().T + np.diag(diag)
+    # the singular values of B are those of the triangle R of B^T = QR
+    min_eig = 0.0 if B.shape[0] > B.shape[1] else \
+        float(np.linalg.svd(np.linalg.qr(B.T, mode="r"), compute_uv=False)[-1]) ** 2
+    return GramMatrix(points=points, entries=M, min_eig=min_eig, trace=float(np.sum(diag)))
+
+
 def gram_kernel(points, tol: float = 1e-12) -> GramMatrix:
-    """Gram matrix of the reproducing kernel on a point set (PSD by theory)."""
-    return build_gram(points, lambda zi, zj: kernel(zi, zj, tol))
+    """Gram matrix of the reproducing kernel on a point set, c_k = 1/eta_k."""
+    return _diagonal_gram(
+        points, lambda r: -np.array(moments.log_eta_sequence(_trunc_index(r, tol))))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,17 @@ class TestPolyFockKernel:
         with pytest.raises(ConfigurationError):
             dbar.poly_fock_kernel(21, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_formula(self, n):
+        rng = random.Random(n)
+        for _ in range(50):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            d2 = abs(z - w) ** 2
+            poly = math.fsum((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) * d2 ** k
+                             for k in range(n))
+            assert dbar.poly_fock_kernel(n, z, w) == cmath.exp(z * w.conjugate()) * poly
+
 
 class TestAssembly:
     def test_constant_datum(self):

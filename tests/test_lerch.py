@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hfock import expint, lerch
+from hfock import expint, lerch, space
 from hfock.errors import AccuracyError, ConfigurationError, DomainError
-from hfock.numerics import integrate_semi_infinite
+from hfock.numerics import disk_point, integrate_semi_infinite
 
 
 class TestPhi:
@@ -162,6 +162,13 @@ class TestGramPhi:
         with pytest.raises(ConfigurationError):
             lerch.gram_phi(1, [0.9995])
 
+    @pytest.mark.parametrize("radius", [0.95, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entries_and_trace_against_mpmath(self, mp_gram, n, radius):
+        rng = random.Random(n)
+        pts = [disk_point(rng, radius) for _ in range(9)] + [radius]
+        mp_gram.check(lerch.gram_phi(n, pts), lambda q: mp_gram.phi(n, q))
+
 
 class TestMlAudit:
     def test_phi_tilde_order_one(self):
@@ -185,3 +192,18 @@ class TestMlAudit:
     def test_unknown_kernel(self):
         with pytest.raises(ConfigurationError):
             lerch.ml_audit("other")
+
+    @pytest.mark.parametrize("kernel, n", [("phi_tilde", 2), ("eta0_K", 1)])
+    def test_gram_against_mpmath(self, mp_gram, monkeypatch, kernel, n):
+        grams = []
+        diagonal_gram = space._diagonal_gram
+        monkeypatch.setattr(space, "_diagonal_gram",
+                            lambda *args: grams.append(diagonal_gram(*args)) or grams[-1])
+        rep = lerch.ml_audit(kernel, n, seed=3, sample_points=12)
+        (g,) = grams
+        details = {c["name"]: c for c in rep["conditions"]}["gram-psd-sampling"]["details"]
+        assert (details["min_eig"], details["trace"]) == (g.min_eig, g.trace)
+        if kernel == "phi_tilde":
+            mp_gram.check(g, lambda q: n * mp_gram.phi(n, q))
+        else:
+            mp_gram.check(g, lambda q: mp_gram.eta0 * mp_gram.efun(q))

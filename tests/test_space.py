@@ -6,6 +6,7 @@ import pytest
 
 from hfock import moments, space
 from hfock.errors import ConfigurationError, ValidationError
+from hfock.numerics import disk_point
 
 
 def _random_series(rng, degree):
@@ -162,6 +163,25 @@ class TestGram:
     def test_point_cap(self):
         with pytest.raises(ConfigurationError):
             space.gram_kernel([0.1] * 201)
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0, 20.0])
+    def test_entries_and_trace_against_mpmath(self, mp_gram, radius):
+        rng = random.Random(int(10 * radius))
+        pts = [disk_point(rng, radius) for _ in range(11)] + [radius]
+        mp_gram.check(space.gram_kernel(pts), mp_gram.efun)
+
+    def test_min_eig_nonnegative_at_radius_5(self):
+        # eigvalsh of the rounded matrix gave -1.99e-2 here, against a trace of 9.5e13
+        rng = random.Random(4)
+        g = space.gram_kernel([disk_point(rng, 5.0) for _ in range(50)])
+        assert g.min_eig >= 0.0
+
+    def test_more_points_than_terms_is_singular(self):
+        # at radius 0.5 the kernel series is truncated after 13 terms
+        rng = random.Random(3)
+        g = space.gram_kernel([disk_point(rng, 0.5) for _ in range(14)])
+        assert g.min_eig == 0.0
+        assert g.is_psd()
 
 
 class TestMembership:

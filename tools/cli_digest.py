@@ -31,6 +31,7 @@ COMMANDS = (
     "lerch --audit phi_tilde:2",
     "lerch --audit eta0_K",
     "gram --random 20 --seed 5",
+    "gram --random 200 --seed 1 --radius 5",
     "verify all --seed 0",
 )
 
