@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import space
 from .errors import ConfigurationError
-from .numerics import wirtinger_fd
+from .numerics import fsum_arrays, wirtinger_fd
 
 PI = math.pi
+_EXP_CMATH_CUTOFF = 700.0
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,56 @@ class PolyanalyticSeries:
         return acc
 
 
-def poly_fock_kernel(n: int, z: complex, w: complex) -> complex:
+def poly_fock_kernel(n: int, z, w):
     """Reproducing kernel of the order-n polyanalytic Gaussian space:
     exp(z conj(w)) sum_{k<n} ((-1)^k / k!) C(n, k+1) |z - w|^{2k}.
+
+    Elementwise over numpy arrays of points; a scalar call returns a complex.
+    Every value has the bits of the scalar formula
+    ``cmath.exp(z * w.conjugate()) * math.fsum(c_k * d2 ** k)`` with
+    ``d2 = abs(z - w) ** 2``: both complex products are written out as
+    Python forms them, signed zeros included, |z - w| is ``hypot``, the
+    powers are libm's ``pow`` and the sum is ``numerics.fsum_arrays``.
+    Raises OverflowError where that formula overflows, and where it would
+    return inf or nan.
     """
     if not 1 <= n <= 20:
         raise ConfigurationError(f"poly_fock_kernel: order must be in [1, 20], got {n}")
-    z, w = complex(z), complex(w)
-    d2 = abs(z - w) ** 2
-    poly = math.fsum(c * d2 ** k for k, c in enumerate(_poly_fock_coefficients(n)))
-    return cmath.exp(z * w.conjugate()) * poly
+    # numpy scalars for scalar points, so their arithmetic skips the array overhead
+    z, w = np.complex128(z), np.complex128(w)
+    scalar = z.ndim == w.ndim == 0
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.float_power(np.hypot(zr - wr, zi - wi), 2.0)
+        coeffs = _poly_fock_coefficients(n)
+        # d2 ** 0 is 1.0, and d2 ** 1 is d2 because pow is exact wherever
+        # the power is a double
+        poly = fsum_arrays([coeffs[0]] + [c * (d2 if k == 1 else np.float_power(d2, k))
+                                          for k, c in enumerate(coeffs) if k])
+        q = np.empty(d2.shape, dtype=complex)
+        q.real = zr * wr - zi * -wi
+        q.imag = zr * -wi + zi * wr
+        # past log(DBL_MAX / 4) cmath.exp rescales; take those few from cmath itself
+        big = q.real > _EXP_CMATH_CUTOFF
+        slow = [cmath.exp(v) for v in q[big].tolist()]
+        e = np.exp(q)
+        del q
+        if slow:
+            e = np.asarray(e)
+            e[big] = slow
+        # exp * poly as Python multiplies a complex by a float
+        re = e.real * poly - e.imag * 0.0
+        im = e.real * 0.0 + e.imag * poly
+        # an overflowing |z - w|^2 is caught even where the order-1 poly ignores it
+        check = re + im * 0.0 + d2 * 0.0
+    if not (math.isfinite(check) if scalar else np.isfinite(check).all()):
+        if not (np.isfinite(z).all() and np.isfinite(w).all()):
+            raise ConfigurationError("poly_fock_kernel: points must be finite")
+        raise OverflowError("poly_fock_kernel: value overflows")
+    if scalar:
+        return complex(re, im)
+    e.real, e.imag = re, im
+    return e
 
 
 @lru_cache(maxsize=20)

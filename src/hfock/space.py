@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .errors import AccuracyError, ConfigurationError
+from .errors import AccuracyError, ConfigurationError, ValidationError
 from .numerics import csum, min_eig_hermitian
 
 _LOG8 = math.log(8.0)
@@ -237,15 +237,24 @@ def _gram_points(points) -> tuple[complex, ...]:
 
 
 def build_gram(points, entry_fn) -> GramMatrix:
-    """Gram matrix of any kernel, one ``entry_fn(z_i, z_j)`` call per upper entry."""
+    """Gram matrix of any kernel from one elementwise ``entry_fn(z, w)`` call.
+
+    ``z`` and ``w`` are the complex arrays of all upper-triangle pairs,
+    diagonal included; the values go above the diagonal and their conjugates
+    below it and on it.
+    """
     points = _gram_points(points)
     m = len(points)
-    M = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            v = entry_fn(points[i], points[j])
-            M[i, j] = v
-            M[j, i] = v.conjugate()
+    z = np.array(points)
+    iu, ju = np.triu_indices(m)
+    v = np.asarray(entry_fn(z[iu], z[ju]), dtype=complex)
+    if v.shape != iu.shape:
+        raise ValidationError(
+            f"build_gram: entry_fn must map {iu.shape} point arrays to values of that shape, "
+            f"got {v.shape}")
+    M = np.empty((m, m), dtype=complex)
+    M[iu, ju] = v
+    M[ju, iu] = v.conj()
     return GramMatrix(points=points, entries=M,
                       min_eig=min_eig_hermitian(M), trace=float(M.trace().real))
 

@@ -27,6 +27,19 @@ def _random_series(rng: random.Random, degree: int) -> space.EntireSeries:
     return space.EntireSeries(tuple(disk_point(rng, 1.0) for _ in range(degree + 1)))
 
 
+def _sampled_entry_gap(g: space.GramMatrix, rng: random.Random, kernel, count: int = 4) -> float:
+    """Worst gap between ``count`` random entries of a factored Gram matrix and
+    the scalar ``kernel(z, w)``, over the entry contract 8192 u sqrt(K(z,z) K(w,w))
+    with u = 2^-53 (README, "Numerical notes"); at most 1 when the contract holds."""
+    diag = g.entries.diagonal().real
+    worst = 0.0
+    for _ in range(count):
+        i, j = rng.randrange(len(g.points)), rng.randrange(len(g.points))
+        gap = abs(complex(g.entries[i, j]) - kernel(g.points[i], g.points[j]))
+        worst = max(worst, gap / (8192 * 2.0 ** -53 * math.sqrt(diag[i] * diag[j])))
+    return worst
+
+
 # --------------------------------------------------------------------------
 # numerics
 
@@ -318,6 +331,7 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     checks.append(_check("norm-domination", ok))
 
     worst = 0.0
+    worst_entry = 0.0
     ok = True
     for s in range(20):
         local = random.Random(seed + 1000 + s)
@@ -325,7 +339,12 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
         g = space.gram_kernel(pts, tol)
         ok = ok and g.is_psd()
         worst = min(worst, g.min_eig / g.trace)
-    checks.append(_check("gram-psd-sampling", ok, min_eig_over_trace=worst))
+        worst_entry = max(worst_entry, _sampled_entry_gap(
+            g, local, lambda z, w: space.kernel(z, w, tol)))
+    # min_eig is sigma_min(B)^2 >= 0 by construction: the sampled entries,
+    # against the scalar kernel, are what can fail here
+    checks.append(_check("gram-psd-sampling", ok and worst_entry <= 1.0,
+                         min_eig_over_trace=worst, max_scaled_entry_gap=worst_entry))
 
     ok = True
     for f, z in ((space.EntireSeries((1.0,)), 3.0),
@@ -474,6 +493,7 @@ def suite_lerch(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
 
     ok = True
     worst = 0.0
+    worst_entry = 0.0
     for n in (1, 2, 3):
         for s in range(10):
             local = random.Random(seed + 100 * n + s)
@@ -481,7 +501,10 @@ def suite_lerch(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
             g = lerch.gram_phi(n, pts)
             ok = ok and g.is_psd()
             worst = min(worst, g.min_eig / g.trace)
-    checks.append(_check("phi-gram-psd-sampling", ok, min_eig_over_trace=worst))
+            worst_entry = max(worst_entry, _sampled_entry_gap(
+                g, local, lambda z, w, n=n: lerch.phi(n, z * w.conjugate())))
+    checks.append(_check("phi-gram-psd-sampling", ok and worst_entry <= 1.0,
+                         min_eig_over_trace=worst, max_scaled_entry_gap=worst_entry))
 
     grid = [0.1 + 0.1 * i for i in range(50)]
     ok = all(lerch.phi_cm_evidence(n, grid, 6).passed for n in (1, 2, 3))

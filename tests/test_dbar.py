@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hfock import dbar, space
-from hfock.errors import ConfigurationError
+from hfock.errors import ConfigurationError, ValidationError
+from hfock.numerics import disk_point
 
 
 def _random_series(rng, degree):
@@ -69,6 +71,166 @@ class TestPolyFockKernel:
             poly = math.fsum((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) * d2 ** k
                              for k in range(n))
             assert dbar.poly_fock_kernel(n, z, w) == cmath.exp(z * w.conjugate()) * poly
+
+
+def _formula(n, z, w):
+    """The order-n kernel as plain Python scalar arithmetic."""
+    d2 = abs(z - w) ** 2
+    poly = math.fsum((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) * d2 ** k
+                     for k in range(n))
+    return cmath.exp(z * w.conjugate()) * poly
+
+
+def _same_bits(a, b):
+    """Bitwise equality of complex arrays: real and imaginary parts, signed zeros included."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _order2(z, w):
+    return dbar.poly_fock_kernel(2, z, w)
+
+
+class TestPolyFockKernelArrays:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_arrays_match_scalar_calls_and_formula(self, n):
+        rng = random.Random(100 + n)
+        # |z - w|^2 at each positive root of the polynomial factor, where the
+        # sum cancels (|z - w| = sqrt(2) for n = 2), and at random spacings
+        coeffs = [(-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) for k in range(n)]
+        roots = [r.real for r in np.roots(coeffs[::-1]) if abs(r.imag) < 1e-9 and r.real > 0]
+        zs, ws = [], []
+        for _ in range(300):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            d2 = rng.choice(roots) if roots and rng.random() < 0.5 else rng.uniform(0, 8)
+            zs.append(z)
+            ws.append(z + cmath.rect(math.sqrt(d2), rng.uniform(-math.pi, math.pi)))
+        for z, w in ((0j, 0j), (complex(-0.0, 0.0), complex(0.0, -0.0)),
+                     (complex(0.0, -0.0), complex(-0.0, -0.0)), (1.5 - 0.5j, 1.5 - 0.5j),
+                     (1.25 + 0j, -1.25 + 0j), (0.75j, -0.75j)):
+            zs.append(z)
+            ws.append(w)
+        got = dbar.poly_fock_kernel(n, np.array(zs), np.array(ws))
+        scalar = [dbar.poly_fock_kernel(n, z, w) for z, w in zip(zs, ws)]
+        assert all(type(v) is complex for v in scalar)
+        assert _same_bits(got, scalar)
+        assert _same_bits(got, [_formula(n, z, w) for z, w in zip(zs, ws)])
+
+    def test_broadcasts_a_scalar_against_an_array(self):
+        ws = np.array([0.5 + 0.5j, -1.0, 2j])
+        assert _same_bits(dbar.poly_fock_kernel(3, 0.25 - 1j, ws),
+                          [_formula(3, 0.25 - 1j, complex(w)) for w in ws])
+
+    def test_overflow_raises_like_the_scalar_formula(self):
+        with pytest.raises(OverflowError):
+            _formula(2, 27 + 0j, 27 + 0j)
+        with pytest.raises(OverflowError):
+            dbar.poly_fock_kernel(2, 27.0, 27.0)
+        with pytest.raises(OverflowError):
+            dbar.poly_fock_kernel(2, np.array([0.0, 27.0]), np.array([0.0, 27.0]))
+        # |z - w|^2 overflows, which the order-1 value alone would not show
+        with pytest.raises(OverflowError):
+            _formula(1, 1e155 + 0j, 0j)
+        with pytest.raises(OverflowError):
+            dbar.poly_fock_kernel(1, np.array([0.0, 1e155]), 0.0)
+
+    def test_never_returns_inf(self):
+        # exp(709.5) is finite, twice it is not: the plain formula returns inf here
+        z = math.sqrt(709.5)
+        assert math.isinf(_formula(2, complex(z), complex(z)).real)
+        with pytest.raises(OverflowError):
+            dbar.poly_fock_kernel(2, z, z)
+        with pytest.raises(OverflowError):
+            dbar.poly_fock_kernel(2, np.array([z, 0.0]), np.array([z, 0.0]))
+
+    def test_large_exponents_keep_their_bits(self):
+        # Re(z conj w) in (700, 709.7], where cmath.exp rescales past log(DBL_MAX / 4)
+        rng = random.Random(7)
+        zs, ws = [], []
+        while len(zs) < 200:
+            z = cmath.rect(math.sqrt(rng.uniform(700.0, 709.7)), rng.uniform(-math.pi, math.pi))
+            w = z + cmath.rect(rng.uniform(0.0, 0.01), rng.uniform(-math.pi, math.pi))
+            try:
+                finite = cmath.isfinite(_formula(2, z, w))
+            except OverflowError:
+                finite = False
+            if finite:
+                zs.append(z)
+                ws.append(w)
+        expected = [_formula(2, z, w) for z, w in zip(zs, ws)]
+        assert _same_bits(dbar.poly_fock_kernel(2, np.array(zs), np.array(ws)), expected)
+        assert _same_bits([dbar.poly_fock_kernel(2, z, w) for z, w in zip(zs, ws)], expected)
+
+    def test_rejects_non_finite_points(self):
+        with pytest.raises(ConfigurationError):
+            dbar.poly_fock_kernel(2, complex(math.nan, 0.0), 0.0)
+        with pytest.raises(ConfigurationError):
+            dbar.poly_fock_kernel(2, np.array([0.0, math.inf]), 0.0)
+
+
+class TestOrderTwoGram:
+    @staticmethod
+    def _entry_loop(points):
+        m = len(points)
+        M = np.zeros((m, m), dtype=complex)
+        for i in range(m):
+            for j in range(i, m):
+                v = dbar.poly_fock_kernel(2, points[i], points[j])
+                M[i, j] = v
+                M[j, i] = v.conjugate()
+        return M
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_entry_loop_on_verify_point_sets(self, seed):
+        # the point set of the order-2 check in `hfock verify dbar --seed <seed>`
+        local = random.Random(seed + 7)
+        pts = [disk_point(local, 1.5) for _ in range(20)]
+        assert _same_bits(space.build_gram(pts, _order2).entries, self._entry_loop(pts))
+
+    def test_matches_entry_loop_at_200_points(self):
+        rng = random.Random(200)
+        pts = [disk_point(rng, 1.5) for _ in range(200)]
+        g = space.build_gram(pts, _order2)
+        M = self._entry_loop(pts)
+        assert _same_bits(g.entries, M)
+        assert g.trace == float(M.trace().real)
+
+    def test_entry_fn_called_once_on_the_upper_triangle(self):
+        calls = []
+
+        def entry_fn(z, w):
+            calls.append((z, w))
+            return _order2(z, w)
+
+        pts = [0.5, 1j, -0.25 + 0.5j, 0.0]
+        space.build_gram(pts, entry_fn)
+        assert len(calls) == 1
+        z, w = calls[0]
+        iu, ju = np.triu_indices(len(pts))
+        assert (z == np.array(pts)[iu]).all() and (w == np.array(pts)[ju]).all()
+
+    def test_rejects_an_entry_fn_that_is_not_elementwise(self):
+        with pytest.raises(ValidationError):
+            space.build_gram([0.5, 1j], lambda z, w: 1.0 + 0j)
+
+    def test_entries_and_trace_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        ctx = mp.MPContext()
+        ctx.dps = 40
+        rng = random.Random(1234)
+        pts = [disk_point(rng, 1.5) for _ in range(200)]
+        g = space.build_gram(pts, _order2)
+        tol = 8192 * 2.0 ** -53
+        mpts = [ctx.mpc(p) for p in pts]
+        diag = [2 * ctx.exp(abs(p) ** 2) for p in mpts]
+        trace = ctx.fsum(diag)
+        assert abs(g.trace - trace) <= tol * trace
+        for _ in range(200):
+            i, j = rng.randrange(200), rng.randrange(200)
+            z, w = mpts[i], mpts[j]
+            ref = complex(ctx.exp(z * ctx.conj(w)) * (2 - abs(z - w) ** 2))
+            assert abs(complex(g.entries[i, j]) - ref) <= tol * math.sqrt(diag[i] * diag[j]), (i, j)
+
 
 
 class TestAssembly:

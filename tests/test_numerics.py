@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hfock.errors import AccuracyError, ConfigurationError, ValidationError
-from hfock.numerics import (csum, gauss_hermite, gauss_laguerre,
+from hfock.numerics import (csum, fsum_arrays, gauss_hermite, gauss_laguerre,
                             integrate_semi_infinite, min_eig_hermitian,
                             wirtinger_fd)
 
@@ -167,3 +167,52 @@ def test_csum_matches_fsum():
     vals = [1e16, 1.0, -1e16, 1e-8]
     assert csum(vals) == math.fsum(vals)
     assert csum([1 + 1j, 1e-17 + 0j]).real == math.fsum([1.0, 1e-17])
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _fsum_columns(rows):
+    """fsum_arrays over the columns of equally long rows, one row per element."""
+    cols = np.array(rows, dtype=float).T
+    return fsum_arrays(list(cols)).tolist()
+
+
+class TestFsumArrays:
+    # half-way cases: the exact sum lies on (or next to) a tie of the top two
+    # partials, where a plain or compensated sum rounds the wrong way
+    HALF_WAY = ([1.0, 2.0 ** -53, 2.0 ** -106], [1e-16, 1.0, 1e16],
+                [2.0 ** 53, 1.0, 2.0 ** -50], [1.0, 2.0 ** -53, 2.0 ** -53, 2.0 ** -106],
+                [1.0, 1e100, 1.0, -1e100], [0.0, -0.0, -0.0], [1.0, -1.0, 0.0])
+
+    @pytest.mark.parametrize("terms", HALF_WAY, ids=str)
+    def test_half_way_cases_and_sign_flips(self, terms):
+        rows = [[-t if flips >> i & 1 else t for i, t in enumerate(terms)]
+                for flips in range(2 ** len(terms))]
+        for row, got in zip(rows, _fsum_columns(rows)):
+            assert _same_float(got, math.fsum(row)), row
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 20])
+    def test_random_rows_match_fsum(self, length):
+        rng = random.Random(length)
+        rows = []
+        for _ in range(2000):
+            row = [rng.choice((1.0, -1.0)) * rng.choice((1.0, 1.5, 1.0 + 2.0 ** -52))
+                   * 2.0 ** rng.randrange(-60, 60) for _ in range(length)]
+            if rng.random() < 0.5:
+                # cancel the sum down to a last-bit remainder
+                row[-1] = -math.fsum(row[:-1]) + rng.choice((0.0, 2.0 ** -70, -2.0 ** -70))
+            rows.append(row)
+        for row, got in zip(rows, _fsum_columns(rows)):
+            assert _same_float(got, math.fsum(row)), row
+
+    @pytest.mark.parametrize("terms", HALF_WAY, ids=str)
+    def test_python_float_terms(self, terms):
+        assert _same_float(float(fsum_arrays(terms)), math.fsum(terms))
+
+    def test_zero_sums_are_positive_zero(self):
+        got = _fsum_columns([[-0.0, -0.0], [1.0, -1.0]])
+        assert all(_same_float(g, 0.0) for g in got)
+        got = _fsum_columns([[-0.0, -0.0, -0.0], [1.0, -1.0, -0.0]])
+        assert all(_same_float(g, 0.0) for g in got)

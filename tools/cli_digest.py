@@ -33,6 +33,7 @@ COMMANDS = (
     "gram --random 20 --seed 5",
     "gram --random 200 --seed 1 --radius 5",
     "verify all --seed 0",
+    "verify dbar --seed 3",
 )
 
 
