@@ -9,7 +9,7 @@ Submodules:
 * ``moments``   -- the moment sequence eta_n by three cross-checked routes,
   its generating function and bounds
 * ``space``     -- the entire function efun, the reproducing kernel,
-  coefficient norms, Gram diagnostics, membership
+  coefficient norms, Gram diagnostics
 * ``bargmann``  -- orthonormal Hermite functions and the moment-weighted
   Bargmann kernel
 * ``lerch``     -- disk kernels phi_n, Lerch transcendent, Hurwitz zeta,

@@ -206,14 +206,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "suites for a weighted Fock-type space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
-        p.add_argument("--tol", type=float, default=1e-12)
+    def common(p, tol=False, fmt=None, seed=False):
+        # --out on every subcommand; --tol, --format (default ``fmt``) and
+        # --seed only where the subcommand reads them
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        p.add_argument("--seed", type=int, default=0)
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("moments", help="export the moment table")
-    common(p, "csv")
+    common(p, tol=True, fmt="csv")
     p.add_argument("--nmax", type=int, default=30)
     p.set_defaults(func=_cmd_moments)
 
@@ -226,19 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expint)
 
     p = sub.add_parser("efun", help="evaluate the reciprocal-moment entire function")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--z", action="append", required=True, metavar="RE[,IM]")
     p.set_defaults(func=_cmd_efun)
 
     p = sub.add_parser("kernel", help="evaluate the reproducing kernel K(z, w)")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--z", required=True, metavar="RE[,IM]")
     p.add_argument("--w", required=True, metavar="RE[,IM]")
     p.add_argument("--ml-normalized", action="store_true")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("gram", help="kernel Gram matrix with PSD diagnostics")
-    common(p)
+    common(p, tol=True, seed=True)
     p.add_argument("--points-file", default=None,
                    help='JSON file {"points": [[re,im],...], "tol": ...}')
     p.add_argument("--random", type=int, default=20, metavar="COUNT")
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("bargmann", help="sample the Bargmann-type kernel on an x grid")
-    common(p, "csv")
+    common(p, tol=True, fmt="csv")
     p.add_argument("--z", required=True, metavar="RE[,IM]")
     p.add_argument("--xmin", type=float, default=-3.0)
     p.add_argument("--xmax", type=float, default=3.0)
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bargmann)
 
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
-    common(p)
+    common(p, tol=True, seed=True)
     p.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
     p.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)
     p.add_argument("--lerch", nargs=3, metavar=("Z", "S", "A"), default=None)
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dbar)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    common(p, tol=True, seed=True)
     p.add_argument("suite", choices=sorted(list(verify.SUITES) + list(verify.ALIASES) + ["all"]))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--points", type=int, default=None)

@@ -78,11 +78,6 @@ def e1(x):
     return exp(-x) * _en_lentz_scaled(1, x)
 
 
-def e1_method(x) -> str:
-    """Which branch :func:`e1` selects for this argument."""
-    return "series" if abs(x) <= E1_SERIES_RADIUS else "continued-fraction"
-
-
 def en_family_scaled(n_max: int, x: float):
     """e^x E_0(x) .. e^x E_{n_max}(x) for real x > 0 in one pass.
 
@@ -134,23 +129,6 @@ def en_family(n_max: int, x: float):
 def en(n: int, x: float) -> float:
     """E_n(x) for integer n >= 0 and real x > 0."""
     return en_family(n, x)[n]
-
-
-def en_method(n: int, x: float) -> str:
-    """Which evaluation route :func:`en` takes for this (n, x).
-
-    One of ``closed-form`` (n = 0), ``series`` / ``continued-fraction``
-    (n = 1, by argument size), or for n >= 2 either ``continued-fraction``
-    (the anchor order near ceil(x)) or ``recurrence``.
-    """
-    if n == 0:
-        return "closed-form"
-    if n == 1:
-        return e1_method(x)
-    anchor = min(max(2, math.ceil(x)), n)
-    if x > E1_SERIES_RADIUS and anchor > 2 and n == anchor:
-        return "continued-fraction"
-    return "recurrence"
 
 
 def incomplete_gamma_int(m: int, x: float) -> float:

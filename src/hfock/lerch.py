@@ -29,21 +29,24 @@ def phi_series_coefficient(n: int, p: int) -> float:
     return 1.0 / (n + p)
 
 
-def _phi_order(n: int, r: float, tol: float) -> int:
-    """Number of terms phi_n sums at |z| = r: the first K >= 1 whose tail
-    bound sum_{j>=K} r^j/(j+n) <= r^K / ((K+n)(1-r)) is below ``tol``."""
-    k = 1
-    while r ** k / ((k + n) * (1.0 - r)) >= tol:
-        k += 1
-    return k
+def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]:
+    """(k+a)^s for k < K, where K >= 1 is the first order whose tail bound
+    sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``."""
+    dens = [a ** s]
+    while True:
+        k = len(dens)
+        den = (k + a) ** s
+        if r ** k / (den * (1.0 - r)) < tol:
+            return dens
+        dens.append(den)
 
 
 def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
     """phi_n(z) = sum_k z^k / (k+n) on the disk |z| <= 1 - 1e-6.
 
     Real z in (-1, -0.5] is routed through the Laplace closed form (the
-    analytic continuation); elsewhere the series is summed until its
-    geometric tail bound |z|^{K+1} / ((K+1+n)(1-|z|)) drops below ``tol``.
+    analytic continuation); elsewhere it is the Lerch series
+    ``lerch_phi(z, 1, n, tol)``.
     """
     if n < 1:
         raise ConfigurationError(f"phi: order must be >= 1, got {n}")
@@ -57,13 +60,7 @@ def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
             "use the Laplace integral representation instead")
     if z == 0:
         return complex(1.0 / n)
-    terms = []
-    zp = 1.0 + 0j
-    for k in range(_phi_order(n, r, tol)):
-        terms.append(zp / (k + n))
-        zp *= z
-    val = csum(terms)
-    return val if isinstance(val, complex) else complex(val)
+    return lerch_phi(z, 1.0, n, tol)
 
 
 def phi_tilde(n: int, z: complex, tol: float = 1e-13) -> complex:
@@ -77,7 +74,9 @@ def phi_tilde_slope_at_zero(n: int) -> float:
 
 
 def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
-    """Lerch transcendent sum_k z^k / (k+a)^s on |z| <= 1 - 1e-6, s > 0, a > 0."""
+    """Lerch transcendent sum_k z^k / (k+a)^s on |z| <= 1 - 1e-6, s > 0, a > 0,
+    summed to the first order K whose tail bound |z|^K / ((K+a)^s (1-|z|))
+    is below ``tol``."""
     if s <= 0.0:
         raise DomainError(f"lerch_phi: requires s > 0, got {s}")
     if a <= 0.0:
@@ -90,13 +89,9 @@ def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
         return complex(a ** -s)
     terms = []
     zp = 1.0 + 0j
-    k = 0
-    while True:
-        terms.append(zp / (k + a) ** s)
+    for den in _lerch_denominators(r, s, a, tol):
+        terms.append(zp / den)
         zp *= z
-        k += 1
-        if r ** k / ((k + a) ** s * (1.0 - r)) < tol:
-            break
     val = csum(terms)
     return val if isinstance(val, complex) else complex(val)
 
@@ -240,7 +235,7 @@ def _scaled_phi_gram(n: int, points, log_scale: float) -> space.GramMatrix:
     """Factored Gram matrix of exp(log_scale) phi_n(z conj w): c_k = exp(log_scale)/(k+n),
     truncated by phi's own tail rule and default tolerance."""
     return space._diagonal_gram(
-        points, lambda r: log_scale - np.log(np.arange(_phi_order(n, r, 1e-13)) + n))
+        points, lambda r: log_scale - np.log(_lerch_denominators(r, 1.0, n, 1e-13)))
 
 
 def _audit_condition(name, status, details):

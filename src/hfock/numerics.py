@@ -246,46 +246,27 @@ def csum(terms) -> float | complex:
     return math.fsum(terms)
 
 
+def _fsum(terms) -> float:
+    # inf - inf, or partials past the float range, make fsum raise
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def fsum_arrays(terms) -> np.ndarray | np.float64:
     """``math.fsum`` elementwise over a sequence of float arrays (or scalars)
     that broadcast to one shape.
 
-    Each element of the result is the correctly rounded (half-even) sum of
-    that element's terms, bit for bit what ``math.fsum`` returns, a zero sum
-    included (+0.0).  Terms must be finite; an overflowing sum comes out
-    inf or nan instead of raising.  Two terms need one IEEE add; more keep
-    Shewchuk's partials with a branch-free TwoSum, zeros left in place
-    where ``fsum`` drops them, then sum them from the top as ``fsum`` does.
+    Each element of the result is bit for bit what ``math.fsum`` returns for
+    that element's terms, a zero sum included (+0.0).  Where ``fsum`` would
+    raise, on inf - inf or an overflowing sum, the element is nan; a nan or
+    a lone infinite term passes through.  Two terms need one IEEE add,
+    which rounds as ``fsum`` does.
     """
     if len(terms) <= 2:
         # starting from +0.0 only turns a -0.0 sum into +0.0
         return sum(terms, np.float64(0.0))
-    partials = []
-    for x in terms:
-        for j, y in enumerate(partials):
-            hi = x + y
-            t = hi - x
-            partials[j] = (x - (hi - t)) + (y - t)
-            x = hi
-        partials.append(x)
-    # top down until the sum turns inexact at some partial; fsum's half-even
-    # step then looks at the sign of the next nonzero partial below it
-    hi = partials.pop()
-    lo = below = hi * 0.0
-    summing = np.isfinite(hi)  # all true, as the terms are finite
-    seeking = ~summing
-    for y in reversed(partials):
-        s = hi + y
-        err = y - (s - hi)
-        # [()] turns where's 0-d arrays back into scalars, which are cheaper
-        hi = np.where(summing, s, hi)[()]
-        found = seeking & (y != 0.0)
-        below = np.where(found, y, below)[()]
-        broke = summing & (err != 0.0)
-        lo = np.where(broke, err, lo)[()]
-        seeking = (seeking & ~found) | broke
-        summing = summing & ~broke
-    y = 2.0 * lo
-    x = hi + y
-    fix = (((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0))) & (x - hi == y)
-    return np.where(fix, x, hi)[()] + 0.0
+    rows = np.broadcast_arrays(*terms)
+    sums = [_fsum(col) for col in zip(*(row.ravel().tolist() for row in rows))]
+    return np.array(sums).reshape(rows[0].shape)[()]

@@ -29,7 +29,6 @@ class EntireSeries:
     """Finitely supported coefficient sequence of an entire function."""
 
     coeffs: tuple[complex, ...]
-    label: str = ""
 
     def __post_init__(self):
         if len(self.coeffs) - 1 > moments.N_MAX:
@@ -47,14 +46,14 @@ class EntireSeries:
         return acc
 
     @staticmethod
-    def monomial(n: int, scale: complex = 1.0, label: str = "") -> "EntireSeries":
-        return EntireSeries((0j,) * n + (complex(scale),), label=label)
+    def monomial(n: int, scale: complex = 1.0) -> "EntireSeries":
+        return EntireSeries((0j,) * n + (complex(scale),))
 
     @staticmethod
     def basis_element(n: int) -> "EntireSeries":
         """e_n = z^n / sqrt(eta_n), a unit vector of the space."""
         scale = math.exp(-0.5 * moments.log_eta(n))
-        return EntireSeries.monomial(n, scale, label=f"e_{n}")
+        return EntireSeries.monomial(n, scale)
 
     @staticmethod
     def exponential(w: complex, degree: int) -> "EntireSeries":
@@ -64,7 +63,7 @@ class EntireSeries:
         for j in range(degree + 1):
             coeffs.append(c)
             c = c * wc / (j + 1)
-        return EntireSeries(tuple(coeffs), label=f"exp({w} z), deg {degree}")
+        return EntireSeries(tuple(coeffs))
 
 
 def _trunc_index(abs_z: float, tol: float) -> int:
@@ -186,7 +185,7 @@ def reproducing_check(f: EntireSeries, z: complex) -> tuple[complex, complex]:
         raise ConfigurationError("reproducing_check: degree capped at 1000")
     z = complex(z)
     # coefficients of K_z: conj(z)^n / eta_n
-    kz_series = EntireSeries(tuple(_kernel_terms(z.conjugate(), f.degree)), label=f"K_{z}")
+    kz_series = EntireSeries(tuple(_kernel_terms(z.conjugate(), f.degree)))
     return h_inner(f, kz_series), f(z)
 
 
@@ -293,28 +292,4 @@ def gram_kernel(points, tol: float = 1e-12) -> GramMatrix:
     """Gram matrix of the reproducing kernel on a point set, c_k = 1/eta_k."""
     return _diagonal_gram(
         points, lambda r: -np.array(moments.log_eta_sequence(_trunc_index(r, tol))))
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    h_norm: float
-    fock_norm: float
-    ratio: float
-    term_contributions: tuple[float, ...]
-
-
-def membership(f: EntireSeries) -> MembershipReport:
-    """Norm data for a finite series (always a member of the space).
-
-    The Fock-to-space norm ratio is reported because the two spaces differ:
-    the space here is strictly larger than the Gaussian one.
-    """
-    logs = moments.log_eta_sequence(f.degree)
-    terms = tuple(abs(a) ** 2 * math.exp(logs[n]) if logs[n] < 700.0 else math.inf
-                  for n, a in enumerate(f.coeffs))
-    hn = h_norm(f)
-    fn = fock_norm(f)
-    return MembershipReport(h_norm=hn, fock_norm=fn,
-                            ratio=fn / hn if hn > 0 else math.nan,
-                            term_contributions=terms)
 

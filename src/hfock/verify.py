@@ -361,7 +361,7 @@ def suite_hfock(seed: int = 0, tol: float = 1e-12, **_) -> list[dict]:
     ok = ok and rep.ok and saturation > 1.0 - 1e-10
     checks.append(_check("pointwise-bound", ok, saturation=saturation))
 
-    rep = space.membership(space.EntireSeries.basis_element(3))
+    rep = space.norms(space.EntireSeries.basis_element(3))
     eta3 = moments.eta_closed_form(3)
     ok = (abs(rep.h_norm - 1.0) <= 1e-12
           and abs(rep.fock_norm - math.sqrt(6.0 / eta3)) <= 1e-12)

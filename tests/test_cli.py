@@ -159,3 +159,26 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["moments", "--bogus"])
         assert exc.value.code == 2
+
+    # a subcommand takes --tol, --format and --seed only where it reads them
+    @pytest.mark.parametrize("argv", [
+        ["efun", "--z", "1", "--format", "csv"],
+        ["expint", "--x", "1", "--format", "json"],
+        ["kernel", "--z", "1", "--w", "1", "--format", "json"],
+        ["gram", "--format", "json"],
+        ["lerch", "--zeta", "2", "1", "--format", "json"],
+        ["dbar", "--problem", "p.json", "--format", "json"],
+        ["verify", "bounds", "--format", "json"],
+        ["moments", "--seed", "1"],
+        ["expint", "--x", "1", "--seed", "1"],
+        ["efun", "--z", "1", "--seed", "1"],
+        ["kernel", "--z", "1", "--w", "1", "--seed", "1"],
+        ["bargmann", "--z", "1", "--seed", "1"],
+        ["dbar", "--problem", "p.json", "--seed", "1"],
+        ["expint", "--x", "1", "--tol", "1e-10"],
+        ["dbar", "--problem", "p.json", "--tol", "1e-10"],
+    ], ids=" ".join)
+    def test_ignored_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2

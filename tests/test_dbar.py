@@ -167,6 +167,20 @@ class TestPolyFockKernelArrays:
         with pytest.raises(ConfigurationError):
             dbar.poly_fock_kernel(2, np.array([0.0, math.inf]), 0.0)
 
+    # orders >= 3 sum with math.fsum, which raises on inf - inf; the kernel
+    # must raise its own errors instead.  At 1e100 |z - w|^4 overflows, at
+    # 1e155 |z - w|^2 does, and at 27 exp(z conj w) does.
+    @pytest.mark.parametrize("n", [3, 5, 20])
+    @pytest.mark.parametrize("z, w, error", [
+        (math.inf, 0.0, ConfigurationError), (complex(math.nan, 0.0), 0.0, ConfigurationError),
+        (complex(0.0, -math.inf), 1.0, ConfigurationError), (1e100, 0.0, OverflowError),
+        (1e155, -1e155, OverflowError), (27.0, 27.0, OverflowError)])
+    def test_high_orders_raise_on_non_finite_and_overflow(self, n, z, w, error):
+        with pytest.raises(error):
+            dbar.poly_fock_kernel(n, z, w)
+        with pytest.raises(error):
+            dbar.poly_fock_kernel(n, np.array([0.5, z]), np.array([0.5j, w]))
+
 
 class TestOrderTwoGram:
     @staticmethod

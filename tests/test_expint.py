@@ -39,15 +39,6 @@ class TestE1:
             cf = math.exp(-x) * expint._en_lentz_scaled(1, x)
             assert series == pytest.approx(cf, rel=1e-13)
 
-    def test_method_report(self):
-        assert expint.e1_method(0.5) == "series"
-        assert expint.e1_method(7.0) == "continued-fraction"
-        assert expint.en_method(0, 2.0) == "closed-form"
-        assert expint.en_method(1, 0.5) == "series"
-        assert expint.en_method(7, 7.0) == "continued-fraction"
-        assert expint.en_method(12, 7.0) == "recurrence"
-        assert expint.en_method(5, 0.5) == "recurrence"
-
     @pytest.mark.parametrize("x", [0.0, -1.0, -2 + 1j])
     def test_domain(self, x):
         with pytest.raises(DomainError):

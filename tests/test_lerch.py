@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -62,16 +63,47 @@ class TestPhiTilde:
         assert lerch.phi_tilde(1, 0.5).real == pytest.approx(gold["phi1_at_half"], abs=1e-13)
 
 
+# up to |z| = 0.999, where the series runs to some 40 000 terms
+_MP_POINTS = [cmath.rect(r, t) for r in (0.3, 0.9, 0.999) for t in (0.0, 2.9)]
+_MP_TOLS = (1e-10, 1e-13, 1e-16)
+
+
+def _mp_bound(tol, ref):
+    """Truncation leaves less than ``tol``; rounding adds a few ulps of the value."""
+    return tol + 8.0 * sys.float_info.epsilon * abs(ref)
+
+
 class TestLerchPhi:
     def test_at_zero(self):
         assert lerch.lerch_phi(0.0, 2.5, 3.0) == complex(3.0 ** -2.5)
 
     def test_reduces_to_phi_at_s_one(self):
+        # off the Laplace interval phi is this series, bit for bit
         rng = random.Random(8)
         for _ in range(50):
             z = cmath.rect(0.9 * math.sqrt(rng.random()), 2 * math.pi * rng.random())
             n = rng.randrange(1, 6)
-            assert abs(lerch.lerch_phi(z, 1.0, float(n)) - lerch.phi(n, z)) <= 1e-12
+            assert lerch.lerch_phi(z, 1.0, float(n)) == lerch.phi(n, z)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+    def test_against_mpmath(self, s):
+        mp = pytest.importorskip("mpmath")
+        for z in _MP_POINTS:
+            for a in (0.5, 3.0):
+                with mp.workdps(40):
+                    ref = complex(mp.lerchphi(z, s, a))
+                for tol in _MP_TOLS:
+                    got = lerch.lerch_phi(z, s, a, tol)
+                    assert abs(got - ref) <= _mp_bound(tol, ref), (z, a, tol)
+
+    def test_phi_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for z in _MP_POINTS + [-0.7, -0.999]:
+            for n in (1, 2, 5):
+                with mp.workdps(40):
+                    ref = complex(mp.lerchphi(z, 1, n))
+                for tol in _MP_TOLS:
+                    assert abs(lerch.phi(n, z, tol) - ref) <= _mp_bound(tol, ref), (z, n, tol)
 
     def test_series_vs_integral(self):
         got = lerch.lerch_phi(0.5, 2.0, 1.0)

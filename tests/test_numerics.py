@@ -211,6 +211,12 @@ class TestFsumArrays:
     def test_python_float_terms(self, terms):
         assert _same_float(float(fsum_arrays(terms)), math.fsum(terms))
 
+    def test_non_finite_and_overflowing_sums_do_not_raise(self):
+        got = _fsum_columns([[math.inf, -math.inf, 1.0], [1e308, 1e308, -1e308],
+                             [math.inf, 1.0, 2.0], [math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]])
+        assert math.isnan(got[0]) and math.isnan(got[1])
+        assert got[2] == math.inf and math.isnan(got[3]) and got[4] == 6.0
+
     def test_zero_sums_are_positive_zero(self):
         got = _fsum_columns([[-0.0, -0.0], [1.0, -1.0]])
         assert all(_same_float(g, 0.0) for g in got)

@@ -186,12 +186,12 @@ class TestGram:
 
 class TestMembership:
     def test_basis_element(self, gold):
-        rep = space.membership(space.EntireSeries.basis_element(3))
+        rep = space.norms(space.EntireSeries.basis_element(3))
         assert rep.h_norm == pytest.approx(1.0, abs=1e-13)
         assert rep.fock_norm == pytest.approx(math.sqrt(6.0 / gold["eta3"]), rel=1e-13)
 
     def test_quadratic(self, gold):
-        rep = space.membership(space.EntireSeries((1.0, 1.0, 1.0)))
+        rep = space.norms(space.EntireSeries((1.0, 1.0, 1.0)))
         expected = gold["eta0"] + gold["eta1"] + gold["eta2"]
         assert rep.h_norm ** 2 == pytest.approx(expected, rel=1e-13)
 

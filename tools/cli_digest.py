@@ -28,7 +28,10 @@ COMMANDS = (
     "lerch --phi 2 0.3,0.4",
     "lerch --phi 3 -0.7",
     "lerch --zeta 2 1",
+    "lerch --lerch 0.5,0.3 1.5 2",
+    "lerch --phi 1 0.9,0.4",
     "lerch --audit phi_tilde:2",
+    "lerch --audit phi_tilde:3",
     "lerch --audit eta0_K",
     "gram --random 20 --seed 5",
     "gram --random 200 --seed 1 --radius 5",
