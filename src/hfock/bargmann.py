@@ -114,39 +114,35 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
     for n in range(n_trunc + 1):
         terms.append(zp * math.exp(-0.5 * logs[n]) * psi[n])
         zp *= z
-    val = csum(terms)
-    return val if isinstance(val, complex) else complex(val)
+    return csum(terms)
 
 
-def kernel_l2_norm_sq(z: complex, quad_nodes: int = 200, trunc: int = 60) -> float:
-    """integral over R of |A(z, x)|^2 dx, by Gauss-Hermite on the truncation.
+def kernel_l2_norm_sq(z: complex) -> float:
+    """integral over R of |A(z, x)|^2 dx, by 200-point Gauss-Hermite on the
+    truncation of A after order 60.
 
     Equals efun(|z|^2): the Hermite functions are orthonormal, so the square
     integral telescopes to sum |z|^{2n} / eta_n.  The integrand divided by
-    exp(-x^2) is a polynomial of degree 2*trunc, integrated exactly for
-    quad_nodes > trunc + 1/2.
+    exp(-x^2) is a polynomial of degree 120, which the rule integrates
+    exactly.
     """
     z = complex(z)
     if abs(z) > 2.0:
         raise ConfigurationError(f"kernel_l2_norm_sq: |z| capped at 2, got {abs(z)}")
-    if quad_nodes < 100:
-        raise ConfigurationError("kernel_l2_norm_sq: need quad_nodes >= 100")
-    if trunc < 40:
-        raise ConfigurationError("kernel_l2_norm_sq: need trunc >= 40")
-    rule = gauss_hermite(quad_nodes)
-    psi_mat = _psi_scaled_matrix(trunc, rule.nodes)
-    logs = moments.log_eta_sequence(trunc)
-    coeff = np.empty(trunc + 1, dtype=complex)
+    rule = gauss_hermite(200)
+    psi_mat = _psi_scaled_matrix(60, rule.nodes)
+    logs = moments.log_eta_sequence(60)
+    coeff = np.empty(61, dtype=complex)
     zp = 1.0 + 0j
-    for n in range(trunc + 1):
+    for n in range(61):
         coeff[n] = zp * math.exp(-0.5 * logs[n])
         zp *= z
     amp = coeff @ psi_mat
     return float(np.dot(rule.weights, np.abs(amp) ** 2))
 
 
-def hermite_generating_pair(z: complex, x: float, n_terms: int = 120) -> tuple[complex, complex]:
-    """Series and closed form of sum z^n/sqrt(n!) psi_n(x).
+def hermite_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
+    """Series (orders 0..120) and closed form of sum z^n/sqrt(n!) psi_n(x).
 
     Closed form (orthonormal convention):
     pi^{-1/4} exp(-(z^2 + x^2)/2 + sqrt(2) z x).
@@ -154,10 +150,10 @@ def hermite_generating_pair(z: complex, x: float, n_terms: int = 120) -> tuple[c
     z = complex(z)
     if abs(z) > 3.0 or abs(x) > 5.0:
         raise ConfigurationError("hermite_generating_pair: validated for |z| <= 3, |x| <= 5")
-    psi = hermite_psi(n_terms, x)
+    psi = hermite_psi(120, x)
     terms = []
     zp = 1.0 + 0j
-    for n in range(n_terms + 1):
+    for n in range(121):
         terms.append(zp * math.exp(-0.5 * math.lgamma(n + 1)) * psi[n])
         zp *= z
     lhs = csum(terms)
@@ -165,21 +161,19 @@ def hermite_generating_pair(z: complex, x: float, n_terms: int = 120) -> tuple[c
     return complex(lhs), rhs
 
 
-def weighted_generating_pair(z: complex, x: float, n_terms: int = 60) -> tuple[complex, complex]:
+def weighted_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     """Optimally truncated series and integral form of
     sum (eta_n/sqrt(n!)) z^n psi_n(x).
 
     The coefficient series is asymptotic only (eta_n/sqrt(n!) grows like
-    sqrt(n!)/n^2), so it is summed to its smallest term; that leaves an
-    irreducible gap of order exp(-1/(2|z|^2)), which clears 1e-7 only for
-    |z| <= 0.15.  Outside that disk, or when Re(z^2) <= 0 so the integral
-    side diverges, a domain error points at the validated region.
+    sqrt(n!)/n^2), so it is summed to its smallest term among orders 0..60;
+    that leaves an irreducible gap of order exp(-1/(2|z|^2)), which clears
+    1e-7 only for |z| <= 0.15.  Outside that disk, or when Re(z^2) <= 0 so
+    the integral side diverges, a domain error points at the validated region.
     """
     z = complex(z)
     if abs(x) > 5.0:
         raise ConfigurationError("weighted_generating_pair: |x| capped at 5")
-    if n_terms < 60:
-        raise ConfigurationError("weighted_generating_pair: need n_terms >= 60")
     if abs(z) > WEIGHTED_GF_RADIUS:
         raise DomainError(
             f"weighted_generating_pair: validated only for |z| <= {WEIGHTED_GF_RADIUS} "
@@ -187,11 +181,11 @@ def weighted_generating_pair(z: complex, x: float, n_terms: int = 60) -> tuple[c
     if z != 0 and (z * z).real <= 0.0:
         raise DomainError("weighted_generating_pair: integral side requires Re(z^2) > 0")
 
-    psi = hermite_psi(n_terms, x)
-    logs = moments.log_eta_sequence(n_terms)
+    psi = hermite_psi(60, x)
+    logs = moments.log_eta_sequence(60)
     terms = []
     zp = 1.0 + 0j
-    for n in range(n_terms + 1):
+    for n in range(61):
         terms.append(zp * math.exp(logs[n] - 0.5 * math.lgamma(n + 1)) * psi[n])
         zp *= z
     # truncate at the smallest nonzero term (odd-order terms vanish at x=0)

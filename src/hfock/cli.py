@@ -193,8 +193,7 @@ def _cmd_dbar(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run(args.suite, seed=args.seed, tol=args.tol,
-                        nmax=args.nmax, points=args.points)
+    report = verify.run(args.suite, seed=args.seed, nmax=args.nmax, points=args.points)
     _emit_json(report, args.out)
     return 0 if report["n_failed"] == 0 else 3
 
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dbar)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, tol=True, seed=True)
+    common(p, seed=True)
     p.add_argument("suite", choices=sorted(list(verify.SUITES) + list(verify.ALIASES) + ["all"]))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--points", type=int, default=None)

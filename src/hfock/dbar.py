@@ -126,8 +126,8 @@ class ResidualReport:
     residuals: tuple[float, ...]
     symbolic_zero: bool
 
-    def flagged(self, tol: float = 1e-6) -> bool:
-        return self.max_residual > tol
+    def flagged(self) -> bool:
+        return self.max_residual > 1e-6
 
     def as_json_obj(self) -> dict:
         return {"max_residual": self.max_residual,

@@ -37,7 +37,7 @@ def _e1_series(x):
     return -EULER_GAMMA - log(x) + s
 
 
-def _en_lentz_scaled(n, x, max_iter=500):
+def _en_lentz_scaled(n, x):
     # modified Lentz evaluation of the continued fraction for e^x E_n(x):
     # E_n(x) = e^{-x} / (x + n - 1*n/(x + n + 2 - 2(n+1)/(x + n + 4 - ...)))
     tiny = 1e-300
@@ -45,7 +45,7 @@ def _en_lentz_scaled(n, x, max_iter=500):
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, 500):
         a = -i * (n - 1 + i)
         b += 2.0
         d = a * d + b

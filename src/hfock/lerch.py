@@ -20,6 +20,8 @@ from .errors import ConfigurationError, DomainError
 from .numerics import csum, disk_point, integrate_semi_infinite
 
 DISK_MARGIN = 1e-6
+_CM_ORDER = 6  # highest finite difference cm_evidence checks
+_AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 
 
 def phi_series_coefficient(n: int, p: int) -> float:
@@ -63,9 +65,9 @@ def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
     return lerch_phi(z, 1.0, n, tol)
 
 
-def phi_tilde(n: int, z: complex, tol: float = 1e-13) -> complex:
+def phi_tilde(n: int, z: complex) -> complex:
     """n * phi_n(z); takes the value 1 at the origin."""
-    return n * phi(n, z, tol)
+    return n * phi(n, z)
 
 
 def phi_tilde_slope_at_zero(n: int) -> float:
@@ -92,12 +94,12 @@ def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
     for den in _lerch_denominators(r, s, a, tol):
         terms.append(zp / den)
         zp *= z
-    val = csum(terms)
-    return val if isinstance(val, complex) else complex(val)
+    return csum(terms)
 
 
-def lerch_phi_integral(z: complex, s: float, a: float, tol: float = 1e-10) -> complex:
-    """Integral route (1/Gamma(s)) integral of t^{s-1} e^{-a t}/(1 - z e^{-t}).
+def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
+    """Integral route (1/Gamma(s)) integral of t^{s-1} e^{-a t}/(1 - z e^{-t}),
+    to relative tolerance 1e-10.
 
     Valid cross-check for s >= 1, where the integrand stays bounded at the
     origin; the adaptive integrator grades the mesh there on its own.
@@ -113,7 +115,7 @@ def lerch_phi_integral(z: complex, s: float, a: float, tol: float = 1e-10) -> co
     def integrand(t):
         return t ** (s - 1.0) * math.exp(-a * t) / (1.0 - z * math.exp(-t))
 
-    res = integrate_semi_infinite(integrand, tol)
+    res = integrate_semi_infinite(integrand, 1e-10)
     return res.value / math.gamma(s)
 
 
@@ -182,18 +184,16 @@ class CMReport:
         return not self.violations
 
 
-def cm_evidence(f, a_grid, max_order: int = 6, slack: float = 1e-10) -> CMReport:
-    """Check (-1)^j diff^j_h f >= -slack for j = 0..max_order over the grid.
+def cm_evidence(f, a_grid) -> CMReport:
+    """Check (-1)^j diff^j_h f >= -1e-10 for j = 0..6 over the grid.
 
     ``a_grid`` must be uniformly spaced and increasing; ``f`` maps grid
     points to floats.  This is a necessary condition of bounded order for
     complete monotonicity, so the outcome is evidence, never a proof.
     """
-    if not 0 <= max_order <= 8:
-        raise ConfigurationError("cm_evidence: max_order capped at 8")
     grid = [float(a) for a in a_grid]
-    if len(grid) < max_order + 2:
-        raise ConfigurationError("cm_evidence: grid shorter than max_order + 2")
+    if len(grid) < _CM_ORDER + 2:
+        raise ConfigurationError(f"cm_evidence: grid shorter than {_CM_ORDER + 2} points")
     steps = [b - a for a, b in zip(grid, grid[1:])]
     h = steps[0]
     if h <= 0 or any(abs(s - h) > 1e-9 * h for s in steps):
@@ -201,24 +201,24 @@ def cm_evidence(f, a_grid, max_order: int = 6, slack: float = 1e-10) -> CMReport
     values = [float(f(a)) for a in grid]
     mins, violations = [], []
     diffs = values
-    for j in range(max_order + 1):
+    for j in range(_CM_ORDER + 1):
         signed = [(-1.0) ** j * d for d in diffs]
         mins.append(min(signed))
         for i, v in enumerate(signed):
-            if v < -slack:
+            if v < -1e-10:
                 violations.append((j, i, v))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return CMReport(order_checked=max_order, min_signed=tuple(mins),
+    return CMReport(order_checked=_CM_ORDER, min_signed=tuple(mins),
                     violations=tuple(violations))
 
 
-def phi_cm_evidence(n: int, a_grid, max_order: int = 6) -> CMReport:
+def phi_cm_evidence(n: int, a_grid) -> CMReport:
     """CM evidence for a -> phi_n(-a) (a Laplace transform of E_n >= 0).
 
     Evaluation goes through the Laplace form, which covers the whole grid
     a > -1 regardless of the series' unit-disk restriction.
     """
-    return cm_evidence(lambda a: expint.laplace_en(n, a), a_grid, max_order)
+    return cm_evidence(lambda a: expint.laplace_en(n, a), a_grid)
 
 
 def gram_phi(n: int, points) -> space.GramMatrix:
@@ -242,36 +242,37 @@ def _audit_condition(name, status, details):
     return {"name": name, "status": status, "details": details}
 
 
-def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) -> dict:
+def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
     """Audit the kernel-class conditions for ``phi_tilde`` (given order) or
     ``eta0_K`` (the moment-normalized reproducing kernel).
 
-    Conditions: i) value 1 and positive slope at the origin, ii) sampled Gram
-    positive semidefiniteness, iii) finite-difference complete monotonicity
-    of the radial restriction.  iii) is reported as ``evidence`` regardless
-    of outcome detail: bounded-order differences cannot certify the class.
+    Conditions: i) value 1 and positive slope at the origin, ii) positive
+    semidefiniteness of the Gram over 30 seeded points, iii) finite-difference
+    complete monotonicity of the radial restriction.  iii) is reported as
+    ``evidence`` regardless of outcome detail: bounded-order differences
+    cannot certify the class.
     """
     rng = random.Random(seed)
     conditions = []
     if kernel == "phi_tilde":
         value0 = phi_tilde(n, 0.0).real
         slope0 = phi_tilde_slope_at_zero(n)
-        pts = [disk_point(rng, 0.95) for _ in range(sample_points)]
+        pts = [disk_point(rng, 0.95) for _ in range(_AUDIT_POINTS)]
         gram = _scaled_phi_gram(n, pts, math.log(n))
         cm = cm_evidence(lambda a: n * expint.laplace_en(n, a),
-                         [0.1 + 0.1 * i for i in range(50)], 6)
+                         [0.1 + 0.1 * i for i in range(50)])
         label = f"phi_tilde({n})"
     elif kernel == "eta0_K":
         eta0 = moments.eta_closed_form(0)
         eta1 = moments.eta_closed_form(1)
         value0 = eta0 * space.efun(0.0).real
         slope0 = eta0 / eta1
-        pts = [disk_point(rng, 2.0) for _ in range(sample_points)]
+        pts = [disk_point(rng, 2.0) for _ in range(_AUDIT_POINTS)]
         # c_k = eta_0 / eta_k, cut where efun's tail meets kernel's default 1e-12
         gram = space._diagonal_gram(pts, lambda r: moments.log_eta(0) - np.array(
             moments.log_eta_sequence(space._trunc_index(r, 1e-12))))
         cm = cm_evidence(lambda a: eta0 * space.efun(-a).real,
-                         [0.1 + 0.1 * i for i in range(50)], 6)
+                         [0.1 + 0.1 * i for i in range(50)])
         label = "eta0_K"
     else:
         raise ConfigurationError(f"ml_audit: unknown kernel {kernel!r}")
@@ -285,7 +286,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0, sample_points: int = 30) ->
     conditions.append(_audit_condition(
         "gram-psd-sampling",
         "pass" if ok_ii else "fail",
-        {"points": sample_points, "min_eig": gram.min_eig, "trace": gram.trace}))
+        {"points": _AUDIT_POINTS, "min_eig": gram.min_eig, "trace": gram.trace}))
     conditions.append(_audit_condition(
         "complete-monotonicity-evidence",
         "evidence",

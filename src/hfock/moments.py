@@ -76,8 +76,6 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
 
 
 def _eta_integrand(n):
-    if n == 0:
-        return lambda t: math.exp(-t) / ((1.0 + t) * (1.0 + t))
     if n <= 65:
         return lambda t: t ** n * math.exp(-t) / ((1.0 + t) * (1.0 + t))
     # from n = 66, t^n overflows on the integrator's far nodes: assemble in log scale
@@ -262,8 +260,8 @@ def _laguerre_projection() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(g), tuple(h)
 
 
-def _series_direct(z: complex, n_terms: int) -> complex:
-    logs = log_eta_sequence(min(n_terms, 2000))
+def _series_direct(z: complex) -> complex:
+    logs = log_eta_sequence(2000)
     terms = []
     zp = 1.0 + 0j
     for n in range(len(logs)):
@@ -274,11 +272,10 @@ def _series_direct(z: complex, n_terms: int) -> complex:
         if n > 8 and abs(t) < 1e-18:
             break
         zp *= z
-    val = csum(terms)
-    return val if isinstance(val, complex) else complex(val)
+    return csum(terms)
 
 
-def _series_accelerated(z: complex, n_terms: int = _ACCEL_K_MAX) -> complex:
+def _series_accelerated(z: complex) -> complex:
     w = z / (1.0 + z)
     if abs(w) > _ACCEL_RATIO:
         raise AccuracyError(
@@ -287,32 +284,29 @@ def _series_accelerated(z: complex, n_terms: int = _ACCEL_K_MAX) -> complex:
     g, _ = _laguerre_projection()
     terms = []
     wp = 1.0 + 0j
-    for k in range(min(n_terms, len(g))):
+    for k in range(_ACCEL_K_MAX):
         t = g[k] * wp
         terms.append(t)
         if k > 8 and abs(t) < 1e-18 * max(1.0, abs(terms[0])):
             break
         wp *= w
-    val = csum(terms)
-    return (val if isinstance(val, complex) else complex(val)) / (1.0 + z)
+    return csum(terms) / (1.0 + z)
 
 
-def generating_series(z: complex, n_terms: int = 2000) -> complex:
+def generating_series(z: complex) -> complex:
     """S(z) = sum (-1)^n (eta_n/n!) z^n for Re(z) > -1.
 
-    Direct compensated summation for |z| <= 0.92 (the power series has unit
-    radius); Euler-transform acceleration (see module notes) when
-    |z/(1+z)| <= 0.9.  Arguments outside both validated regions raise
-    :class:`AccuracyError`.
+    Direct compensated summation of at most 2000 terms for |z| <= 0.92 (the
+    power series has unit radius); Euler-transform acceleration (see module
+    notes) of at most 320 terms when |z/(1+z)| <= 0.9.  Arguments outside
+    both validated regions raise :class:`AccuracyError`.
     """
     z = complex(z)
     if z.real <= -1.0:
         raise DomainError(f"generating_series: requires Re(z) > -1, got {z}")
-    if not 1 <= n_terms <= N_MAX:
-        raise ConfigurationError(f"generating_series: n_terms must be in [1, {N_MAX}]")
     if abs(z) <= _DIRECT_RADIUS:
-        return _series_direct(z, n_terms)
-    return _series_accelerated(z, n_terms)
+        return _series_direct(z)
+    return _series_accelerated(z)
 
 
 def generating_closed_form(z: complex) -> complex:
@@ -325,12 +319,12 @@ def generating_closed_form(z: complex) -> complex:
     return val
 
 
-def en_integral_identity(n: int, tol: float = 1e-11) -> tuple[float, float]:
+def en_integral_identity(n: int) -> tuple[float, float]:
     """Both sides of: integral over (1, inf) of (u-1)^n e^{-u}/u du = n! E_{n+1}(1).
 
-    The left side is shifted to (0, inf) and integrated adaptively; the right
-    side uses the E_n family.  Used as a consistency witness for the
-    closed-form moment route.
+    The left side is shifted to (0, inf) and integrated adaptively to
+    relative tolerance 1e-11; the right side uses the E_n family.  Used as a
+    consistency witness for the closed-form moment route.
     """
     if not 0 <= n <= 60:
         raise ConfigurationError(f"en_integral_identity: n must be in [0, 60], got {n}")
@@ -338,6 +332,6 @@ def en_integral_identity(n: int, tol: float = 1e-11) -> tuple[float, float]:
     def integrand(t):
         return t ** n * math.exp(-t - 1.0) / (1.0 + t)
 
-    lhs = integrate_semi_infinite(integrand, tol).value
+    lhs = integrate_semi_infinite(integrand, 1e-11).value
     rhs = math.gamma(n + 1) * expint.en(n + 1, 1.0)
     return lhs, rhs

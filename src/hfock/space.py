@@ -92,8 +92,7 @@ def _kernel_terms(q: complex, n_max: int) -> list[complex]:
 def efun(z: complex, tol: float = 1e-12) -> complex:
     """The entire function sum_n z^n / eta_n with a certified truncation tail."""
     z = complex(z)
-    val = csum(_kernel_terms(z, _trunc_index(abs(z), tol)))
-    return val if isinstance(val, complex) else complex(val)
+    return csum(_kernel_terms(z, _trunc_index(abs(z), tol)))
 
 
 def kernel(z: complex, w: complex, tol: float = 1e-12, ml_normalized: bool = False) -> complex:
@@ -161,13 +160,13 @@ def norms(f: EntireSeries) -> HNorms:
     return HNorms(h_norm=h_norm(f), fock_norm=fock_norm(f))
 
 
-def norm_sq_by_quadrature(f: EntireSeries, tol: float = 1e-11) -> float:
+def norm_sq_by_quadrature(f: EntireSeries) -> float:
     """||f||^2 by per-monomial quadrature; the independent witness for h_inner.
 
     Cross terms vanish exactly (the angular integral of e^{i(n-m)theta} is
     zero), so the norm reduces to sum |a_n|^2 * integral of
-    t^n exp(-t)/(1+t)^2, with each integral evaluated afresh rather than
-    taken from the moment table.
+    t^n exp(-t)/(1+t)^2, with each integral evaluated afresh, to relative
+    tolerance 1e-11, rather than taken from the moment table.
     """
     if f.degree > 50:
         raise ConfigurationError(f"norm_sq_by_quadrature: degree capped at 50, got {f.degree}")
@@ -175,7 +174,7 @@ def norm_sq_by_quadrature(f: EntireSeries, tol: float = 1e-11) -> float:
     for n, a in enumerate(f.coeffs):
         if a == 0:
             continue
-        total += abs(a) ** 2 * moments.eta_quadrature(n, tol)
+        total += abs(a) ** 2 * moments.eta_quadrature(n, 1e-11)
     return total
 
 
@@ -196,12 +195,13 @@ class BoundReport:
     ok: bool
 
 
-def pointwise_bound_check(f: EntireSeries, z: complex, slack: float = 1e-10) -> BoundReport:
-    """Check |f(z)| <= sqrt(efun(|z|^2)) * h_norm(f), with rounding slack."""
+def pointwise_bound_check(f: EntireSeries, z: complex) -> BoundReport:
+    """Check |f(z)| <= sqrt(efun(|z|^2)) * h_norm(f), with a relative rounding
+    slack of 1e-10."""
     z = complex(z)
     value = abs(f(z))
     bound = norms(f).pointwise_bound(abs(z))
-    return BoundReport(value=value, bound=bound, ok=value <= bound * (1.0 + slack))
+    return BoundReport(value=value, bound=bound, ok=value <= bound * (1.0 + 1e-10))
 
 
 @dataclass(frozen=True)

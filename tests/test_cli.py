@@ -177,6 +177,7 @@ class TestVerify:
         ["dbar", "--problem", "p.json", "--seed", "1"],
         ["expint", "--x", "1", "--tol", "1e-10"],
         ["dbar", "--problem", "p.json", "--tol", "1e-10"],
+        ["verify", "all", "--tol", "1e-3"],
     ], ids=" ".join)
     def test_ignored_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

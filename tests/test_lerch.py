@@ -107,7 +107,7 @@ class TestLerchPhi:
 
     def test_series_vs_integral(self):
         got = lerch.lerch_phi(0.5, 2.0, 1.0)
-        via_integral = lerch.lerch_phi_integral(0.5, 2.0, 1.0, 1e-10)
+        via_integral = lerch.lerch_phi_integral(0.5, 2.0, 1.0)
         assert abs(got - via_integral) <= 1e-8
 
     def test_domains(self):
@@ -158,17 +158,19 @@ class TestCompleteMonotonicity:
     def test_phi_families(self):
         grid = [0.1 + 0.1 * i for i in range(50)]
         for n in (1, 2, 3):
-            rep = lerch.phi_cm_evidence(n, grid, 6)
+            rep = lerch.phi_cm_evidence(n, grid)
             assert rep.passed
             assert rep.min_signed[0] > 0.0  # f itself positive
             assert rep.min_signed[1] > 0.0  # f decreasing
 
     def test_grid_validation(self):
-        with pytest.raises(ConfigurationError):
-            lerch.cm_evidence(lambda a: a, [0.1, 0.2, 0.4], 1)
+        with pytest.raises(ConfigurationError):  # not uniform
+            lerch.cm_evidence(lambda a: a, [0.1, 0.2, 0.4] + [0.5 + 0.1 * i for i in range(7)])
+        with pytest.raises(ConfigurationError):  # shorter than the 8 points order 6 needs
+            lerch.cm_evidence(lambda a: a, [0.1 * i for i in range(7)])
 
     def test_detects_violations(self):
-        rep = lerch.cm_evidence(math.sin, [0.5 * i for i in range(30)], 2)
+        rep = lerch.cm_evidence(math.sin, [0.5 * i for i in range(30)])
         assert not rep.passed
 
 
@@ -231,7 +233,8 @@ class TestMlAudit:
         diagonal_gram = space._diagonal_gram
         monkeypatch.setattr(space, "_diagonal_gram",
                             lambda *args: grams.append(diagonal_gram(*args)) or grams[-1])
-        rep = lerch.ml_audit(kernel, n, seed=3, sample_points=12)
+        monkeypatch.setattr(lerch, "_AUDIT_POINTS", 12)
+        rep = lerch.ml_audit(kernel, n, seed=3)
         (g,) = grams
         details = {c["name"]: c for c in rep["conditions"]}["gram-psd-sampling"]["details"]
         assert (details["min_eig"], details["trace"]) == (g.min_eig, g.trace)

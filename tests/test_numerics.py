@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from hfock import numerics
 from hfock.errors import AccuracyError, ConfigurationError, ValidationError
 from hfock.numerics import (csum, fsum_arrays, gauss_hermite, gauss_laguerre,
                             integrate_semi_infinite, min_eig_hermitian,
@@ -31,7 +32,7 @@ class TestGaussLaguerre:
 
     def test_64_point_rule_hits_moment_integral(self, gold):
         rule = gauss_laguerre(64)
-        got = rule.integrate(lambda t: 1.0 / (1.0 + t) ** 2)
+        got = float(np.dot(rule.weights, 1.0 / (1.0 + rule.nodes) ** 2))
         assert got == pytest.approx(gold["eta0"], abs=1e-6)
 
     def test_structure(self):
@@ -60,7 +61,7 @@ class TestGaussHermite:
     def test_40_point_ground_state_norm(self):
         # psi_0(x)^2 with the Gaussian factored out is the constant 1/sqrt(pi)
         rule = gauss_hermite(40)
-        got = rule.integrate(lambda x: np.full_like(x, 1.0 / math.sqrt(math.pi)))
+        got = float(np.dot(rule.weights, np.full_like(rule.nodes, 1.0 / math.sqrt(math.pi))))
         assert got == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 12, 20])
@@ -96,9 +97,10 @@ class TestIntegrateSemiInfinite:
         res = integrate_semi_infinite(lambda t: (1 + 2j) * math.exp(-t), 1e-12)
         assert res.value == pytest.approx(1 + 2j, abs=1e-11)
 
-    def test_budget_exhaustion_carries_best_estimate(self):
+    def test_budget_exhaustion_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_EVALS", 200)
         with pytest.raises(AccuracyError) as exc:
-            integrate_semi_infinite(lambda t: math.exp(-t), 1e-12, max_evals=200)
+            integrate_semi_infinite(lambda t: math.exp(-t), 1e-12)
         assert exc.value.result is not None
         assert exc.value.result.value == pytest.approx(1.0, rel=1e-3)
 

@@ -37,6 +37,8 @@ COMMANDS = (
     "gram --random 200 --seed 1 --radius 5",
     "verify all --seed 0",
     "verify dbar --seed 3",
+    "verify bounds --nmax 170",
+    "verify gfs --points 20 --seed 7",
 )
 
 
