@@ -131,6 +131,20 @@ class TestVerify:
         gaps = [c["details"].get("max_gap", 0.0) for c in obj["checks"]]
         assert max(gaps) <= 1e-9
 
+    def test_bounds_reports_the_nmax_it_was_given(self, capsys):
+        code, out, _ = _run(capsys, ["verify", "bounds", "--nmax", "0"])
+        obj = json.loads(out)
+        assert code == 0
+        assert [c["details"]["n_max"] for c in obj["checks"]] == [0, 0]
+
+    @pytest.mark.parametrize("suite", ["gfs", "moments"])
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_points_is_a_configuration_error(self, capsys, suite, points):
+        code, out, err = _run(capsys, ["verify", suite, "--points", points])
+        assert code == 2
+        assert out == ""
+        assert "points must be >= 2" in err
+
     def test_report_determinism(self, capsys):
         _, out1, _ = _run(capsys, ["verify", "gfs", "--seed", "11"])
         _, out2, _ = _run(capsys, ["verify", "gfs", "--seed", "11"])

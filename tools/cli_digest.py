@@ -39,6 +39,7 @@ COMMANDS = (
     "verify dbar --seed 3",
     "verify bounds --nmax 170",
     "verify gfs --points 20 --seed 7",
+    "verify moments --nmax 300 --points 9 --seed 5",
 )
 
 
