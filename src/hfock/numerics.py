@@ -1,10 +1,11 @@
 """Shared numerical substrate.
 
-Gauss-Laguerre and Gauss-Hermite rules (Golub-Welsch on the Jacobi matrix),
-an adaptive integrator for absolutely convergent integrals on (0, inf),
-a guarded smallest-eigenvalue routine for Hermitian matrices, central
-finite differences for the Wirtinger derivative d/d(conj z), and a seeded
-uniform sampler of the disk.
+Gauss-Laguerre and Gauss-Hermite rules (Golub-Welsch on the Jacobi matrix;
+the Christoffel recurrence for the weights runs over all nodes at once,
+with a per-node exponent shift), an adaptive integrator for absolutely
+convergent integrals on (0, inf), a guarded smallest-eigenvalue routine for
+Hermitian matrices, central finite differences for the Wirtinger derivative
+d/d(conj z), and a seeded uniform sampler of the disk.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share between threads.
@@ -51,30 +52,31 @@ class IntegralResult:
     nodes_used: int
 
 
-def _christoffel_weight(x, diag, offdiag, mu0):
+def _christoffel_weights(nodes, diag, offdiag, mu0):
     # w(x) = 1 / sum_j p_j(x)^2 over the orthonormal polynomials p_j of the
-    # measure; evaluated with exponent tracking because p_j blows up like
-    # exp(x/2) (Laguerre) resp. exp(x^2/2) (Hermite) at extreme nodes.
+    # measure, run at every node at once; evaluated with exponent tracking
+    # because p_j blows up like exp(x/2) (Laguerre) resp. exp(x^2/2)
+    # (Hermite) at extreme nodes, so each node keeps its own shift.
     # Relative accuracy survives even where the weight itself is subnormal,
     # which the eigenvector-squared formula cannot deliver in double
     # precision.
-    n = len(diag)
-    p_prev = 0.0
-    p_cur = 1.0 / math.sqrt(mu0)
+    p_prev = np.zeros_like(nodes)
+    p_cur = np.full_like(nodes, 1.0 / math.sqrt(mu0))
     total = p_cur * p_cur
-    shift = 0  # true sum = total * 2^shift
-    for j in range(n - 1):
-        p_next = ((x - diag[j]) * p_cur - (offdiag[j - 1] if j > 0 else 0.0) * p_prev) / offdiag[j]
+    shift = np.zeros(nodes.shape, dtype=int)  # true sum = total * 2^shift
+    for j in range(len(diag) - 1):
+        p_next = ((nodes - diag[j]) * p_cur - (offdiag[j - 1] if j > 0 else 0.0) * p_prev) / offdiag[j]
         p_prev, p_cur = p_cur, p_next
         total += p_cur * p_cur
-        if abs(p_cur) > 2.0 ** 300:
-            p_prev = math.ldexp(p_prev, -600)
-            p_cur = math.ldexp(p_cur, -600)
-            total = math.ldexp(total, -1200)
-            shift += 1200
-    w = math.ldexp(1.0 / total, -shift)
+        big = np.abs(p_cur) > 2.0 ** 300
+        if big.any():
+            p_prev = np.where(big, np.ldexp(p_prev, -600), p_prev)
+            p_cur = np.where(big, np.ldexp(p_cur, -600), p_cur)
+            total = np.where(big, np.ldexp(total, -1200), total)
+            shift += 1200 * big
+    w = np.ldexp(1.0 / total, -shift)
     # true weights below the subnormal range are clamped to stay positive
-    return w if w > 0.0 else 5e-324
+    return np.where(w > 0.0, w, 5e-324)
 
 
 def _golub_welsch(diag, offdiag, mu0, kind) -> QuadratureRule:
@@ -84,7 +86,7 @@ def _golub_welsch(diag, offdiag, mu0, kind) -> QuadratureRule:
     else:
         jacobi = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
         nodes = np.linalg.eigvalsh(jacobi)
-    weights = np.asarray([_christoffel_weight(x, diag, offdiag, mu0) for x in nodes])
+    weights = _christoffel_weights(nodes, diag, offdiag, mu0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(kind=kind, nodes=nodes, weights=weights)

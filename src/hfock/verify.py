@@ -65,12 +65,20 @@ def _rule_moments(rule, orders) -> list[tuple[int, float]]:
 
 def _laplace_gaps(ns, alphas, tol: float):
     """|laplace_en(n, a) - int_0^inf exp(-(a+1) t) e^t E_n(t) dt| by quadrature
-    at ``tol``, over every n in ``ns`` and a in ``alphas``."""
+    at ``tol``, over every n in ``ns`` and a in ``alphas``.  The alpha
+    integrals of one n share most of their nodes, so e^t E_n(t) is computed
+    once per distinct node."""
     for n in ns:
+        scaled = {}  # t -> expint.en_scaled(n, t)
+
+        def en(t):
+            if t not in scaled:
+                scaled[t] = expint.en_scaled(n, t)
+            return scaled[t]
+
         for a in alphas:
             quad = integrate_semi_infinite(
-                lambda t: math.exp(-(a + 1.0) * t) * expint.en_scaled(n, t) if t > 0 else 0.0,
-                tol).value
+                lambda t: math.exp(-(a + 1.0) * t) * en(t) if t > 0 else 0.0, tol).value
             yield abs(expint.laplace_en(n, a) - quad)
 
 

@@ -8,10 +8,12 @@ becomes a case id.
 import cmath
 import math
 import time
+from collections import Counter
 
 import pytest
 
-from hfock import bargmann, lerch, moments, verify
+from hfock import bargmann, expint, lerch, moments, verify
+from hfock.numerics import integrate_semi_infinite
 
 _t0 = time.perf_counter()
 _REPORT = verify.run("all", seed=0)
@@ -70,3 +72,23 @@ def test_nan_route_fails_its_check(monkeypatch, suite, module, route, check, at_
     (result,) = [c for c in verify.SUITES[suite](seed=0) if c["name"] == check]
     assert result["status"] == "fail"
     assert all(math.isnan(v) for v in result["details"].values())
+
+
+def test_laplace_gaps_evaluate_each_node_once(monkeypatch):
+    real, calls = expint.en_scaled, Counter()
+
+    def counted(n, t):
+        calls[n, t] += 1
+        return real(n, t)
+
+    monkeypatch.setattr(expint, "en_scaled", counted)
+    ns, alphas, tol = range(1, 3), (0.25, 2.0), 1e-10
+    direct = [abs(expint.laplace_en(n, a) - integrate_semi_infinite(
+        lambda t, n=n, a=a: math.exp(-(a + 1.0) * t) * expint.en_scaled(n, t) if t > 0 else 0.0,
+        tol).value) for n in ns for a in alphas]
+    unshared = calls.copy()
+    calls.clear()
+    assert list(verify._laplace_gaps(ns, alphas, tol)) == direct
+    # the alpha integrals of one n repeat nodes, and each is computed once
+    assert max(unshared.values()) > 1
+    assert calls == Counter(dict.fromkeys(unshared, 1))

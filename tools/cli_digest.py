@@ -6,7 +6,9 @@ Run it from the root of a checkout; each command runs as a fresh
 checkouts (say, a change and its parent) and diff the outputs: every command
 whose stdout changed shows up as a differing line.  The digests are not a
 committed snapshot, because eigensolver bits in ``gram`` and ``verify`` may
-differ between BLAS builds.
+differ between BLAS builds.  Each command runs with one BLAS/OpenMP thread,
+as ``perfbench/run.py`` runs its ops, so a digest does not depend on the
+thread settings of the calling shell.
 """
 from __future__ import annotations
 
@@ -44,7 +46,8 @@ COMMANDS = (
 
 
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for command in COMMANDS:
         argv = command.split()
         proc = subprocess.run([sys.executable, "-m", "hfock.cli", *argv],
