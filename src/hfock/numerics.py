@@ -3,9 +3,11 @@
 Gauss-Laguerre and Gauss-Hermite rules (Golub-Welsch on the Jacobi matrix;
 the Christoffel recurrence for the weights runs over all nodes at once,
 with a per-node exponent shift), an adaptive integrator for absolutely
-convergent integrals on (0, inf), a guarded smallest-eigenvalue routine for
-Hermitian matrices, central finite differences for the Wirtinger derivative
-d/d(conj z), and a seeded uniform sampler of the disk.
+convergent integrals on (0, inf) that calls its integrand on Python floats
+and raises AccuracyError when the integrand overflows, a guarded
+smallest-eigenvalue routine for Hermitian matrices, central finite
+differences for the Wirtinger derivative d/d(conj z), and a seeded uniform
+sampler of the disk.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share between threads.
@@ -27,6 +29,8 @@ _MAX_EVALS = 2_000_000  # integrand evaluations one integrate_semi_infinite call
 # panel pair for the adaptive integrator: embedded Gauss-Legendre estimates
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(8)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(16)
+# the 24 panel nodes as Python floats, so each node is plain float arithmetic
+_GL_X = _GL_LO_X.tolist() + _GL_HI_X.tolist()
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,22 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return _golub_welsch(diag, offdiag, math.sqrt(math.pi), "hermite")
 
 
-def _panel_estimates(g, a, b):
+def _panel_estimates(f, a, b):
+    # f on the panel (a, b) of the unit interval, through t = u/(1-u)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    lo = half * np.sum(_GL_LO_W * np.asarray([g(mid + half * x) for x in _GL_LO_X]))
-    hi = half * np.sum(_GL_HI_W * np.asarray([g(mid + half * x) for x in _GL_HI_X]))
+    values = []
+    try:
+        for x in _GL_X:
+            u = mid + half * x
+            r = 1.0 - u
+            values.append(f(u / r) / (r * r))
+    except (OverflowError, ZeroDivisionError) as exc:
+        t = u / r if r else math.inf
+        raise AccuracyError(f"integrand overflowed at t={t!r}") from exc
+    arr = np.asarray(values)
+    lo = half * np.add.reduce(_GL_LO_W * arr[:8])
+    hi = half * np.add.reduce(_GL_HI_W * arr[8:])
     hi = complex(hi) if isinstance(hi, (complex, np.complexfloating)) else float(hi)
     return hi, float(abs(hi - lo))
 
@@ -136,6 +151,12 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     never sampled, so integrable endpoint singularities and the decay of the
     integrand at infinity need no special casing.
 
+    ``f`` receives Python floats, so Python's float arithmetic rules apply
+    inside it: ``t ** n`` past the double range raises ``OverflowError``
+    and a division by zero raises ``ZeroDivisionError``.  Either one ends
+    the integration at once with :class:`AccuracyError` ("integrand
+    overflowed at t=...", chained from the original exception).
+
     Returns an :class:`IntegralResult`; raises :class:`AccuracyError`
     (carrying the best estimate) if its budget of 2 000 000 integrand
     evaluations runs out first.
@@ -143,17 +164,13 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     if tol <= 0.0:
         raise ConfigurationError(f"integrate_semi_infinite: tol must be > 0, got {tol}")
 
-    def g(u):
-        r = 1.0 - u
-        return f(u / r) / (r * r)
-
     n_init = 8
     panels = []  # (-err, seq, a, b, value)
     seq = 0
     evals = 0
     for i in range(n_init):
         a, b = i / n_init, (i + 1) / n_init
-        val, err = _panel_estimates(g, a, b)
+        val, err = _panel_estimates(f, a, b)
         evals += 24
         heapq.heappush(panels, (-err, seq, a, b, val))
         seq += 1
@@ -187,7 +204,7 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
             continue
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            val, err = _panel_estimates(g, lo, hi)
+            val, err = _panel_estimates(f, lo, hi)
             evals += 24
             heapq.heappush(panels, (-err, seq, lo, hi, val))
             seq += 1

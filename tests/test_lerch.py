@@ -105,6 +105,20 @@ class TestLerchPhi:
                 for tol in _MP_TOLS:
                     assert abs(lerch.phi(n, z, tol) - ref) <= _mp_bound(tol, ref), (z, n, tol)
 
+    def test_integral_against_mpmath_off_the_real_axis(self):
+        # at the route's own tolerance; its integrand divides a real by a
+        # complex number, whose last bits depend on the division used
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(12)
+        for _ in range(8):
+            z = disk_point(rng, 0.9)
+            s, a = 1.0 + 2.0 * rng.random(), 0.5 + 2.5 * rng.random()
+            assert z.imag != 0.0
+            with mp.workdps(40):
+                ref = complex(mp.lerchphi(z, s, a))
+            got = lerch.lerch_phi_integral(z, s, a)
+            assert abs(got - ref) <= 1e-10 * abs(ref), (z, s, a)
+
     def test_series_vs_integral(self):
         got = lerch.lerch_phi(0.5, 2.0, 1.0)
         via_integral = lerch.lerch_phi_integral(0.5, 2.0, 1.0)

@@ -1,10 +1,11 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
-from hfock import numerics
+from hfock import bargmann, lerch, moments, numerics, verify
 from hfock.errors import AccuracyError, ConfigurationError, ValidationError
 from hfock.numerics import (csum, fsum_arrays, gauss_hermite, gauss_laguerre,
                             integrate_semi_infinite, min_eig_hermitian,
@@ -142,6 +143,88 @@ class TestIntegrateSemiInfinite:
     def test_rejects_bad_tol(self):
         with pytest.raises(ConfigurationError):
             integrate_semi_infinite(lambda t: math.exp(-t), 0.0)
+
+    @pytest.mark.parametrize("f, cause", [
+        (lambda t: t ** 120 * math.exp(-t), OverflowError),
+        (lambda t: 1.0 / (t - t), ZeroDivisionError),
+    ], ids=["power", "division"])
+    def test_overflowing_integrand_raises_at_once(self, f, cause):
+        # t**120 overflows on the first panel's far nodes: the integrator must
+        # stop there, not refine toward its 2M-evaluation budget
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="integrand overflowed at t=") as exc:
+            integrate_semi_infinite(f)
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(exc.value.__cause__, cause)
+
+
+def _numpy_scalar_panel_estimates(f, a, b):
+    # the panel route the Python-float kernel replaced: nodes taken from the
+    # numpy arrays, so every node and integrand step ran on np.float64 scalars
+    def g(u):
+        r = 1.0 - u
+        return f(u / r) / (r * r)
+
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    lo_x, lo_w = numerics._GL_LO_X, numerics._GL_LO_W
+    hi_x, hi_w = numerics._GL_HI_X, numerics._GL_HI_W
+    lo = half * np.sum(lo_w * np.asarray([g(mid + half * x) for x in lo_x]))
+    hi = half * np.sum(hi_w * np.asarray([g(mid + half * x) for x in hi_x]))
+    hi = complex(hi) if isinstance(hi, (complex, np.complexfloating)) else float(hi)
+    return hi, float(abs(hi - lo))
+
+
+def _integrands(monkeypatch, module, call):
+    """The argument tuples ``call`` hands to ``module.integrate_semi_infinite``."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return integrate_semi_infinite(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "integrate_semi_infinite", record)
+        call()
+    return seen
+
+
+_INTEGRAND_FAMILIES = {
+    # both branches of the eta integrand: t**n up to n = 65, log scale beyond
+    "eta": lambda patch: [(moments._eta_integrand(n),) for n in (0, 30, 65, 66, 100, 170)],
+    "log_eta": lambda patch: [args for n in (200, 400) for args in _integrands(
+        patch, moments, lambda: moments.log_eta_quadrature(n))],
+    "en_identity": lambda patch: [args for n in (0, 25, 60) for args in _integrands(
+        patch, moments, lambda: moments.en_integral_identity(n))],
+    "laguerre_projection": lambda patch: _integrands(
+        patch, moments, moments._laguerre_projection.__wrapped__),
+    "hurwitz": lambda patch: [args for s, a in ((2.5, 1.3), (1.6, 1.0)) for args in _integrands(
+        patch, lerch, lambda: lerch.hurwitz_zeta_integral(s, a))],
+    # factorial moments; incomplete gamma and the Laplace-E_n integrals
+    "verify": lambda patch: (_integrands(patch, verify, verify.suite_numerics)
+                             + _integrands(patch, verify, verify.suite_expint)),
+    "weighted_gf": lambda patch: [
+        args for z, x in ((0.15, 0.5), (0.1 + 0.05j, -1.0), (0.12 - 0.02j, 0.0))
+        for args in _integrands(
+            patch, bargmann, lambda: bargmann.weighted_generating_pair(z, x))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_INTEGRAND_FAMILIES))
+def test_panels_bit_identical_to_numpy_scalar_route(monkeypatch, family):
+    # every in-repo integrand gets the same bits on Python-float nodes as on
+    # np.float64 ones.  lerch_phi_integral is left out: at non-real z its
+    # real / complex division runs in CPython on floats and in numpy on
+    # np.float64, so last bits differ; tests/test_lerch.py holds it to mpmath
+    calls = _INTEGRAND_FAMILIES[family](monkeypatch)
+    assert calls
+    for args in calls:
+        got = integrate_semi_infinite(*args)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_panel_estimates", _numpy_scalar_panel_estimates)
+            ref = integrate_semi_infinite(*args)
+        assert (repr(got.value), repr(got.abs_error_estimate), got.nodes_used) == (
+            repr(ref.value), repr(ref.abs_error_estimate), ref.nodes_used)
 
 
 class TestWirtinger:

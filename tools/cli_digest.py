@@ -38,6 +38,7 @@ COMMANDS = (
     "gram --random 20 --seed 5",
     "gram --random 200 --seed 1 --radius 5",
     "verify all --seed 0",
+    "verify all --seed 4",
     "verify dbar --seed 3",
     "verify bounds --nmax 170",
     "verify gfs --points 20 --seed 7",
