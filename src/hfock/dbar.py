@@ -12,13 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import space
 from .errors import ConfigurationError
-from .numerics import fsum_arrays, wirtinger_fd
+from .numerics import wirtinger_fd
 
 PI = math.pi
 _EXP_CMATH_CUTOFF = 700.0
@@ -56,15 +55,18 @@ class PolyanalyticSeries:
 
 def poly_fock_kernel(n: int, z, w):
     """Reproducing kernel of the order-n polyanalytic Gaussian space:
-    exp(z conj(w)) sum_{k<n} ((-1)^k / k!) C(n, k+1) |z - w|^{2k}.
+    exp(z conj(w)) L^(1)_{n-1}(|z - w|^2), where the generalised Laguerre
+    polynomial L^(1)_{n-1}(x) = sum_{k<n} ((-1)^k / k!) C(n, k+1) x^k.
 
-    Elementwise over numpy arrays of points; a scalar call returns a complex.
-    Every value has the bits of the scalar formula
-    ``cmath.exp(z * w.conjugate()) * math.fsum(c_k * d2 ** k)`` with
-    ``d2 = abs(z - w) ** 2``: both complex products are written out as
-    Python forms them, signed zeros included, |z - w| is ``hypot``, the
-    powers are libm's ``pow`` and the sum is ``numerics.fsum_arrays``.
-    Raises OverflowError where that formula overflows, and where it would
+    Elementwise over numpy arrays of points; a scalar call returns a complex,
+    with the same bits as the array call.  The polynomial comes from its
+    three-term recurrence (DLMF 18.9.1).  Orders 1 and 2 have the bits of
+    the scalar formula ``cmath.exp(z * w.conjugate()) * (2.0 - abs(z - w) ** 2)``
+    (factor 1.0 at order 1): both complex products are written out as Python
+    forms them, signed zeros included, and |z - w| is ``hypot``.  Orders
+    n >= 3 are within 128 u exp(Re z conj(w)) sum_k |c_k| |z - w|^{2k} of the
+    exact value, u = 2^-53 and c_k the coefficients above.  Raises
+    OverflowError where the value or |z - w|^2 overflows, and where it would
     return inf or nan.
     """
     if not 1 <= n <= 20:
@@ -75,11 +77,12 @@ def poly_fock_kernel(n: int, z, w):
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.float_power(np.hypot(zr - wr, zi - wi), 2.0)
-        coeffs = _poly_fock_coefficients(n)
-        # d2 ** 0 is 1.0, and d2 ** 1 is d2 because pow is exact wherever
-        # the power is a double
-        poly = fsum_arrays([coeffs[0]] + [c * (d2 if k == 1 else np.float_power(d2, k))
-                                          for k, c in enumerate(coeffs) if k])
+        # L_0 = 1, L_1 = 2 - d2, (k+1) L_{k+1} = (2k+2 - d2) L_k - (k+1) L_{k-1}
+        prev, poly = 1.0, 2.0 - d2
+        for k in range(1, n - 1):
+            prev, poly = poly, ((2 * k + 2 - d2) * poly - (k + 1) * prev) / (k + 1)
+        if n == 1:
+            poly = prev
         q = np.empty(d2.shape, dtype=complex)
         q.real = zr * wr - zi * -wi
         q.imag = zr * -wi + zi * wr
@@ -104,12 +107,6 @@ def poly_fock_kernel(n: int, z, w):
         return complex(re, im)
     e.real, e.imag = re, im
     return e
-
-
-@lru_cache(maxsize=20)
-def _poly_fock_coefficients(n: int) -> tuple[float, ...]:
-    """(-1)^k / k! * C(n, k+1) for k < n, multiplied in that order."""
-    return tuple((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) for k in range(n))
 
 
 def assemble_solution(f: space.EntireSeries, u0: space.EntireSeries) -> PolyanalyticSeries:

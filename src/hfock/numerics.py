@@ -4,10 +4,10 @@ Gauss-Laguerre and Gauss-Hermite rules (Golub-Welsch on the Jacobi matrix;
 the Christoffel recurrence for the weights runs over all nodes at once,
 with a per-node exponent shift), an adaptive integrator for absolutely
 convergent integrals on (0, inf) that calls its integrand on Python floats
-and raises AccuracyError when the integrand overflows, a guarded
-smallest-eigenvalue routine for Hermitian matrices, central finite
-differences for the Wirtinger derivative d/d(conj z), and a seeded uniform
-sampler of the disk.
+and raises AccuracyError at once when the integrand overflows or returns a
+non-finite value, a guarded smallest-eigenvalue routine for Hermitian
+matrices, central finite differences for the Wirtinger derivative
+d/d(conj z), and a seeded uniform sampler of the disk.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share between threads.
@@ -138,7 +138,10 @@ def _panel_estimates(f, a, b):
     lo = half * np.add.reduce(_GL_LO_W * arr[:8])
     hi = half * np.add.reduce(_GL_HI_W * arr[8:])
     hi = complex(hi) if isinstance(hi, (complex, np.complexfloating)) else float(hi)
-    return hi, float(abs(hi - lo))
+    err = float(abs(hi - lo))
+    if not math.isfinite(err):
+        raise AccuracyError("integrand produced non-finite values")
+    return hi, err
 
 
 def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
@@ -155,7 +158,9 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     inside it: ``t ** n`` past the double range raises ``OverflowError``
     and a division by zero raises ``ZeroDivisionError``.  Either one ends
     the integration at once with :class:`AccuracyError` ("integrand
-    overflowed at t=...", chained from the original exception).
+    overflowed at t=...", chained from the original exception).  So does
+    an integrand value that is inf or nan, or a panel sum that overflows
+    ("integrand produced non-finite values").
 
     Returns an :class:`IntegralResult`; raises :class:`AccuracyError`
     (carrying the best estimate) if its budget of 2 000 000 integrand
@@ -178,10 +183,6 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     while True:
         total = sum(p[4] for p in panels)
         total_err = sum(-p[0] for p in panels)
-        if not math.isfinite(total_err) and not any(
-                math.isfinite(-p[0]) for p in panels if -p[0] > 0):
-            raise AccuracyError("integrand produced non-finite values",
-                                result=IntegralResult(total, math.inf, evals))
         if total_err <= tol * abs(total):
             return IntegralResult(total, total_err, evals)
         if evals >= _MAX_EVALS:
@@ -261,29 +262,3 @@ def csum(terms) -> float | complex:
         return complex(math.fsum(t.real for t in terms),
                        math.fsum(t.imag for t in terms))
     return math.fsum(terms)
-
-
-def _fsum(terms) -> float:
-    # inf - inf, or partials past the float range, make fsum raise
-    try:
-        return math.fsum(terms)
-    except (ValueError, OverflowError):
-        return math.nan
-
-
-def fsum_arrays(terms) -> np.ndarray | np.float64:
-    """``math.fsum`` elementwise over a sequence of float arrays (or scalars)
-    that broadcast to one shape.
-
-    Each element of the result is bit for bit what ``math.fsum`` returns for
-    that element's terms, a zero sum included (+0.0).  Where ``fsum`` would
-    raise, on inf - inf or an overflowing sum, the element is nan; a nan or
-    a lone infinite term passes through.  Two terms need one IEEE add,
-    which rounds as ``fsum`` does.
-    """
-    if len(terms) <= 2:
-        # starting from +0.0 only turns a -0.0 sum into +0.0
-        return sum(terms, np.float64(0.0))
-    rows = np.broadcast_arrays(*terms)
-    sums = [_fsum(col) for col in zip(*(row.ravel().tolist() for row in rows))]
-    return np.array(sums).reshape(rows[0].shape)[()]

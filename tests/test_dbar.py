@@ -61,17 +61,6 @@ class TestPolyFockKernel:
         with pytest.raises(ConfigurationError):
             dbar.poly_fock_kernel(21, 0.0, 0.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bit_identical_to_formula(self, n):
-        rng = random.Random(n)
-        for _ in range(50):
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            d2 = abs(z - w) ** 2
-            poly = math.fsum((-1.0) ** k / math.factorial(k) * math.comb(n, k + 1) * d2 ** k
-                             for k in range(n))
-            assert dbar.poly_fock_kernel(n, z, w) == cmath.exp(z * w.conjugate()) * poly
-
 
 def _formula(n, z, w):
     """The order-n kernel as plain Python scalar arithmetic."""
@@ -114,12 +103,26 @@ class TestPolyFockKernelArrays:
         scalar = [dbar.poly_fock_kernel(n, z, w) for z, w in zip(zs, ws)]
         assert all(type(v) is complex for v in scalar)
         assert _same_bits(got, scalar)
-        assert _same_bits(got, [_formula(n, z, w) for z, w in zip(zs, ws)])
+        if n <= 2:
+            assert _same_bits(got, [_formula(n, z, w) for z, w in zip(zs, ws)])
+            return
+        # orders >= 3: within 128 u exp(Re z conj w) sum_k |c_k| |z - w|^{2k}
+        mp = pytest.importorskip("mpmath")
+        ctx = mp.MPContext()
+        ctx.dps = 40
+        for z, w, v in zip(zs, ws, scalar):
+            mz, mw = ctx.mpc(z), ctx.mpc(w)
+            x = abs(mz - mw) ** 2
+            terms = [(-1) ** k * math.comb(n, k + 1) * x ** k / ctx.factorial(k)
+                     for k in range(n)]
+            e = ctx.exp(mz * ctx.conj(mw))
+            scale = abs(e) * ctx.fsum(abs(t) for t in terms)
+            assert abs(ctx.mpc(v) - e * ctx.fsum(terms)) <= 128 * 2.0 ** -53 * scale, (z, w)
 
     def test_broadcasts_a_scalar_against_an_array(self):
         ws = np.array([0.5 + 0.5j, -1.0, 2j])
         assert _same_bits(dbar.poly_fock_kernel(3, 0.25 - 1j, ws),
-                          [_formula(3, 0.25 - 1j, complex(w)) for w in ws])
+                          [dbar.poly_fock_kernel(3, 0.25 - 1j, complex(w)) for w in ws])
 
     def test_overflow_raises_like_the_scalar_formula(self):
         with pytest.raises(OverflowError):
@@ -167,9 +170,10 @@ class TestPolyFockKernelArrays:
         with pytest.raises(ConfigurationError):
             dbar.poly_fock_kernel(2, np.array([0.0, math.inf]), 0.0)
 
-    # orders >= 3 sum with math.fsum, which raises on inf - inf; the kernel
-    # must raise its own errors instead.  At 1e100 |z - w|^4 overflows, at
-    # 1e155 |z - w|^2 does, and at 27 exp(z conj w) does.
+    # at orders >= 3 an overflowing recurrence step turns into inf - inf =
+    # nan; the kernel must raise its own errors instead.  At 1e100 the
+    # products d2 * L_k overflow, at 1e155 |z - w|^2 does, and at 27
+    # exp(z conj w) does.
     @pytest.mark.parametrize("n", [3, 5, 20])
     @pytest.mark.parametrize("z, w, error", [
         (math.inf, 0.0, ConfigurationError), (complex(math.nan, 0.0), 0.0, ConfigurationError),
