@@ -35,6 +35,14 @@ class TestEvaluation:
         assert abs(u(z) - brute) <= 1e-13
 
 
+def _laguerre(n, x):
+    """L^(1)_{n-1}(x) by its three-term recurrence, in Python floats."""
+    prev, poly = 1.0, 2.0 - x
+    for k in range(1, n - 1):
+        prev, poly = poly, ((2 * k + 2 - x) * poly - (k + 1) * prev) / (k + 1)
+    return prev if n == 1 else poly
+
+
 class TestPolyFockKernel:
     def test_order_one_is_exponential(self):
         z, w = 0.4 - 1.1j, 0.9 + 0.3j
@@ -60,6 +68,27 @@ class TestPolyFockKernel:
     def test_order_cap(self):
         with pytest.raises(ConfigurationError):
             dbar.poly_fock_kernel(21, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_formula(self, n):
+        # the scalar definition in plain Python arithmetic: cmath.exp times
+        # the Laguerre recurrence at |z - w|^2
+        rng = random.Random(n)
+        for _ in range(50):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            expected = cmath.exp(z * w.conjugate()) * _laguerre(n, abs(z - w) ** 2)
+            assert _same_bits([dbar.poly_fock_kernel(n, z, w)], [expected])
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_diagonal_is_order_times_exponential(self, n):
+        # L^(1)_{n-1}(0) = C(n, n - 1) = n, so K_n(z, z) = n exp(|z|^2)
+        rng = random.Random(200 + n)
+        for r in (0.0, 0.3, 1.0, 1.7, 2.9):
+            z = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+            v = dbar.poly_fock_kernel(n, z, z)
+            assert v.imag == 0.0
+            assert v.real == pytest.approx(n * math.exp(abs(z) ** 2), rel=1e-14)
 
 
 def _formula(n, z, w):
@@ -106,6 +135,8 @@ class TestPolyFockKernelArrays:
         if n <= 2:
             assert _same_bits(got, [_formula(n, z, w) for z, w in zip(zs, ws)])
             return
+        assert _same_bits(got, [cmath.exp(z * w.conjugate()) * _laguerre(n, abs(z - w) ** 2)
+                                for z, w in zip(zs, ws)])
         # orders >= 3: within 128 u exp(Re z conj w) sum_k |c_k| |z - w|^{2k}
         mp = pytest.importorskip("mpmath")
         ctx = mp.MPContext()
