@@ -6,8 +6,8 @@ Submodules:
   Hermitian eigen-diagnostics, Wirtinger finite differences
 * ``expint``    -- exponential integrals E_n, incomplete gamma, Laplace
   transform of E_n
-* ``moments``   -- the moment sequence eta_n by three cross-checked routes,
-  its generating function and bounds
+* ``moments``   -- the moment sequence eta_n by three cross-checked routes
+  and its generating function
 * ``space``     -- the entire function efun, the reproducing kernel,
   coefficient norms, Gram diagnostics
 * ``bargmann``  -- orthonormal Hermite functions and the moment-weighted

@@ -71,9 +71,7 @@ def _cmd_moments(args) -> int:
         table.write_csv(buf)
         _emit(buf.getvalue(), args.out)
     else:
-        obj = table.as_json_obj()
-        obj["schema"] = SCHEMA
-        _emit_json(obj, args.out)
+        _emit_json(table.as_json_obj(), args.out)
     return 0
 
 
@@ -121,9 +119,7 @@ def _cmd_gram(args) -> int:
         rng = random.Random(args.seed)
         pts = [disk_point(rng, args.radius) for _ in range(args.random)]
     g = space.gram_kernel(pts, tol)
-    obj = g.as_json_obj()
-    obj["schema"] = SCHEMA
-    _emit_json(obj, args.out)
+    _emit_json(g.as_json_obj(), args.out)
     return 0
 
 

@@ -123,9 +123,6 @@ class ResidualReport:
     residuals: tuple[float, ...]
     symbolic_zero: bool
 
-    def flagged(self) -> bool:
-        return self.max_residual > 1e-6
-
     def as_json_obj(self) -> dict:
         return {"max_residual": self.max_residual,
                 "residuals": list(self.residuals),

@@ -24,13 +24,6 @@ _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 
 
-def phi_series_coefficient(n: int, p: int) -> float:
-    """p-th Taylor coefficient of phi_n, equal to 1/(n+p)."""
-    if n < 1 or p < 0:
-        raise ConfigurationError("phi_series_coefficient: need n >= 1, p >= 0")
-    return 1.0 / (n + p)
-
-
 def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]:
     """(k+a)^s for k < K, where K >= 1 is the first order whose tail bound
     sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``."""
@@ -46,9 +39,11 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
 def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
     """phi_n(z) = sum_k z^k / (k+n) on the disk |z| <= 1 - 1e-6.
 
-    Real z in (-1, -0.5] is routed through the Laplace closed form (the
-    analytic continuation); elsewhere it is the Lerch series
-    ``lerch_phi(z, 1, n, tol)``.
+    Real z in (-1, -0.5] goes to ``expint.laplace_en(n, -z)``, which sums the
+    same series in real arithmetic with ``math.fsum`` down to terms below
+    1e-18: within a few ulps there, where ``lerch_phi`` at its absolute
+    default tolerance 1e-13 misses by up to some thousand.  Elsewhere it is
+    the Lerch series ``lerch_phi(z, 1, n, tol)``.
     """
     if n < 1:
         raise ConfigurationError(f"phi: order must be >= 1, got {n}")
@@ -68,11 +63,6 @@ def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
 def phi_tilde(n: int, z: complex) -> complex:
     """n * phi_n(z); takes the value 1 at the origin."""
     return n * phi(n, z)
-
-
-def phi_tilde_slope_at_zero(n: int) -> float:
-    """First Taylor coefficient of phi_tilde_n: n/(n+1) > 0."""
-    return n * phi_series_coefficient(n, 1)
 
 
 def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
@@ -256,7 +246,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
     conditions = []
     if kernel == "phi_tilde":
         value0 = phi_tilde(n, 0.0).real
-        slope0 = phi_tilde_slope_at_zero(n)
+        slope0 = n * (1.0 / (n + 1))  # first Taylor coefficient of n phi_n
         pts = [disk_point(rng, 0.95) for _ in range(_AUDIT_POINTS)]
         gram = _scaled_phi_gram(n, pts, math.log(n))
         cm = cm_evidence(lambda a: n * expint.laplace_en(n, a),

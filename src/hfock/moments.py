@@ -8,9 +8,9 @@ Three independent routes are provided and cross-checked:
   recurrence r_{n+1} = 1/(n+1) - (n+2) r_n / (n (n+1)),
 * the alternating binomial sum e * sum_k (-1)^(n-k) C(n,k) E_{2-k}(1).
 
-The sequence obeys n!/(2^n * 8) <= eta_n <= n! and eta_n <= Gamma(n)/n; both
-bounds are enforced in log scale so the table extends past the range where
-Gamma overflows double precision.  Also here: the alternating generating
+The sequence obeys n!/(2^n * 8) <= eta_n <= n! and eta_n <= Gamma(n)/n;
+``hfock verify bounds`` checks both in log scale, where the table extends
+past the range in which Gamma overflows double precision.  Also here: the alternating generating
 function sum (-1)^n (eta_n/n!) z^n together with its closed form
 1 - (z+1) e^(z+1) E1(z+1), and the identity
 integral over (1, inf) of (u-1)^n e^{-u}/u du = n! E_{n+1}(1).
@@ -29,6 +29,7 @@ from .numerics import csum, integrate_semi_infinite
 
 N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
+_CROSS_CHECK_UP_TO = 60  # eta_table checks orders up to here by quadrature
 
 
 @lru_cache(maxsize=1)
@@ -147,22 +148,6 @@ class MomentTable:
     route: tuple[str, ...]
     overflow: tuple[bool, ...]
 
-    def bounds_ok(self) -> bool:
-        """Log-scale check of n!/(2^n 8) <= eta_n <= n! and eta_n <= Gamma(n)/n."""
-        for n in range(self.n_max + 1):
-            le = self.log_eta[n]
-            lo = math.lgamma(n + 1) - n * math.log(2.0) - math.log(8.0)
-            hi = math.lgamma(n + 1)
-            if not lo <= le <= hi:
-                return False
-            if n >= 1 and le > math.lgamma(n) - math.log(n):
-                return False
-        return True
-
-    def log_monotone_from_2(self) -> bool:
-        return all(self.log_eta[n + 1] > self.log_eta[n]
-                   for n in range(2, self.n_max))
-
     def rows(self):
         for n in range(self.n_max + 1):
             yield {"n": n,
@@ -185,11 +170,11 @@ class MomentTable:
         return {"n_max": self.n_max, "entries": list(self.rows())}
 
 
-def eta_table(n_max: int, tol: float = 1e-12, cross_check_up_to: int = 60) -> MomentTable:
+def eta_table(n_max: int, tol: float = 1e-12) -> MomentTable:
     """Build the moment table on the closed-form route, quadrature checked.
 
-    Quadrature runs for n <= min(n_max, cross_check_up_to) and the observed
-    discrepancy lands in ``abs_err``; beyond that the recurrence error bound
+    Quadrature at ``tol`` runs for n <= 60 and the observed discrepancy
+    lands in ``abs_err``; beyond that the recurrence error bound
     err_{n+1} = (n+2)/(n(n+1)) err_n + eps/(n+1), scaled by Gamma(n), is
     propagated instead.
     """
@@ -202,7 +187,7 @@ def eta_table(n_max: int, tol: float = 1e-12, cross_check_up_to: int = 60) -> Mo
     for n in range(n_max + 1):
         is_over = n > LINEAR_LIMIT
         val = math.nan if is_over else eta_closed_form(n)
-        if n <= min(n_max, cross_check_up_to):
+        if n <= _CROSS_CHECK_UP_TO:
             err = abs(val - eta_quadrature(n, tol))
         elif not is_over:
             err = r_err * math.gamma(n) if n >= 1 else eps

@@ -135,10 +135,11 @@ def _panel_estimates(f, a, b):
         t = u / r if r else math.inf
         raise AccuracyError(f"integrand overflowed at t={t!r}") from exc
     arr = np.asarray(values)
-    lo = half * np.add.reduce(_GL_LO_W * arr[:8])
-    hi = half * np.add.reduce(_GL_HI_W * arr[8:])
-    hi = complex(hi) if isinstance(hi, (complex, np.complexfloating)) else float(hi)
-    err = float(abs(hi - lo))
+    # both sums as Python scalars, so hi - lo of inf - inf is a plain nan
+    scalar = complex if arr.dtype.kind == "c" else float
+    lo = scalar(half * np.add.reduce(_GL_LO_W * arr[:8]))
+    hi = scalar(half * np.add.reduce(_GL_HI_W * arr[8:]))
+    err = abs(hi - lo)
     if not math.isfinite(err):
         raise AccuracyError("integrand produced non-finite values")
     return hi, err

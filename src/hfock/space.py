@@ -144,22 +144,6 @@ def fock_norm(f: EntireSeries) -> float:
     return math.sqrt(max(complex(val).real, 0.0))
 
 
-@dataclass(frozen=True)
-class HNorms:
-    """Both norms of a series; h_norm <= fock_norm always."""
-
-    h_norm: float
-    fock_norm: float
-
-    def pointwise_bound(self, abs_z: float) -> float:
-        """sqrt(efun(|z|^2)) * h_norm, an upper bound for |f(z)|."""
-        return math.sqrt(efun(abs_z * abs_z).real) * self.h_norm
-
-
-def norms(f: EntireSeries) -> HNorms:
-    return HNorms(h_norm=h_norm(f), fock_norm=fock_norm(f))
-
-
 def norm_sq_by_quadrature(f: EntireSeries) -> float:
     """||f||^2 by per-monomial quadrature; the independent witness for h_inner.
 
@@ -186,22 +170,6 @@ def reproducing_check(f: EntireSeries, z: complex) -> tuple[complex, complex]:
     # coefficients of K_z: conj(z)^n / eta_n
     kz_series = EntireSeries(tuple(_kernel_terms(z.conjugate(), f.degree)))
     return h_inner(f, kz_series), f(z)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    value: float
-    bound: float
-    ok: bool
-
-
-def pointwise_bound_check(f: EntireSeries, z: complex) -> BoundReport:
-    """Check |f(z)| <= sqrt(efun(|z|^2)) * h_norm(f), with a relative rounding
-    slack of 1e-10."""
-    z = complex(z)
-    value = abs(f(z))
-    bound = norms(f).pointwise_bound(abs(z))
-    return BoundReport(value=value, bound=bound, ok=value <= bound * (1.0 + 1e-10))
 
 
 @dataclass(frozen=True)

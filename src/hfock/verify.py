@@ -24,6 +24,8 @@ from .numerics import (disk_point, gauss_hermite, gauss_laguerre,
 
 # what the moments battery runs at when run() is given no nmax or points
 _NMAX, _POINTS = 170, 20
+# a dbar residual above this is a wrong solution, not stencil error
+_DBAR_RESIDUAL_BOUND = 1e-6
 
 
 def _check(name: str, ok: bool, **details) -> dict:
@@ -202,10 +204,17 @@ def suite_expint(seed: int = 0) -> list[dict]:
 # moments
 
 def _bounds_checks(nmax: int) -> list[dict]:
-    table = moments.eta_table(nmax, cross_check_up_to=0)
+    """n!/(2^n 8) <= eta_n <= n! and eta_n <= Gamma(n)/n in log scale, and
+    log eta_n increasing from n = 2, for every n <= nmax."""
+    logs = moments.log_eta_sequence(nmax)
+    bounds_ok = all(
+        math.lgamma(n + 1) - n * math.log(2.0) - math.log(8.0) <= le <= math.lgamma(n + 1)
+        and (n == 0 or le <= math.lgamma(n) - math.log(n))
+        for n, le in enumerate(logs))
     return [
-        _check("eta-bounds-log-scale", table.bounds_ok(), n_max=nmax),
-        _check("log-eta-monotone-from-2", table.log_monotone_from_2(), n_max=nmax),
+        _check("eta-bounds-log-scale", bounds_ok, n_max=nmax),
+        _check("log-eta-monotone-from-2", all(logs[n + 1] > logs[n] for n in range(2, nmax)),
+               n_max=nmax),
     ]
 
 
@@ -315,35 +324,33 @@ def suite_hfock(seed: int = 0) -> list[dict]:
     ok = True
     for _ in range(100):
         f = _random_series(rng, rng.randrange(0, 24))
-        ns = space.norms(f)
-        ok = ok and ns.h_norm <= ns.fock_norm * (1.0 + 1e-12)
+        ok = ok and space.h_norm(f) <= space.fock_norm(f) * (1.0 + 1e-12)
     checks.append(_check("norm-domination", ok))
 
     checks.append(_psd_sampling("gram-psd-sampling", (
         (space.gram_kernel([disk_point(local, 2.0) for _ in range(50)]), space.kernel, local)
         for local in map(random.Random, range(seed + 1000, seed + 1020)))))
 
-    ok = True
-    for f, z in ((space.EntireSeries((1.0,)), 3.0),
-                 (space.EntireSeries.monomial(5), 2.0),
-                 (_random_series(rng, 8), disk_point(rng, 2.0))):
-        ok = ok and space.pointwise_bound_check(f, z).ok
-    # Cauchy-Schwarz saturation: f = K_w (truncated) meets the bound at z = w
+    # |f(z)| <= sqrt(K(z, z)) ||f||, to a relative rounding slack of 1e-10;
+    # f = K_w (truncated), last, meets the bound at z = w (Cauchy-Schwarz saturation)
     w = 0.8 + 0.4j
     logs = moments.log_eta_sequence(60)
-    kw_coeffs = [w.conjugate() ** n * math.exp(-logs[n]) for n in range(61)]
-    kw = space.EntireSeries(tuple(kw_coeffs))
-    rep = space.pointwise_bound_check(kw, w)
-    saturation = rep.value / rep.bound
-    ok = ok and rep.ok and saturation > 1.0 - 1e-10
-    checks.append(_check("pointwise-bound", ok, saturation=saturation))
+    kw = space.EntireSeries(tuple(w.conjugate() ** n * math.exp(-logs[n]) for n in range(61)))
+    pairs = [(abs(f(z)), math.sqrt(space.efun(abs(z) * abs(z)).real) * space.h_norm(f))
+             for f, z in ((space.EntireSeries((1.0,)), 3.0 + 0j),
+                          (space.EntireSeries.monomial(5), 2.0 + 0j),
+                          (_random_series(rng, 8), disk_point(rng, 2.0)),
+                          (kw, w))]
+    saturation = pairs[-1][0] / pairs[-1][1]
+    ok = all(value <= bound * (1.0 + 1e-10) for value, bound in pairs)
+    checks.append(_check("pointwise-bound", ok and saturation > 1.0 - 1e-10,
+                         saturation=saturation))
 
-    rep = space.norms(basis(3))
-    eta3 = moments.eta_closed_form(3)
-    ok = (abs(rep.h_norm - 1.0) <= 1e-12
-          and abs(rep.fock_norm - math.sqrt(6.0 / eta3)) <= 1e-12)
-    checks.append(_check("membership-basis-element", ok,
-                         h_norm=rep.h_norm, fock_norm=rep.fock_norm))
+    b3 = basis(3)
+    h3, fock3 = space.h_norm(b3), space.fock_norm(b3)
+    ok = (abs(h3 - 1.0) <= 1e-12
+          and abs(fock3 - math.sqrt(6.0 / moments.eta_closed_form(3))) <= 1e-12)
+    checks.append(_check("membership-basis-element", ok, h_norm=h3, fock_norm=fock3))
 
     return checks
 
@@ -404,14 +411,12 @@ def suite_lerch(seed: int = 0) -> list[dict]:
         # slope at 0 by complex step, curvature by central second difference
         h = 1e-7
         slope = lerch.phi(n, 1j * h, 1e-16).imag / h
-        gaps.append(abs(slope - lerch.phi_series_coefficient(n, 1)))
+        gaps.append(abs(slope - 1.0 / (n + 1)))
         h = 1e-3
         fd2 = (lerch.phi(n, h, 1e-16) - 2.0 * lerch.phi(n, 0.0)
                + lerch.phi(n, -h, 1e-16)).real / h ** 2
-        gaps.append(_rel_gap(fd2, 2.0 * lerch.phi_series_coefficient(n, 2)))
-    coeff_ok = all(lerch.phi_series_coefficient(n, p) == 1.0 / (n + p)
-                   for n in (1, 2, 3) for p in range(11))
-    checks.append(_within("taylor-coefficients", 1e-5, ok=coeff_ok, max_gap=gaps))
+        gaps.append(_rel_gap(fd2, 2.0 * (1.0 / (n + 2))))
+    checks.append(_within("taylor-coefficients", 1e-5, max_gap=gaps))
 
     gaps = [abs((lerch.phi(1, x) * x).real + math.log1p(-x))
             for x in (-0.9 + 1.8 * i / 36.0 for i in range(37)) if abs(x) >= 1e-9]
@@ -466,7 +471,7 @@ def suite_dbar(seed: int = 0) -> list[dict]:
         u = dbar.assemble_solution(f, u0)
         samples = [disk_point(rng, 2.0) for _ in range(10)]
         reps.append(dbar.dbar_residual(u, f, samples, 1e-5))
-    checks.append(_within("assembled-solution-residual", 1e-6,
+    checks.append(_within("assembled-solution-residual", _DBAR_RESIDUAL_BOUND,
                           ok=all(rep.symbolic_zero for rep in reps),
                           max_residual=(rep.max_residual for rep in reps)))
 
@@ -481,7 +486,7 @@ def suite_dbar(seed: int = 0) -> list[dict]:
         bad = dbar.PolyanalyticSeries(tuple(tuple(r) for r in rows))
         samples = [cmath.rect(1.0, 2.0 * math.pi * k / 7.0) for k in range(7)]
         rep = dbar.dbar_residual(bad, f, samples, 1e-5)
-        if rep.flagged() and not rep.symbolic_zero:
+        if rep.max_residual > _DBAR_RESIDUAL_BOUND and not rep.symbolic_zero:
             flagged += 1
     checks.append(_check("negative-controls-flagged", flagged == 10, flagged=flagged))
 

@@ -131,6 +131,13 @@ class TestVerify:
         gaps = [c["details"].get("max_gap", 0.0) for c in obj["checks"]]
         assert max(gaps) <= 1e-9
 
+    @pytest.mark.parametrize("nmax", ["10001", "-1"])
+    def test_bounds_nmax_out_of_range_is_a_configuration_error(self, capsys, nmax):
+        code, out, err = _run(capsys, ["verify", "bounds", "--nmax", nmax])
+        assert code == 2
+        assert out == ""
+        assert "n_max must be in [0, 10000]" in err
+
     def test_bounds_reports_the_nmax_it_was_given(self, capsys):
         code, out, _ = _run(capsys, ["verify", "bounds", "--nmax", "0"])
         obj = json.loads(out)

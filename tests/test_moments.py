@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hfock import expint, moments, space
+from hfock import expint, moments, space, verify
 from hfock.errors import (AccuracyError, ConfigurationError, DomainError,
                           PrecisionLossError)
 from hfock.numerics import disk_point
@@ -105,17 +105,17 @@ class TestMomentTable:
         assert not t.overflow[0]
 
     def test_bounds_hold_to_30(self):
-        assert moments.eta_table(30).bounds_ok()
+        assert verify.run("bounds", nmax=30)["n_failed"] == 0
 
     def test_overflow_flag_past_170(self):
-        t = moments.eta_table(300, cross_check_up_to=5)
+        t = moments.eta_table(300)
         assert all(math.isfinite(v) for v in t.log_eta)
         assert not any(t.overflow[: 171])
         assert all(t.overflow[171:])
         assert all(math.isnan(t.eta[n]) for n in range(171, 301))
 
     def test_monotone_log_from_2(self):
-        assert moments.eta_table(170, cross_check_up_to=0).log_monotone_from_2()
+        assert verify.run("bounds", nmax=170)["n_failed"] == 0
         # the head of the sequence dips: eta_0 > eta_1 < eta_2
         logs = moments.log_eta_sequence(2)
         assert logs[0] > logs[1] < logs[2]
@@ -123,7 +123,7 @@ class TestMomentTable:
     def test_csv_shape(self):
         import io
         buf = io.StringIO()
-        moments.eta_table(3, cross_check_up_to=3).write_csv(buf)
+        moments.eta_table(3).write_csv(buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "n,eta,log_eta,abs_err,route"
         assert len(lines) == 5
