@@ -78,8 +78,10 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
 
 def _eta_integrand(n):
     if n <= 65:
-        return lambda t: t ** n * math.exp(-t) / ((1.0 + t) * (1.0 + t))
-    # from n = 66, t^n overflows on the integrator's far nodes: assemble in log scale
+        # exp(-t) is 0.0 from t = 745.2 on, so 0.0 there keeps the bits and
+        # spares t ** n its overflow at the integrator's farthest nodes
+        return lambda t: t ** n * math.exp(-t) / ((1.0 + t) * (1.0 + t)) if t < 746.0 else 0.0
+    # from n = 66, assemble in log scale, where t ** n cannot overflow
     return lambda t: math.exp(n * math.log(t) - t - 2.0 * math.log1p(t)) if t > 0 else 0.0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .numerics import csum, min_eig_hermitian
 
 _LOG8 = math.log(8.0)
 _TRUNC_CAP = 4000
+_LGAMMA_N2 = tuple(math.lgamma(n + 2) for n in range(_TRUNC_CAP))  # lgamma(n + 2), n < _TRUNC_CAP
 _MAX_GRAM_POINTS = 200
 
 
@@ -74,25 +76,36 @@ def _trunc_index(abs_z: float, tol: float) -> int:
         return 0
     target = math.log(tol)
     l2z = math.log(2.0 * abs_z)
-    for n in range(_TRUNC_CAP):
-        if _LOG8 + (n + 1) * l2z - math.lgamma(n + 2) + 2.0 * abs_z < target:
+    for n, lgamma_n2 in enumerate(_LGAMMA_N2):
+        if _LOG8 + (n + 1) * l2z - lgamma_n2 + 2.0 * abs_z < target:
             return n
     raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
 
 
+@lru_cache(maxsize=1)
+def _eta_ratios() -> tuple[float, tuple[float, ...]]:
+    """(1/eta_0, (eta_0/eta_1 .. eta_{N-1}/eta_N)) from the log moments, built once."""
+    logs = moments.log_eta_sequence(moments.N_MAX)
+    return math.exp(-logs[0]), tuple(
+        math.exp(logs[n - 1] - logs[n]) for n in range(1, moments.N_MAX + 1))
+
+
 def _kernel_terms(q: complex, n_max: int) -> list[complex]:
     """q^n / eta_n for n = 0..n_max, built by stable ratio updates."""
-    logs = moments.log_eta_sequence(n_max)
-    terms = [math.exp(-logs[0]) + 0j]
-    for n in range(1, n_max + 1):
-        terms.append(terms[-1] * q * math.exp(logs[n - 1] - logs[n]))
+    inv_eta0, ratios = _eta_ratios()
+    term = inv_eta0 + 0j
+    terms = [term]
+    for ratio in ratios[:n_max]:
+        term = term * q * ratio
+        terms.append(term)
     return terms
 
 
 def efun(z: complex, tol: float = 1e-12) -> complex:
     """The entire function sum_n z^n / eta_n with a certified truncation tail."""
     z = complex(z)
-    return csum(_kernel_terms(z, _trunc_index(abs(z), tol)))
+    terms = _kernel_terms(z, _trunc_index(abs(z), tol))
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def kernel(z: complex, w: complex, tol: float = 1e-12, ml_normalized: bool = False) -> complex:
