@@ -134,7 +134,14 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
 
 
 def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
-    """Quadrature of (1/Gamma(s)) integral of t^{s-1} / (e^{a t} (1 - e^{-t}))."""
+    """Quadrature of (1/Gamma(s)) integral of t^{s-1} / (e^{a t} (1 - e^{-t})).
+
+    The integrand behaves like t^{s-2} at the origin.  Below s of about
+    1.56 that singularity drives the integrator to its refinement floor at
+    the default ``tol``, so the call raises :class:`AccuracyError`; it will
+    until the singular part t^{s-2} on (0, 1), whose integral is exactly
+    1/(s-1), is subtracted and only the smooth remainder integrated.
+    """
     if s <= 1.0 + 1e-6:
         raise DomainError(f"hurwitz_zeta_integral: requires s > 1, got {s}")
 
@@ -167,11 +174,10 @@ class CMReport:
 
     order_checked: int
     min_signed: tuple[float, ...]  # min over the grid of (-1)^j * diff^j f, per j
-    violations: tuple[tuple[int, int, float], ...]  # (order, grid index, value)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return all(m >= -1e-10 for m in self.min_signed)
 
 
 def cm_evidence(f, a_grid) -> CMReport:
@@ -189,17 +195,12 @@ def cm_evidence(f, a_grid) -> CMReport:
     if h <= 0 or any(abs(s - h) > 1e-9 * h for s in steps):
         raise ConfigurationError("cm_evidence: grid must be uniform and increasing")
     values = [float(f(a)) for a in grid]
-    mins, violations = [], []
+    mins = []
     diffs = values
     for j in range(_CM_ORDER + 1):
-        signed = [(-1.0) ** j * d for d in diffs]
-        mins.append(min(signed))
-        for i, v in enumerate(signed):
-            if v < -1e-10:
-                violations.append((j, i, v))
+        mins.append(min((-1.0) ** j * d for d in diffs))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return CMReport(order_checked=_CM_ORDER, min_signed=tuple(mins),
-                    violations=tuple(violations))
+    return CMReport(order_checked=_CM_ORDER, min_signed=tuple(mins))
 
 
 def phi_cm_evidence(n: int, a_grid) -> CMReport:

@@ -140,9 +140,7 @@ def h_inner(f: EntireSeries, g: EntireSeries) -> complex:
     deg = min(f.degree, g.degree)
     logs = moments.log_eta_sequence(deg)
     pairs = ((n, f.coeffs[n] * g.coeffs[n].conjugate()) for n in range(deg + 1))
-    terms = _eta_weighted_terms(pairs, logs)
-    val = csum(terms) if terms else 0.0
-    return complex(val)
+    return complex(csum(_eta_weighted_terms(pairs, logs)))
 
 
 def h_norm(f: EntireSeries) -> float:
@@ -153,7 +151,7 @@ def fock_norm(f: EntireSeries) -> float:
     """Norm with weights n! instead of eta_n (the containing Gaussian space)."""
     logs = [math.lgamma(n + 1) for n in range(f.degree + 1)]
     pairs = ((n, f.coeffs[n] * f.coeffs[n].conjugate()) for n in range(f.degree + 1))
-    val = csum(_eta_weighted_terms(pairs, logs)) or 0.0
+    val = csum(_eta_weighted_terms(pairs, logs))
     return math.sqrt(max(complex(val).real, 0.0))
 
 

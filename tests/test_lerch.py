@@ -158,6 +158,18 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             lerch.hurwitz_zeta(1.0, 1.0)
 
+    @pytest.mark.parametrize("s", [1.2, 1.5])
+    def test_integral_raises_at_the_refinement_floor(self, s):
+        # t^(s-2) at the origin: the floor panel's error exceeds tol
+        with pytest.raises(AccuracyError, match="refinement floor reached"):
+            lerch.hurwitz_zeta_integral(s, 1.0)
+
+    @pytest.mark.parametrize("s, bits", [(1.6, 2.2857656655916316),
+                                         (2.0, 1.644934066848226)])
+    def test_integral_above_the_floor_keeps_its_bits(self, s, bits):
+        # no panel reaches the floor here, so counting floor panels moves nothing
+        assert lerch.hurwitz_zeta_integral(s, 1.0) == bits
+
 
 class TestDirichletKernel:
     def test_half_point(self, gold):
@@ -191,6 +203,10 @@ class TestCompleteMonotonicity:
 
     def test_detects_violations(self):
         rep = lerch.cm_evidence(math.sin, [0.5 * i for i in range(30)])
+        assert not rep.passed
+        # a NaN minimum compares false with -1e-10 and must not pass either
+        rep = lerch.cm_evidence(lambda a: math.nan if a == 0.0 else 1.0,
+                                [0.5 * i for i in range(30)])
         assert not rep.passed
 
 

@@ -151,7 +151,7 @@ class TestIntegrateSemiInfinite:
     ], ids=["power", "division"])
     def test_overflowing_integrand_raises_at_once(self, f, cause):
         # t**120 overflows on the first panel's far nodes: the integrator must
-        # stop there, not refine toward its 2M-evaluation budget
+        # stop there, not refine toward its 100 000-evaluation budget
         start = time.perf_counter()
         with pytest.raises(AccuracyError, match="integrand overflowed at t=") as exc:
             integrate_semi_infinite(f)
@@ -170,6 +170,67 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(AccuracyError, match="non-finite"):
             integrate_semi_infinite(f)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("a", [-0.3, -0.5, -0.7, -0.9])
+    def test_endpoint_singularity_meets_tol_or_raises(self, a, tol):
+        # t^a at the origin drives the bisection to its 1e-15 floor; the
+        # error the floor panels carry must count, so the call either meets
+        # tol or says it cannot
+        exact = math.gamma(a + 1.0)
+        try:
+            res = integrate_semi_infinite(lambda t: t ** a * math.exp(-t), tol)
+        except AccuracyError as exc:
+            assert "refinement floor reached" in str(exc)
+        else:
+            assert abs(res.value - exact) <= tol * exact
+
+
+def _popped_panels(monkeypatch):
+    """Every panel the integrator pops off its heap, as (-err, seq, a, b, value)."""
+    popped = []
+    pop = numerics.heapq.heappop
+
+    def record(heap):
+        popped.append(pop(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(numerics.heapq, "heappop", record)
+    return popped
+
+
+def _floor_error(popped):
+    return sum(-p[0] for p in popped if p[3] - p[2] < 1e-15)
+
+
+def test_floor_panel_counts_and_the_call_still_converges(monkeypatch):
+    # at a = -0.3 one floor panel carries an error of about 4e-13, under
+    # tol * Gamma(0.7) = 1.3e-12: it is counted, and the call converges
+    popped = _popped_panels(monkeypatch)
+    res = integrate_semi_infinite(lambda t: t ** -0.3 * math.exp(-t), 1e-12)
+    frozen_err = _floor_error(popped)
+    assert frozen_err > 0.0
+    assert res.abs_error_estimate >= frozen_err
+    assert abs(res.value - math.gamma(0.7)) <= 1e-12 * math.gamma(0.7)
+
+
+def test_floor_raise_reports_the_floor_error(monkeypatch):
+    popped = _popped_panels(monkeypatch)
+    with pytest.raises(AccuracyError, match="refinement floor reached") as exc:
+        integrate_semi_infinite(lambda t: t ** -0.7 * math.exp(-t), 1e-10)
+    frozen_err = _floor_error(popped)
+    result = exc.value.result
+    assert frozen_err > 1e-10 * abs(result.value)
+    assert result.abs_error_estimate >= frozen_err
+
+
+def test_hopeless_call_exhausts_the_budget_quickly():
+    # log eta_400 at 1e-14 cannot converge; the 100 000-evaluation budget
+    # ends it well inside a second on a 2-vCPU machine
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError, match="node budget .* exhausted"):
+        moments.log_eta_quadrature(400, 1e-14)
+    assert time.perf_counter() - start < 5.0
 
 
 def _integrands(monkeypatch, module, call):

@@ -37,8 +37,7 @@ COMMANDS = (
     "lerch --audit eta0_K",
     "gram --random 20 --seed 5",
     "gram --random 200 --seed 1 --radius 5",
-    "verify all --seed 0",
-    "verify all --seed 4",
+    *(f"verify all --seed {k}" for k in range(10)),
     "verify dbar --seed 3",
     "verify bounds --nmax 170",
     "verify gfs --points 20 --seed 7",
