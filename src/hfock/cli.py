@@ -28,13 +28,34 @@ _USER_ERRORS = (ConfigurationError, DomainError, ValidationError,
                 PrecisionLossError, AccuracyError)
 
 
+def _parse_number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigurationError(f"cannot parse {kind.__name__} from {text!r}") from None
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+    if len(parts) in (1, 2):
+        try:
+            return complex(*map(float, parts))
+        except ValueError:
+            pass
     raise ConfigurationError(f"cannot parse complex number from {text!r} (want 're' or 're,im')")
+
+
+def _load_payload(path: str, *required: str) -> dict:
+    """The JSON object in ``path``, which must hold every key in ``required``."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    missing = [key for key in required if not isinstance(payload, dict) or key not in payload]
+    if missing:
+        raise ConfigurationError(f"{path} lacks {', '.join(map(repr, missing))}")
+    return payload
 
 
 def _pair(z: complex) -> list[float]:
@@ -111,8 +132,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_gram(args) -> int:
     tol = args.tol
     if args.points_file:
-        with open(args.points_file) as fh:
-            payload = json.load(fh)
+        payload = _load_payload(args.points_file, "points")
         pts = [complex(p[0], p[1]) for p in payload["points"]]
         tol = float(payload.get("tol", tol))
     else:
@@ -126,6 +146,8 @@ def _cmd_gram(args) -> int:
 def _cmd_bargmann(args) -> int:
     z = _parse_complex(args.z)
     nx = args.nx
+    if nx < 1:
+        raise ConfigurationError(f"--nx must be >= 1, got {nx}")
     xs = [args.xmin + (args.xmax - args.xmin) * i / (nx - 1) for i in range(nx)] \
         if nx > 1 else [args.xmin]
     rows = [(z, x, bargmann.bargmann_kernel(z, x, args.tol)) for x in xs]
@@ -145,7 +167,8 @@ def _cmd_lerch(args) -> int:
         if args.audit == "eta0_K":
             obj = lerch.ml_audit("eta0_K", seed=args.seed)
         elif args.audit.startswith("phi_tilde:"):
-            obj = lerch.ml_audit("phi_tilde", int(args.audit.split(":", 1)[1]), seed=args.seed)
+            n = _parse_number(args.audit.split(":", 1)[1], int)
+            obj = lerch.ml_audit("phi_tilde", n, seed=args.seed)
         else:
             raise ConfigurationError(
                 f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
@@ -157,12 +180,12 @@ def _cmd_lerch(args) -> int:
         return 0
     if args.lerch:
         z = _parse_complex(args.lerch[0])
-        s, a = float(args.lerch[1]), float(args.lerch[2])
+        s, a = _parse_number(args.lerch[1]), _parse_number(args.lerch[2])
         _emit_json({"z": _pair(z), "s": s, "a": a,
                     "value": _pair(lerch.lerch_phi(z, s, a, args.tol))}, args.out)
         return 0
     if args.phi:
-        n = int(args.phi[0])
+        n = _parse_number(args.phi[0], int)
         z = _parse_complex(args.phi[1])
         _emit_json({"n": n, "z": _pair(z),
                     "value": _pair(lerch.phi(n, z))}, args.out)
@@ -171,8 +194,7 @@ def _cmd_lerch(args) -> int:
 
 
 def _cmd_dbar(args) -> int:
-    with open(args.problem) as fh:
-        payload = json.load(fh)
+    payload = _load_payload(args.problem, "f", "samples")
     f = space.EntireSeries(_coeffs_from_json(payload["f"]))
     u0 = space.EntireSeries(_coeffs_from_json(payload.get("u0", [0.0])))
     samples = [complex(p[0], p[1]) for p in payload["samples"]]

@@ -93,7 +93,7 @@ def _psd_sampling(name: str, samples) -> dict:
     the scaled gap is at most 1 when the contract holds.  min_eig is
     sigma_min(B)^2 >= 0 by construction: the sampled entries, against the
     scalar kernel, are what can fail here."""
-    psd, ratios, gaps = True, [0.0], []
+    psd, ratios, gaps = True, [], []
     for g, kernel, rng in samples:
         psd = psd and g.is_psd()
         ratios.append(g.min_eig / g.trace)

@@ -117,6 +117,36 @@ class TestDbar:
         assert "error" in err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["efun", "--z", "abc"],
+        ["kernel", "--z", "1", "--w", "abc"],
+        ["lerch", "--phi", "x", "0.5"],
+        ["lerch", "--lerch", "0.5", "x", "1"],
+        ["lerch", "--audit", "phi_tilde:x"],
+        ["bargmann", "--z", "1", "--nx", "0"],
+        ["bargmann", "--z", "1", "--nx", "-3"],
+    ], ids=" ".join)
+    def test_argument_is_a_configuration_error(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("hfock: error: ")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["gram", "--points-file"], "[[0.0, 0.0]"),
+        (["gram", "--points-file"], '{"tol": 1e-12}'),
+        (["dbar", "--problem"], "f = [1.0]"),
+        (["dbar", "--problem"], '{"samples": [[1.0, 0.0]]}'),
+        (["dbar", "--problem"], '{"f": [1.0], "u0": [0.0]}'),
+    ], ids=["gram-not-json", "gram-no-points", "dbar-not-json", "dbar-no-f", "dbar-no-samples"])
+    def test_input_file_is_a_configuration_error(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, [*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("hfock: error: ")
+
+
 class TestVerify:
     def test_bounds_suite(self, capsys):
         code, out, _ = _run(capsys, ["verify", "bounds", "--nmax", "170"])

@@ -111,7 +111,7 @@ def _order2(z, w):
 
 class TestPolyFockKernelArrays:
     @pytest.mark.parametrize("n", range(1, 21))
-    def test_arrays_match_scalar_calls_and_formula(self, n):
+    def test_arrays_match_scalar_calls_and_formula(self, request, n):
         rng = random.Random(100 + n)
         # |z - w|^2 at each positive root of the polynomial factor, where the
         # sum cancels (|z - w| = sqrt(2) for n = 2), and at random spacings
@@ -138,17 +138,14 @@ class TestPolyFockKernelArrays:
         assert _same_bits(got, [cmath.exp(z * w.conjugate()) * _laguerre(n, abs(z - w) ** 2)
                                 for z, w in zip(zs, ws)])
         # orders >= 3: within 128 u exp(Re z conj w) sum_k |c_k| |z - w|^{2k}
-        mp = pytest.importorskip("mpmath")
-        ctx = mp.MPContext()
-        ctx.dps = 40
+        oracle = request.getfixturevalue("mp_oracle")
+        ctx = oracle.ctx
         for z, w, v in zip(zs, ws, scalar):
             mz, mw = ctx.mpc(z), ctx.mpc(w)
-            x = abs(mz - mw) ** 2
-            terms = [(-1) ** k * math.comb(n, k + 1) * x ** k / ctx.factorial(k)
-                     for k in range(n)]
-            e = ctx.exp(mz * ctx.conj(mw))
-            scale = abs(e) * ctx.fsum(abs(t) for t in terms)
-            assert abs(ctx.mpc(v) - e * ctx.fsum(terms)) <= 128 * 2.0 ** -53 * scale, (z, w)
+            # the coefficients alternate in sign, so sum_k |c_k| d2^k = L^(1)_{n-1}(-d2)
+            scale = ctx.exp(ctx.re(mz * ctx.conj(mw))) * oracle.laguerre(n, -abs(mz - mw) ** 2)
+            assert abs(ctx.mpc(v) - oracle.poly_fock_kernel(n, z, w)) <= \
+                128 * 2.0 ** -53 * scale, (z, w)
 
     def test_broadcasts_a_scalar_against_an_array(self):
         ws = np.array([0.5 + 0.5j, -1.0, 2j])
@@ -272,24 +269,12 @@ class TestOrderTwoGram:
         with pytest.raises(ValidationError):
             space.build_gram([0.5, 1j], lambda z, w: 1.0 + 0j)
 
-    def test_entries_and_trace_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        ctx = mp.MPContext()
-        ctx.dps = 40
+    def test_entries_and_trace_against_mpmath(self, mp_oracle):
         rng = random.Random(1234)
         pts = [disk_point(rng, 1.5) for _ in range(200)]
-        g = space.build_gram(pts, _order2)
-        tol = 8192 * 2.0 ** -53
-        mpts = [ctx.mpc(p) for p in pts]
-        diag = [2 * ctx.exp(abs(p) ** 2) for p in mpts]
-        trace = ctx.fsum(diag)
-        assert abs(g.trace - trace) <= tol * trace
-        for _ in range(200):
-            i, j = rng.randrange(200), rng.randrange(200)
-            z, w = mpts[i], mpts[j]
-            ref = complex(ctx.exp(z * ctx.conj(w)) * (2 - abs(z - w) ** 2))
-            assert abs(complex(g.entries[i, j]) - ref) <= tol * math.sqrt(diag[i] * diag[j]), (i, j)
-
+        pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(200)]
+        mp_oracle.check_gram(space.build_gram(pts, _order2),
+                             lambda z, w: mp_oracle.poly_fock_kernel(2, z, w), pairs)
 
 
 class TestAssembly:

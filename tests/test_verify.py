@@ -30,6 +30,11 @@ def test_check_names_unique():
     assert len(names) == len(set(names))
 
 
+def test_phi_psd_sampling_reports_the_smallest_sampled_ratio():
+    (check,) = [c for c in _REPORT["checks"] if c["name"] == "phi-gram-psd-sampling"]
+    assert check["details"]["min_eig_over_trace"] > 0.0
+
+
 def test_wall_clock_budget():
     assert _ELAPSED < 60.0
 

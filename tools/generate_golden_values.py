@@ -3,8 +3,11 @@
 
 Every entry is computed at 50-digit working precision by two independent
 methods (series vs. quadrature, closed form vs. recurrence, ...); a value is
-only written if the two methods agree to 1e-38.  The output is committed as
-src/hfock/data/golden_values.json and loaded read-only by the test suite.
+only written if the two methods agree to 1e-38.  The moments eta_n come from
+tests/mp_oracle.py, the one home of the test suite's mpmath references; this
+script keeps the quadrature and series routes that witness them.  The output
+is committed as src/hfock/data/golden_values.json and loaded read-only by the
+test suite.
 
 Requires mpmath.  The installed package never imports this script.
 """
@@ -12,12 +15,17 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import mpmath as mp
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+import mp_oracle  # noqa: E402
+
 mp.mp.dps = 50
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "hfock" / "data" / "golden_values.json"
+OUT = ROOT / "src" / "hfock" / "data" / "golden_values.json"
 
 entries: dict[str, dict[str, str]] = {}
 
@@ -44,18 +52,6 @@ def eta_quad(n):
     return mp.quad(lambda t: t ** n * mp.exp(-t) / (1 + t) ** 2, [0, mp.inf])
 
 
-def eta_recurrence(n_max):
-    # residual recurrence r_{n+1} = 1/(n+1) - (n+2) r_n / (n (n+1)), seeded by
-    # r_1 = 2 e E1(1) - 1; eta_n = r_n Gamma(n), eta_0 = 1 - e E1(1)
-    e1_1 = e1_series(1)
-    etas = [1 - mp.e * e1_1]
-    r = 2 * mp.e * e1_1 - 1
-    for n in range(1, n_max + 1):
-        etas.append(r * mp.gamma(n))
-        r = mp.mpf(1) / (n + 1) - (n + 2) * r / (n * (n + 1))
-    return etas
-
-
 def main() -> None:
     put("euler_gamma", mp.euler, -mp.digamma(1),
         "Euler-Mascheroni constant; mpmath reference constant cross-checked "
@@ -71,12 +67,11 @@ def main() -> None:
         "E2(1) via the first-order recurrence exp(-1) - E1(1) against "
         "tanh-sinh quadrature of exp(-t)/t^2 over (1, inf)")
 
-    etas = eta_recurrence(12)
     for n in (0, 1, 2, 3, 5, 10):
-        put(f"eta{n}", eta_quad(n), etas[n],
+        put(f"eta{n}", eta_quad(n), mp_oracle.eta(n),
             f"moment integral of t^{n} exp(-t)/(1+t)^2 over (0, inf) by "
-            "tanh-sinh quadrature against the residual recurrence seeded by "
-            "the E1(1) series, 50 digits")
+            "tanh-sinh quadrature against the forward E_n(1) recurrence of "
+            "tests/mp_oracle.py, 50 digits")
 
     put("int_exp_over_one_plus_t",
         mp.quad(lambda t: mp.exp(-t) / (1 + t), [0, mp.inf]),
@@ -86,15 +81,13 @@ def main() -> None:
 
     # reciprocal-moment series sum_{n} z^n / eta_n at z = +1 and z = -1;
     # 1/eta_n <= 8 * 2^n / n! so 140 terms leave a tail far below 1e-45
-    etas_long = eta_recurrence(140)
     etas_quad = [eta_quad(n) for n in range(141)]
     for z, name in ((1, "efun_at_1"), (-1, "efun_at_minus_1")):
-        s_rec = mp.fsum(mp.mpf(z) ** n / etas_long[n] for n in range(141))
         s_quad = mp.fsum(mp.mpf(z) ** n / etas_quad[n] for n in range(141))
-        put(name, s_quad, s_rec,
+        put(name, s_quad, mp_oracle.efun(z).real,
             f"sum of {z}^n / eta_n to n=140 (certified tail < 1e-45 from "
             "eta_n >= n!/(8*2^n)) with eta_n from per-n quadrature against "
-            "eta_n from the residual recurrence")
+            "the 40-digit efun of tests/mp_oracle.py")
 
     put("zeta_2_1", mp.zeta(2),
         mp.quad(lambda t: t * mp.exp(-t) / (1 - mp.exp(-t)), [0, mp.inf]),
