@@ -12,8 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from . import moments
 from .errors import ConfigurationError, DomainError
 from .numerics import csum, gauss_hermite, integrate_semi_infinite
@@ -37,6 +35,8 @@ def hermite_psi(n_max: int, x: float) -> np.ndarray:
     traversed without loss; entries whose true value is below the subnormal
     range come out as an honest 0.0.
     """
+    import numpy as np
+
     if not 0 <= n_max <= _N_MAX:
         raise ConfigurationError(f"hermite_psi: n_max must be in [0, {_N_MAX}], got {n_max}")
     if abs(x) > 40.0:
@@ -74,6 +74,8 @@ def _ldexp_safe(m, e):
 
 def _psi_scaled_matrix(n_max: int, xs: np.ndarray) -> np.ndarray:
     """Rows psi_n(x) * exp(x^2/2) on a node vector; safe for |x| <~ 25, n <~ 300."""
+    import numpy as np
+
     out = np.empty((n_max + 1, xs.size))
     out[0] = PI_QUARTER_INV
     if n_max >= 1:
@@ -126,6 +128,8 @@ def kernel_l2_norm_sq(z: complex) -> float:
     exp(-x^2) is a polynomial of degree 120, which the rule integrates
     exactly.
     """
+    import numpy as np
+
     z = complex(z)
     if abs(z) > 2.0:
         raise ConfigurationError(f"kernel_l2_norm_sq: |z| capped at 2, got {abs(z)}")

@@ -62,14 +62,34 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _coeffs_from_json(raw) -> tuple[complex, ...]:
+def _complex_entries(path: str, key: str, raw, reals: bool = False) -> list[complex]:
+    """The list ``raw`` read from ``key`` of ``path`` as complex numbers.
+
+    Each entry is an ``[re, im]`` pair of numbers, or also a bare real number
+    where ``reals`` is set.
+    """
+    if not isinstance(raw, list):
+        raise ConfigurationError(f"{path}: {key!r} must be a list, got {raw!r}")
     out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
+    for i, item in enumerate(raw):
+        if reals and isinstance(item, (int, float)):
             out.append(complex(item))
-        else:
+        elif isinstance(item, list) and len(item) == 2 and \
+                all(isinstance(v, (int, float)) for v in item):
             out.append(complex(item[0], item[1]))
-    return tuple(out)
+        else:
+            want = "a number or an [re, im] pair" if reals else "an [re, im] pair"
+            raise ConfigurationError(f"{path}: {key}[{i}] must be {want}, got {item!r}")
+    return out
+
+
+def _float_entry(path: str, payload: dict, key: str, default: float) -> float:
+    """``payload[key]`` read from ``path`` as a float, ``default`` where it is absent."""
+    raw = payload.get(key, default)
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{path}: {key!r} must be a number, got {raw!r}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -133,8 +153,8 @@ def _cmd_gram(args) -> int:
     tol = args.tol
     if args.points_file:
         payload = _load_payload(args.points_file, "points")
-        pts = [complex(p[0], p[1]) for p in payload["points"]]
-        tol = float(payload.get("tol", tol))
+        pts = _complex_entries(args.points_file, "points", payload["points"])
+        tol = _float_entry(args.points_file, payload, "tol", tol)
     else:
         rng = random.Random(args.seed)
         pts = [disk_point(rng, args.radius) for _ in range(args.random)]
@@ -194,11 +214,12 @@ def _cmd_lerch(args) -> int:
 
 
 def _cmd_dbar(args) -> int:
-    payload = _load_payload(args.problem, "f", "samples")
-    f = space.EntireSeries(_coeffs_from_json(payload["f"]))
-    u0 = space.EntireSeries(_coeffs_from_json(payload.get("u0", [0.0])))
-    samples = [complex(p[0], p[1]) for p in payload["samples"]]
-    h = float(payload.get("h", 1e-5))
+    path = args.problem
+    payload = _load_payload(path, "f", "samples")
+    f = space.EntireSeries(_complex_entries(path, "f", payload["f"], reals=True))
+    u0 = space.EntireSeries(_complex_entries(path, "u0", payload.get("u0", [0.0]), reals=True))
+    samples = _complex_entries(path, "samples", payload["samples"])
+    h = _float_entry(path, payload, "h", 1e-5)
     u = dbar.assemble_solution(f, u0)
     rep = dbar.dbar_residual(u, f, samples, h)
     budget = dbar.weighted_budget_check(u0, f)

@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import space
 from .errors import ConfigurationError
 from .numerics import wirtinger_fd
@@ -71,6 +69,8 @@ def poly_fock_kernel(n: int, z, w):
     """
     if not 1 <= n <= 20:
         raise ConfigurationError(f"poly_fock_kernel: order must be in [1, 20], got {n}")
+    import numpy as np
+
     # numpy scalars for scalar points, so their arithmetic skips the array overhead
     z, w = np.complex128(z), np.complex128(w)
     scalar = z.ndim == w.ndim == 0

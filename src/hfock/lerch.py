@@ -13,8 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expint, moments, space
 from .errors import ConfigurationError, DomainError
 from .numerics import csum, disk_point, integrate_semi_infinite
@@ -225,6 +223,8 @@ def gram_phi(n: int, points) -> space.GramMatrix:
 def _scaled_phi_gram(n: int, points, log_scale: float) -> space.GramMatrix:
     """Factored Gram matrix of exp(log_scale) phi_n(z conj w): c_k = exp(log_scale)/(k+n),
     truncated by phi's own tail rule and default tolerance."""
+    import numpy as np
+
     return space._diagonal_gram(
         points, lambda r: log_scale - np.log(_lerch_denominators(r, 1.0, n, 1e-13)))
 
@@ -260,8 +260,9 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
         slope0 = eta0 / eta1
         pts = [disk_point(rng, 2.0) for _ in range(_AUDIT_POINTS)]
         # c_k = eta_0 / eta_k, cut where efun's tail meets kernel's default 1e-12
-        gram = space._diagonal_gram(pts, lambda r: moments.log_eta(0) - np.array(
-            moments.log_eta_sequence(space._trunc_index(r, 1e-12))))
+        gram = space._diagonal_gram(pts, lambda r: [
+            moments.log_eta(0) - v
+            for v in moments.log_eta_sequence(space._trunc_index(r, 1e-12))])
         cm = cm_evidence(lambda a: eta0 * space.efun(-a).real,
                          [0.1 + 0.1 * i for i in range(50)])
         label = "eta0_K"

@@ -10,6 +10,10 @@ returns a non-finite value, a guarded smallest-eigenvalue routine for Hermitian
 matrices, central finite differences for the Wirtinger derivative
 d/d(conj z), and a seeded uniform sampler of the disk.
 
+Only the Gauss rules and the eigenvalue routine build arrays; they import
+numpy when first called, so the integrator, the finite differences, the
+sampler and ``csum`` run on the standard library alone.
+
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share between threads.
 """
@@ -19,8 +23,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import AccuracyError, ConfigurationError, ValidationError
 
@@ -79,6 +81,8 @@ def _christoffel_weights(nodes, diag, offdiag, mu0):
     # Relative accuracy survives even where the weight itself is subnormal,
     # which the eigenvector-squared formula cannot deliver in double
     # precision.
+    import numpy as np
+
     p_prev = np.zeros_like(nodes)
     p_cur = np.full_like(nodes, 1.0 / math.sqrt(mu0))
     total = p_cur * p_cur
@@ -99,7 +103,13 @@ def _christoffel_weights(nodes, diag, offdiag, mu0):
 
 
 def _golub_welsch(diag, offdiag, mu0) -> QuadratureRule:
-    jacobi = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    import numpy as np
+
+    # off-diagonals written in place: summing np.diag matrices would hold
+    # three n x n matrices at once, 2 MB each at n = 512
+    n = len(diag)
+    jacobi = np.diag(diag)
+    jacobi.flat[1::n + 1] = jacobi.flat[n::n + 1] = offdiag
     nodes = np.linalg.eigvalsh(jacobi)
     weights = _christoffel_weights(nodes, diag, offdiag, mu0)
     nodes.setflags(write=False)
@@ -265,6 +275,8 @@ def min_eig_hermitian(M) -> float:
     only the lower triangle; that guard bounds how far the upper one departs
     from it.
     """
+    import numpy as np
+
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"min_eig_hermitian: expected a square matrix, got shape {M.shape}")

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from . import moments
 from .errors import AccuracyError, ConfigurationError, ValidationError
 from .numerics import csum, min_eig_hermitian
@@ -221,6 +219,8 @@ def build_gram(points, entry_fn) -> GramMatrix:
     diagonal included; the values go above the diagonal and their conjugates
     below it and on it.
     """
+    import numpy as np
+
     points = _gram_points(points)
     m = len(points)
     z = np.array(points)
@@ -249,6 +249,8 @@ def _diagonal_gram(points, log_coeffs) -> GramMatrix:
     product B B^H, never negative, and 0 when there are more points than
     terms.
     """
+    import numpy as np
+
     points = _gram_points(points)
     z = np.array(points)
     log_c = np.asarray(log_coeffs(max(abs(p) for p in points) ** 2), dtype=float)
@@ -270,5 +272,5 @@ def _diagonal_gram(points, log_coeffs) -> GramMatrix:
 def gram_kernel(points, tol: float = 1e-12) -> GramMatrix:
     """Gram matrix of the reproducing kernel on a point set, c_k = 1/eta_k."""
     return _diagonal_gram(
-        points, lambda r: -np.array(moments.log_eta_sequence(_trunc_index(r, tol))))
+        points, lambda r: [-v for v in moments.log_eta_sequence(_trunc_index(r, tol))])
 

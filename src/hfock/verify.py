@@ -15,8 +15,6 @@ import cmath
 import math
 import random
 
-import numpy as np
-
 from . import bargmann, dbar, expint, lerch, moments, space
 from .errors import ConfigurationError
 from .numerics import (disk_point, gauss_hermite, gauss_laguerre,
@@ -62,6 +60,8 @@ def _random_series(rng: random.Random, degree: int) -> space.EntireSeries:
 
 def _rule_moments(rule, orders) -> list[tuple[int, float]]:
     """(k, sum of weights * nodes^k) for each k in ``orders``."""
+    import numpy as np
+
     return [(k, float(np.dot(rule.weights, rule.nodes ** k))) for k in orders]
 
 
@@ -111,6 +111,8 @@ def _psd_sampling(name: str, samples) -> dict:
 # numerics
 
 def suite_numerics(seed: int = 0) -> list[dict]:
+    import numpy as np
+
     rng = random.Random(seed)
     checks = [
         _within("laguerre-moment-reproduction", 1e-13, max_rel_gap=(
@@ -359,6 +361,8 @@ def suite_hfock(seed: int = 0) -> list[dict]:
 # bargmann
 
 def suite_bargmann(seed: int = 0) -> list[dict]:
+    import numpy as np
+
     rng = random.Random(seed)
 
     rule = gauss_hermite(200)

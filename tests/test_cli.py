@@ -146,6 +146,24 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("hfock: error: ")
 
+    @pytest.mark.parametrize("argv, payload, entry", [
+        (["gram", "--points-file"], {"points": [1, 2]}, "points[0]"),
+        (["gram", "--points-file"], {"points": [[0.0, 0.0], [1.0, "x"]]}, "points[1]"),
+        (["dbar", "--problem"], {"f": [1.0], "samples": [[1.0]]}, "samples[0]"),
+        (["dbar", "--problem"], {"f": [1.0, [2.0]], "samples": [[1.0, 0.0]]}, "f[1]"),
+        (["dbar", "--problem"], {"f": [1.0], "u0": ["0"], "samples": [[1.0, 0.0]]}, "u0[0]"),
+        (["dbar", "--problem"], {"f": 1.0, "samples": [[1.0, 0.0]]}, "'f'"),
+        (["gram", "--points-file"], {"points": [[0.0, 0.0]], "tol": "x"}, "'tol'"),
+        (["dbar", "--problem"], {"f": [1.0], "samples": [[1.0, 0.0]], "h": None}, "'h'"),
+    ], ids=["gram-bare-number", "gram-string-part", "dbar-short-sample", "dbar-f-short-pair",
+            "dbar-u0-string", "dbar-f-not-a-list", "gram-tol-string", "dbar-h-null"])
+    def test_bad_entry_is_named(self, capsys, tmp_path, argv, payload, entry):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, [*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"hfock: error: {path}: {entry}")
+
 
 class TestVerify:
     def test_bounds_suite(self, capsys):

@@ -1,0 +1,72 @@
+"""numpy is loaded by the first call that builds an array, not by import.
+
+Each case runs in a fresh interpreter, so modules imported by other tests
+cannot mask a module-level ``import numpy``.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# run the CLI on the argv in sys.argv[1] with stdout discarded, then report
+# whether numpy got imported
+_CLI = """
+import contextlib, io, json, sys
+from hfock import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+_IMPORT = """
+import json, sys
+import hfock
+hfock.moments.eta_table(30)
+print(json.dumps([0, "numpy" in sys.modules]))
+"""
+
+
+def _numpy_loaded(code: str, *args: str) -> bool:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code == 0
+    return loaded
+
+
+def test_import_and_moment_table_skip_numpy():
+    assert not _numpy_loaded(_IMPORT)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--nmax", "170"],
+    ["efun", "--z", "-3"],
+    ["kernel", "--z", "1,0.5", "--w=-0.3,2"],
+    ["expint", "--x", "1", "--n", "3", "--laplace", "0.5"],
+    ["lerch", "--phi", "2", "0.3,0.4"],
+    ["lerch", "--zeta", "2", "1"],
+    ["verify", "expint"],
+    ["verify", "moments"],
+    ["verify", "bounds"],
+    ["verify", "gfs"],
+], ids=" ".join)
+def test_scalar_command_skips_numpy(argv):
+    assert not _numpy_loaded(_CLI, json.dumps(argv))
+
+
+def test_dbar_command_skips_numpy(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"f": [1.0], "samples": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert not _numpy_loaded(_CLI, json.dumps(["dbar", "--problem", str(path)]))
+
+
+def test_array_command_loads_numpy():
+    # the control: without it the cases above could pass on a broken probe
+    assert _numpy_loaded(_CLI, json.dumps(["gram", "--random", "5"]))
