@@ -13,7 +13,7 @@ import cmath
 import math
 
 from . import moments
-from .errors import ConfigurationError, DomainError
+from .errors import AccuracyError, ConfigurationError, DomainError
 from .numerics import csum, gauss_hermite, integrate_semi_infinite
 
 PI_QUARTER_INV = math.pi ** -0.25
@@ -26,7 +26,7 @@ _N_MAX = 1000
 WEIGHTED_GF_RADIUS = 0.15
 
 
-def hermite_psi(n_max: int, x: float) -> np.ndarray:
+def hermite_psi(n_max: int, x: float) -> list[float]:
     """psi_0(x) .. psi_{n_max}(x), orthonormal convention.
 
     Three-term recurrence psi_{n+1} = x sqrt(2/(n+1)) psi_n
@@ -35,20 +35,17 @@ def hermite_psi(n_max: int, x: float) -> np.ndarray:
     traversed without loss; entries whose true value is below the subnormal
     range come out as an honest 0.0.
     """
-    import numpy as np
-
     if not 0 <= n_max <= _N_MAX:
         raise ConfigurationError(f"hermite_psi: n_max must be in [0, {_N_MAX}], got {n_max}")
-    if abs(x) > 40.0:
+    if not abs(x) <= 40.0:
         raise ConfigurationError(f"hermite_psi: |x| capped at 40, got {x}")
     x = float(x)
     ln0 = -0.25 * math.log(math.pi) - 0.5 * x * x
     exp0 = int(math.floor(ln0 / _LN2))
-    out = np.empty(n_max + 1)
     v_prev = 0.0
     v_cur = math.exp(ln0 - exp0 * _LN2)
     scale = exp0
-    out[0] = _ldexp_safe(v_cur, scale)
+    out = [_ldexp_safe(v_cur, scale)]
     for n in range(n_max):
         v_next = x * math.sqrt(2.0 / (n + 1)) * v_cur - math.sqrt(n / (n + 1)) * v_prev
         v_prev, v_cur = v_cur, v_next
@@ -61,7 +58,7 @@ def hermite_psi(n_max: int, x: float) -> np.ndarray:
             v_prev *= 2.0 ** 800
             v_cur *= 2.0 ** 800
             scale -= 800
-        out[n + 1] = _ldexp_safe(v_cur, scale)
+        out.append(_ldexp_safe(v_cur, scale))
     return out
 
 
@@ -70,6 +67,16 @@ def _ldexp_safe(m, e):
         return math.ldexp(m, e)
     except OverflowError:
         return math.copysign(math.inf, m)
+
+
+def _weighted_powers(z: complex, log_c) -> list[complex]:
+    """z^n exp(log_c[n]) for each n, with z^n by the running product."""
+    out = []
+    zp = 1.0 + 0j
+    for lc in log_c:
+        out.append(zp * math.exp(lc))
+        zp *= z
+    return out
 
 
 def _psi_scaled_matrix(n_max: int, xs: np.ndarray) -> np.ndarray:
@@ -90,7 +97,8 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
 
     Since 1/sqrt(eta_n) <= sqrt(8) (sqrt(2))^n / sqrt(n!) and |psi_n| <= 1,
     the tail after N is below sqrt(8) (sqrt(2)|z|)^{N+1}/sqrt((N+1)!) times a
-    geometric factor 2 once N + 2 > 8 |z|^2.
+    geometric factor 2 once N + 2 > 8 |z|^2.  Past |z| of about 6.6, z^N
+    overflows before the cut, and the non-finite sum raises AccuracyError.
     """
     z = complex(z)
     if abs(z) > 10.0:
@@ -110,13 +118,11 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
         else:
             raise ConfigurationError("bargmann_kernel: truncation bound not reached")
     psi = hermite_psi(n_trunc, x)
-    logs = moments.log_eta_sequence(n_trunc)
-    terms = []
-    zp = 1.0 + 0j
-    for n in range(n_trunc + 1):
-        terms.append(zp * math.exp(-0.5 * logs[n]) * psi[n])
-        zp *= z
-    return csum(terms)
+    coeff = _weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(n_trunc)])
+    total = csum([c * p for c, p in zip(coeff, psi)])
+    if not cmath.isfinite(total):
+        raise AccuracyError(f"bargmann_kernel: the series at z = {z}, x = {x} is not finite")
+    return total
 
 
 def kernel_l2_norm_sq(z: complex) -> float:
@@ -135,12 +141,7 @@ def kernel_l2_norm_sq(z: complex) -> float:
         raise ConfigurationError(f"kernel_l2_norm_sq: |z| capped at 2, got {abs(z)}")
     rule = gauss_hermite(200)
     psi_mat = _psi_scaled_matrix(60, rule.nodes)
-    logs = moments.log_eta_sequence(60)
-    coeff = np.empty(61, dtype=complex)
-    zp = 1.0 + 0j
-    for n in range(61):
-        coeff[n] = zp * math.exp(-0.5 * logs[n])
-        zp *= z
+    coeff = np.array(_weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(60)]))
     amp = coeff @ psi_mat
     return float(np.dot(rule.weights, np.abs(amp) ** 2))
 
@@ -154,13 +155,8 @@ def hermite_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     z = complex(z)
     if abs(z) > 3.0 or abs(x) > 5.0:
         raise ConfigurationError("hermite_generating_pair: validated for |z| <= 3, |x| <= 5")
-    psi = hermite_psi(120, x)
-    terms = []
-    zp = 1.0 + 0j
-    for n in range(121):
-        terms.append(zp * math.exp(-0.5 * math.lgamma(n + 1)) * psi[n])
-        zp *= z
-    lhs = csum(terms)
+    coeff = _weighted_powers(z, [-0.5 * math.lgamma(n + 1) for n in range(121)])
+    lhs = csum([c * p for c, p in zip(coeff, hermite_psi(120, x))])
     rhs = PI_QUARTER_INV * cmath.exp(-0.5 * (z * z + x * x) + math.sqrt(2.0) * z * x)
     return complex(lhs), rhs
 
@@ -185,13 +181,9 @@ def weighted_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     if z != 0 and (z * z).real <= 0.0:
         raise DomainError("weighted_generating_pair: integral side requires Re(z^2) > 0")
 
-    psi = hermite_psi(60, x)
-    logs = moments.log_eta_sequence(60)
-    terms = []
-    zp = 1.0 + 0j
-    for n in range(61):
-        terms.append(zp * math.exp(logs[n] - 0.5 * math.lgamma(n + 1)) * psi[n])
-        zp *= z
+    coeff = _weighted_powers(z, [v - 0.5 * math.lgamma(n + 1)
+                                 for n, v in enumerate(moments.log_eta_sequence(60))])
+    terms = [c * p for c, p in zip(coeff, hermite_psi(60, x))]
     # truncate at the smallest nonzero term (odd-order terms vanish at x=0)
     nonzero = [i for i, t in enumerate(terms) if t != 0]
     stop = min(nonzero, key=lambda i: abs(terms[i])) if nonzero else 0

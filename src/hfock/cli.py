@@ -183,7 +183,7 @@ def _cmd_bargmann(args) -> int:
 
 
 def _cmd_lerch(args) -> int:
-    if args.audit:
+    if args.audit is not None:
         if args.audit == "eta0_K":
             obj = lerch.ml_audit("eta0_K", seed=args.seed)
         elif args.audit.startswith("phi_tilde:"):
@@ -194,23 +194,20 @@ def _cmd_lerch(args) -> int:
                 f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
         _emit_json(obj, args.out)
         return 0
-    if args.zeta:
+    if args.zeta is not None:
         s, a = args.zeta
         _emit_json({"s": s, "a": a, "value": lerch.hurwitz_zeta(s, a, args.tol)}, args.out)
         return 0
-    if args.lerch:
+    if args.lerch is not None:
         z = _parse_complex(args.lerch[0])
         s, a = _parse_number(args.lerch[1]), _parse_number(args.lerch[2])
         _emit_json({"z": _pair(z), "s": s, "a": a,
                     "value": _pair(lerch.lerch_phi(z, s, a, args.tol))}, args.out)
         return 0
-    if args.phi:
-        n = _parse_number(args.phi[0], int)
-        z = _parse_complex(args.phi[1])
-        _emit_json({"n": n, "z": _pair(z),
-                    "value": _pair(lerch.phi(n, z))}, args.out)
-        return 0
-    raise ConfigurationError("lerch: pass one of --phi, --zeta, --lerch, --audit")
+    n = _parse_number(args.phi[0], int)
+    z = _parse_complex(args.phi[1])
+    _emit_json({"n": n, "z": _pair(z), "value": _pair(lerch.phi(n, z))}, args.out)
+    return 0
 
 
 def _cmd_dbar(args) -> int:
@@ -298,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
     common(p, tol=True, seed=True)
-    p.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
-    p.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)
-    p.add_argument("--lerch", nargs=3, metavar=("Z", "S", "A"), default=None)
-    p.add_argument("--audit", default=None, metavar="phi_tilde:N|eta0_K")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
+    what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)
+    what.add_argument("--lerch", nargs=3, metavar=("Z", "S", "A"), default=None)
+    what.add_argument("--audit", default=None, metavar="phi_tilde:N|eta0_K")
     p.set_defaults(func=_cmd_lerch)
 
     p = sub.add_parser("dbar", help="residual-check a problem description file")

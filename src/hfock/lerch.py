@@ -4,7 +4,9 @@ relatives, and numerical evidence for the moment-generating kernel class.
 phi_n extends to the real interval (-1, inf) through its Laplace
 representation phi_n(-a) = integral of exp(-a t) E_n(t), which also makes
 a -> phi_n(-a) completely monotone; the finite-difference checks here probe
-that property to bounded order as evidence, not proof.
+that property to bounded order on a = 0.1, 0.2, ..., 5.0, as evidence, not
+proof.  Every Lerch-series route sums through one guard,
+``_lerch_denominators``.
 """
 from __future__ import annotations
 
@@ -19,12 +21,21 @@ from .numerics import csum, disk_point, integrate_semi_infinite
 
 DISK_MARGIN = 1e-6
 _CM_ORDER = 6  # highest finite difference cm_evidence checks
+_CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 
 
 def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]:
     """(k+a)^s for k < K, where K >= 1 is the first order whose tail bound
-    sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``."""
+    sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``.
+
+    The one guard of every Lerch-series route: it raises unless
+    0 <= r <= 1 - DISK_MARGIN and tol > 0, NaN included, so the loop ends.
+    """
+    if not 0.0 <= r <= 1.0 - DISK_MARGIN:
+        raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
+    if not tol > 0.0:
+        raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
     dens = [a ** s]
     while True:
         k = len(dens)
@@ -41,18 +52,14 @@ def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
     same series in real arithmetic with ``math.fsum`` down to terms below
     1e-18: within a few ulps there, where ``lerch_phi`` at its absolute
     default tolerance 1e-13 misses by up to some thousand.  Elsewhere it is
-    the Lerch series ``lerch_phi(z, 1, n, tol)``.
+    the Lerch series ``lerch_phi(z, 1, n, tol)``, whose guard rejects any
+    other z off the disk and any tol that is not positive.
     """
     if n < 1:
         raise ConfigurationError(f"phi: order must be >= 1, got {n}")
     z = complex(z)
-    r = abs(z)
     if z.imag == 0.0 and -1.0 < z.real <= -0.5:
         return complex(expint.laplace_en(n, -z.real))
-    if r > 1.0 - DISK_MARGIN:
-        raise DomainError(
-            f"phi: |z| = {r:.8f} too close to 1; the series is unsupported there, "
-            "use the Laplace integral representation instead")
     if z == 0:
         return complex(1.0 / n)
     return lerch_phi(z, 1.0, n, tol)
@@ -66,20 +73,17 @@ def phi_tilde(n: int, z: complex) -> complex:
 def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
     """Lerch transcendent sum_k z^k / (k+a)^s on |z| <= 1 - 1e-6, s > 0, a > 0,
     summed to the first order K whose tail bound |z|^K / ((K+a)^s (1-|z|))
-    is below ``tol``."""
-    if s <= 0.0:
+    is below ``tol`` (which must be positive)."""
+    if not s > 0.0:
         raise DomainError(f"lerch_phi: requires s > 0, got {s}")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"lerch_phi: requires a > 0, got {a}")
     z = complex(z)
-    r = abs(z)
-    if r > 1.0 - DISK_MARGIN:
-        raise DomainError(f"lerch_phi: |z| = {r:.8f} too close to 1")
     if z == 0:
         return complex(a ** -s)
     terms = []
     zp = 1.0 + 0j
-    for den in _lerch_denominators(r, s, a, tol):
+    for den in _lerch_denominators(abs(z), s, a, tol):
         terms.append(zp / den)
         zp *= z
     return csum(terms)
@@ -157,8 +161,6 @@ def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:
     Dirichlet space on the disk.
     """
     q = complex(z) * complex(w).conjugate()
-    if abs(q) > 1.0 - DISK_MARGIN:
-        raise DomainError("dirichlet_kernel_pair: |z conj(w)| too close to 1")
     if q == 0:
         return complex(1.0), complex(1.0)
     series = phi(1, q)
@@ -168,7 +170,7 @@ def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class CMReport:
-    """Finite-difference complete-monotonicity evidence on a uniform grid."""
+    """Finite-difference complete-monotonicity evidence on ``_CM_GRID``."""
 
     order_checked: int
     min_signed: tuple[float, ...]  # min over the grid of (-1)^j * diff^j f, per j
@@ -178,36 +180,20 @@ class CMReport:
         return all(m >= -1e-10 for m in self.min_signed)
 
 
-def cm_evidence(f, a_grid) -> CMReport:
-    """Check (-1)^j diff^j_h f >= -1e-10 for j = 0..6 over the grid.
+def cm_evidence(f) -> CMReport:
+    """Check (-1)^j diff^j_h f >= -1e-10 for j = 0..6 over ``_CM_GRID``.
 
-    ``a_grid`` must be uniformly spaced and increasing; ``f`` maps grid
-    points to floats.  This is a necessary condition of bounded order for
-    complete monotonicity, so the outcome is evidence, never a proof.
+    ``f`` maps the grid points a = 0.1, 0.2, ..., 5.0 to floats.  This is a
+    necessary condition of bounded order for complete monotonicity, so the
+    outcome is evidence, never a proof.
     """
-    grid = [float(a) for a in a_grid]
-    if len(grid) < _CM_ORDER + 2:
-        raise ConfigurationError(f"cm_evidence: grid shorter than {_CM_ORDER + 2} points")
-    steps = [b - a for a, b in zip(grid, grid[1:])]
-    h = steps[0]
-    if h <= 0 or any(abs(s - h) > 1e-9 * h for s in steps):
-        raise ConfigurationError("cm_evidence: grid must be uniform and increasing")
-    values = [float(f(a)) for a in grid]
+    values = [float(f(a)) for a in _CM_GRID]
     mins = []
     diffs = values
     for j in range(_CM_ORDER + 1):
         mins.append(min((-1.0) ** j * d for d in diffs))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return CMReport(order_checked=_CM_ORDER, min_signed=tuple(mins))
-
-
-def phi_cm_evidence(n: int, a_grid) -> CMReport:
-    """CM evidence for a -> phi_n(-a) (a Laplace transform of E_n >= 0).
-
-    Evaluation goes through the Laplace form, which covers the whole grid
-    a > -1 regardless of the series' unit-disk restriction.
-    """
-    return cm_evidence(lambda a: expint.laplace_en(n, a), a_grid)
 
 
 def gram_phi(n: int, points) -> space.GramMatrix:
@@ -250,8 +236,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
         slope0 = n * (1.0 / (n + 1))  # first Taylor coefficient of n phi_n
         pts = [disk_point(rng, 0.95) for _ in range(_AUDIT_POINTS)]
         gram = _scaled_phi_gram(n, pts, math.log(n))
-        cm = cm_evidence(lambda a: n * expint.laplace_en(n, a),
-                         [0.1 + 0.1 * i for i in range(50)])
+        cm = cm_evidence(lambda a: n * expint.laplace_en(n, a))
         label = f"phi_tilde({n})"
     elif kernel == "eta0_K":
         eta0 = moments.eta_closed_form(0)
@@ -263,8 +248,7 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
         gram = space._diagonal_gram(pts, lambda r: [
             moments.log_eta(0) - v
             for v in moments.log_eta_sequence(space._trunc_index(r, 1e-12))])
-        cm = cm_evidence(lambda a: eta0 * space.efun(-a).real,
-                         [0.1 + 0.1 * i for i in range(50)])
+        cm = cm_evidence(lambda a: eta0 * space.efun(-a).real)
         label = "eta0_K"
     else:
         raise ConfigurationError(f"ml_audit: unknown kernel {kernel!r}")

@@ -86,12 +86,13 @@ def _eta_integrand(n):
 
 
 def eta_quadrature(n: int, tol: float = 1e-12) -> float:
-    """eta_n by adaptive quadrature of the defining integral."""
-    if not 0 <= n <= 400:
-        raise ConfigurationError(f"eta_quadrature: n must be in [0, 400], got {n}")
-    if n <= LINEAR_LIMIT:
-        return integrate_semi_infinite(_eta_integrand(n), tol).value
-    return math.exp(log_eta_quadrature(n, tol))
+    """eta_n by adaptive quadrature of the defining integral; like
+    ``eta_closed_form``, only defined up to n = 170."""
+    if not 0 <= n <= LINEAR_LIMIT:
+        raise ConfigurationError(
+            f"eta_quadrature: n must be in [0, {LINEAR_LIMIT}], got {n}; "
+            "use log_eta_quadrature for larger orders")
+    return integrate_semi_infinite(_eta_integrand(n), tol).value
 
 
 def log_eta_quadrature(n: int, tol: float = 1e-12) -> float:

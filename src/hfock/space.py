@@ -209,6 +209,8 @@ def _gram_points(points) -> tuple[complex, ...]:
         raise ConfigurationError("build_gram: need at least one point")
     if len(points) > _MAX_GRAM_POINTS:
         raise ConfigurationError(f"build_gram: at most {_MAX_GRAM_POINTS} points, got {len(points)}")
+    if not all(map(cmath.isfinite, points)):
+        raise ConfigurationError("build_gram: every point must be finite")
     return points
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hfock import bargmann, moments, space
-from hfock.errors import ConfigurationError, DomainError
+from hfock.errors import AccuracyError, ConfigurationError, DomainError
 from hfock.numerics import csum, gauss_hermite
 
 
@@ -50,6 +50,11 @@ class TestHermitePsi:
         with pytest.raises(ConfigurationError):
             bargmann.hermite_psi(1001, 0.0)
 
+    @pytest.mark.parametrize("x", [40.5, math.nan])
+    def test_argument_cap(self, x):
+        with pytest.raises(ConfigurationError):
+            bargmann.hermite_psi(5, x)
+
 
 class TestBargmannKernel:
     def test_at_z_zero(self, gold):
@@ -69,6 +74,15 @@ class TestBargmannKernel:
         logs = moments.log_eta_sequence(80)
         brute = csum([z ** n * math.exp(-0.5 * logs[n]) * psi[n] for n in range(81)])
         assert bargmann.bargmann_kernel(z, x) == pytest.approx(brute, abs=1e-10)
+
+    def test_overflowing_powers_raise(self):
+        # z^n overflows from n of about 364, before the cut near 392
+        with pytest.raises(AccuracyError):
+            bargmann.bargmann_kernel(7.0, 0.0)
+
+    def test_nan_point_raises(self):
+        with pytest.raises(ConfigurationError):
+            bargmann.bargmann_kernel(1.0, math.nan)
 
 
 class TestL2Identity:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hfock import cli, verify
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _run(capsys, argv):
@@ -138,7 +144,9 @@ class TestMalformedInput:
         (["dbar", "--problem"], "f = [1.0]"),
         (["dbar", "--problem"], '{"samples": [[1.0, 0.0]]}'),
         (["dbar", "--problem"], '{"f": [1.0], "u0": [0.0]}'),
-    ], ids=["gram-not-json", "gram-no-points", "dbar-not-json", "dbar-no-f", "dbar-no-samples"])
+        (["gram", "--points-file"], '{"points": [[1, 0], [NaN, 0]]}'),
+    ], ids=["gram-not-json", "gram-no-points", "dbar-not-json", "dbar-no-f", "dbar-no-samples",
+            "gram-nan-point"])
     def test_input_file_is_a_configuration_error(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -163,6 +171,22 @@ class TestMalformedInput:
         code, out, err = _run(capsys, [*argv, str(path)])
         assert (code, out) == (2, "")
         assert err.startswith(f"hfock: error: {path}: {entry}")
+
+    # without the Lerch series' guard these loop forever, so each runs in a
+    # fresh interpreter whose timeout fails the test instead of hanging it
+    @pytest.mark.parametrize("argv", [
+        ["lerch", "--phi", "1", "nan"],
+        ["lerch", "--lerch", "0.5", "1", "1", "--tol", "0"],
+        ["lerch", "--lerch", "nan,0", "1", "1"],
+        ["lerch", "--lerch", "0.5", "nan", "1"],
+    ], ids=" ".join)
+    def test_series_guard_ends_the_command(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "hfock.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=_SRC),
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("hfock: error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestVerify:
@@ -236,6 +260,7 @@ class TestVerify:
         ["kernel", "--z", "1", "--w", "1", "--format", "json"],
         ["gram", "--format", "json"],
         ["lerch", "--zeta", "2", "1", "--format", "json"],
+        ["lerch", "--zeta", "2", "1", "--phi", "1", "0.5"],
         ["dbar", "--problem", "p.json", "--format", "json"],
         ["verify", "bounds", "--format", "json"],
         ["moments", "--seed", "1"],

@@ -52,6 +52,7 @@ def test_import_and_moment_table_skip_numpy():
     ["expint", "--x", "1", "--n", "3", "--laplace", "0.5"],
     ["lerch", "--phi", "2", "0.3,0.4"],
     ["lerch", "--zeta", "2", "1"],
+    ["bargmann", "--z", "0.5,0.2"],
     ["verify", "expint"],
     ["verify", "moments"],
     ["verify", "bounds"],

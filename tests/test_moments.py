@@ -27,9 +27,11 @@ class TestQuadratureRoute:
         cf = moments.eta_closed_form(n)
         assert abs(moments.eta_quadrature(n, 1e-12) - cf) <= 1e-10 * cf
 
-    def test_order_bound(self):
+    @pytest.mark.parametrize("n", [171, 400, 401])
+    def test_order_bound(self, n):
+        # linear values stop at 170, as in eta_closed_form
         with pytest.raises(ConfigurationError):
-            moments.eta_quadrature(401)
+            moments.eta_quadrature(n)
 
 
 class TestClosedForm:

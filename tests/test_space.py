@@ -171,6 +171,13 @@ class TestGram:
         with pytest.raises(ConfigurationError):
             space.gram_kernel([0.1] * 201)
 
+    @pytest.mark.parametrize("point", [math.nan, complex(0.0, math.inf)])
+    def test_non_finite_point(self, point):
+        with pytest.raises(ConfigurationError):
+            space.gram_kernel([0.5, point])
+        with pytest.raises(ConfigurationError):
+            space.build_gram([0.5, point], lambda z, w: z * w.conj())
+
     @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0, 20.0])
     def test_entries_and_trace_against_mpmath(self, mp_oracle, radius):
         rng = random.Random(int(10 * radius))

@@ -27,11 +27,15 @@ COMMANDS = (
     "expint --x 1.5 --family 50",
     "expint --x 1 --n 3 --laplace 0.5",
     "bargmann --z 0.5,0.2",
+    "bargmann --z 2.5,-1 --xmin -2 --xmax 2 --nx 9",
+    "lerch --phi 1 0",
     "lerch --phi 2 0.3,0.4",
     "lerch --phi 3 -0.7",
     "lerch --zeta 2 1",
     "lerch --lerch 0.5,0.3 1.5 2",
+    "lerch --lerch 0 1.5 2",
     "lerch --phi 1 0.9,0.4",
+    "lerch --audit phi_tilde:1",
     "lerch --audit phi_tilde:2",
     "lerch --audit phi_tilde:3",
     "lerch --audit eta0_K",
