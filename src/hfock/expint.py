@@ -160,12 +160,13 @@ def laplace_en(n: int, a: float) -> float:
     For |a| < 1 that expression cancels to its own leading order and sheds
     roughly n log10(1/a) digits, so the convergent series
     sum_{k>=0} (-a)^k / (k+n) is used there instead; past 2 000 000 terms
-    (|a| > about 1 - 1.35e-5) it raises :class:`AccuracyError`.  At a = 0 it returns 1/n.
+    (|a| > about 1 - 1.35e-5) it raises :class:`AccuracyError`, as it does
+    where a^n overflows a double.  At a = 0 it returns 1/n.
     """
     if n < 1:
         raise ConfigurationError(f"laplace_en: requires n >= 1, got {n}")
-    if a <= -1.0:
-        raise DomainError(f"laplace_en: requires a > -1, got {a}")
+    if not -1.0 < a < math.inf:
+        raise DomainError(f"laplace_en: requires -1 < a < inf, got {a}")
     if a == 0.0:
         return 1.0 / n
     if abs(a) < 1.0:
@@ -181,10 +182,14 @@ def laplace_en(n: int, a: float) -> float:
                 break
             term *= -a
         return math.fsum(terms)
+    try:
+        scale = a ** n
+    except OverflowError:
+        raise AccuracyError(f"laplace_en: a^n overflows a double at n={n}, a={a}") from None
     sign = 1.0 if n % 2 == 1 else -1.0
     partial = [math.log1p(a)]
     p = 1.0
     for k in range(1, n):
         p *= -a
         partial.append(p / k)
-    return sign * math.fsum(partial) / a ** n
+    return sign * math.fsum(partial) / scale

@@ -23,6 +23,7 @@ DISK_MARGIN = 1e-6
 _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
+_MIN_NORMAL = 2.0 ** -1022  # a smaller a^s is refused: the first term 1/a^s nears overflow
 
 
 def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]:
@@ -30,13 +31,16 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
     sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``.
 
     The one guard of every Lerch-series route: it raises unless
-    0 <= r <= 1 - DISK_MARGIN and tol > 0, NaN included, so the loop ends.
+    0 <= r <= 1 - DISK_MARGIN, tol > 0 and a^s is a normal double, NaN
+    included, so the loop ends and every term is finite.
     """
     if not 0.0 <= r <= 1.0 - DISK_MARGIN:
         raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
     if not tol > 0.0:
         raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
     dens = [a ** s]
+    if not dens[0] >= _MIN_NORMAL:
+        raise DomainError(f"Lerch series: a^s = {dens[0]} at s={s}, a={a} is below 2^-1022")
     while True:
         k = len(dens)
         den = (k + a) ** s
@@ -79,11 +83,12 @@ def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
     if not a > 0.0:
         raise DomainError(f"lerch_phi: requires a > 0, got {a}")
     z = complex(z)
+    dens = _lerch_denominators(abs(z), s, a, tol)
     if z == 0:
         return complex(a ** -s)
     terms = []
     zp = 1.0 + 0j
-    for den in _lerch_denominators(abs(z), s, a, tol):
+    for den in dens:
         terms.append(zp / den)
         zp *= z
     return csum(terms)
@@ -122,6 +127,8 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
         raise DomainError(f"hurwitz_zeta: requires s > 1, got {s}")
     if a <= 0.0:
         raise DomainError(f"hurwitz_zeta: requires a > 0, got {a}")
+    if a < 1.0 and a ** s < _MIN_NORMAL:
+        raise DomainError(f"hurwitz_zeta: a^s = {a ** s} at s={s}, a={a} is below 2^-1022")
     if tol <= 0.0:
         raise ConfigurationError("hurwitz_zeta: tol must be > 0")
     k_terms = 64

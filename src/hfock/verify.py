@@ -1,13 +1,18 @@
 """Named verification suites, one per module invariant battery.
 
-Each check returns a JSON-friendly dict {name, status, details}; a suite is
-a sorted list of checks.  A check that holds a magnitude to a bound (the gap
-between two routes, a residual) reports the worst one over everything it
-samples under the check's detail key (``max_rel_gap``, ``max_gap``,
-``abs_gap``, ...), and passes iff that worst gap is ``<= bound``; a NaN gap
-is the worst gap, so it fails the check.  Suites are deterministic for a
-fixed seed (random sampling uses Python's Mersenne Twister via
-random.Random(seed)), so repeated runs produce byte-identical reports.
+Each check, built by ``_within``, is a JSON-friendly dict {name, status,
+bound, margin, details}; a suite is a sorted list of checks.  A gap key of
+``details`` (``max_rel_gap``, ``max_gap``, ``abs_gap``, ...) holds the worst
+magnitude the check samples: a gap between two routes, a residual, an excess
+over a cap.  A count key (``*_failures``) holds how many sampled cases fail an
+exact condition (an ordering, a bracket, an equality, or a verdict whose
+threshold lives in another module), each tested as ``not (cond)``.  Every
+check passes iff each gap is ``<= bound`` and each count is 0, so a NaN gap or
+case fails it.  ``margin`` is the worst gap over ``bound`` (at most 1 on a
+pass); a check with counts only reports ``bound: 0`` and ``margin: null``.
+Other detail keys are context.  Suites are deterministic for a fixed seed
+(random sampling uses Python's Mersenne Twister), so repeated runs produce
+byte-identical reports.
 """
 from __future__ import annotations
 
@@ -26,23 +31,27 @@ _NMAX, _POINTS = 170, 20
 _DBAR_RESIDUAL_BOUND = 1e-6
 
 
-def _check(name: str, ok: bool, **details) -> dict:
-    return {"name": name, "status": "pass" if ok else "fail", "details": details}
+def _worst(gaps) -> float:
+    """The largest of ``gaps``, consumed in full and in order: 0.0 if there is
+    none, NaN if one is NaN."""
+    worst = 0.0
+    for gap in gaps:
+        if gap > worst or math.isnan(gap):
+            worst = gap
+    return worst
 
 
-def _within(name: str, bound: float, ok: bool = True, **gaps) -> dict:
-    """The check ``name``: each keyword is a detail key and a sequence of gaps,
-    consumed in full and in order.  Its worst gap (0.0 if there is none) is
-    reported under that key; a NaN gap makes it NaN.  The check passes iff
-    ``ok`` holds and every worst gap is ``<= bound``, so a NaN gap fails it."""
-    details = {}
-    for key, seq in gaps.items():
-        worst = 0.0
-        for gap in seq:
-            if gap > worst or math.isnan(gap):
-                worst = gap
-        details[key] = worst
-    return _check(name, ok and all(w <= bound for w in details.values()), **details)
+def _within(name: str, bound: float = 0, counts: dict | None = None,
+            info: dict | None = None, **gaps) -> dict:
+    """The check ``name``, under the module docstring's rule: each keyword is a
+    gap key and a sequence of gaps, each entry of ``counts`` a count key and a
+    sequence of conditions (gaps are consumed first), ``info`` context keys."""
+    details = {key: _worst(seq) for key, seq in gaps.items()}
+    failures = {key: sum(1 for cond in conds if not cond) for key, conds in (counts or {}).items()}
+    ok = all(w <= bound for w in details.values()) and not any(failures.values())
+    return {"name": name, "status": "pass" if ok else "fail", "bound": bound,
+            "margin": _worst(details.values()) / bound if details else None,
+            "details": {**details, **failures, **(info or {})}}
 
 
 def _rel_gap(got, ref) -> float:
@@ -93,18 +102,17 @@ def _psd_sampling(name: str, samples) -> dict:
     the scaled gap is at most 1 when the contract holds.  min_eig is
     sigma_min(B)^2 >= 0 by construction: the sampled entries, against the
     scalar kernel, are what can fail here."""
-    psd, ratios, gaps = True, [], []
+    psd, ratios, gaps = [], [], []
     for g, kernel, rng in samples:
-        psd = psd and g.is_psd()
+        psd.append(g.is_psd())
         ratios.append(g.min_eig / g.trace)
         diag = g.entries.diagonal().real
         for _ in range(4):
             i, j = rng.randrange(len(g.points)), rng.randrange(len(g.points))
             gap = abs(complex(g.entries[i, j]) - kernel(g.points[i], g.points[j]))
             gaps.append(gap / (8192 * 2.0 ** -53 * math.sqrt(diag[i] * diag[j])))
-    check = _within(name, 1.0, ok=psd, max_scaled_entry_gap=gaps)
-    check["details"]["min_eig_over_trace"] = min(ratios)
-    return check
+    return _within(name, 1.0, counts={"psd_failures": psd}, max_scaled_entry_gap=gaps,
+                   info={"min_eig_over_trace": min(ratios)})
 
 
 # --------------------------------------------------------------------------
@@ -132,12 +140,9 @@ def suite_numerics(seed: int = 0) -> list[dict]:
         max_scaled_gap_odd=(abs(got) / math.gamma((k + 2) / 2.0)
                             for k, got in hermite if k % 2 == 1)))
 
-    ok = True
-    for n in (1, 2, 64, 512):
-        for rule in (gauss_laguerre(n), gauss_hermite(n)):
-            diffs_ok = bool(np.all(np.diff(rule.nodes) > 0)) if n > 1 else True
-            ok = ok and diffs_ok and bool(np.all(rule.weights > 0))
-    checks.append(_check("rule-structure", ok))
+    checks.append(_within("rule-structure", counts={"rule_failures": (
+        np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
+        for n in (1, 2, 64, 512) for rule in (gauss_laguerre(n), gauss_hermite(n)))}))
 
     checks.append(_within("integrate-factorial-moments", 1e-11, max_rel_gap=(
         _rel_gap(integrate_semi_infinite(lambda t, k=k: t ** k * math.exp(-t)).value,
@@ -163,30 +168,25 @@ def suite_numerics(seed: int = 0) -> list[dict]:
 # expint
 
 def suite_expint(seed: int = 0) -> list[dict]:
-    checks = []
-
     gaps = []
     for x in (0.5, 1.0, 2.0, 10.0):
         fam, emx = expint.en_family(201, x), math.exp(-x)
         gaps += (abs(n * fam[n + 1] - emx + x * fam[n]) / emx for n in range(1, 200))
-    checks.append(_within("recurrence-residual", 1e-15, max_scaled_residual=gaps))
+    checks = [_within("recurrence-residual", 1e-15, max_scaled_residual=gaps)]
 
-    ok = True
-    for x in (0.5, 1.0, 2.0, 10.0):
-        scaled = expint.en_family_scaled(200, x)
-        for n in range(1, 201):
-            if not 1.0 / (x + n) < scaled[n] <= 1.0 / (x + n - 1.0):
-                ok = False
-    checks.append(_check("two-sided-bounds", ok))
+    families = [(x, expint.en_family_scaled(200, x)) for x in (0.5, 1.0, 2.0, 10.0)]
+    checks.append(_within("two-sided-bounds", counts={"bracket_failures": (
+        1.0 / (x + n) < scaled[n] <= 1.0 / (x + n - 1.0)
+        for x, scaled in families for n in range(1, 201))}))
 
     checks.append(_within("incomplete-gamma-vs-quadrature", 1e-11, max_rel_gap=(
         _rel_gap(integrate_semi_infinite(
             lambda t, m=m: (1.0 + t) ** (m - 1) * math.exp(-1.0 - t), 1e-13).value,
             expint.incomplete_gamma_int(m, 1.0)) for m in range(1, 20))))
 
-    exact0 = all(expint.en_negative_order_at_1(k) == expint.incomplete_gamma_int(k - 1, 1.0)
-                 for k in range(2, 21))
-    checks.append(_check("negative-order-definition", exact0))
+    checks.append(_within("negative-order-definition", counts={"equality_failures": (
+        expint.en_negative_order_at_1(k) == expint.incomplete_gamma_int(k - 1, 1.0)
+        for k in range(2, 21))}))
 
     checks.append(_within("laplace-vs-quadrature", 1e-9, max_abs_gap=_laplace_gaps(
         range(1, 11), (-0.5, 0.1, 1.0, 3.0), 1e-11)))
@@ -209,14 +209,13 @@ def _bounds_checks(nmax: int) -> list[dict]:
     """n!/(2^n 8) <= eta_n <= n! and eta_n <= Gamma(n)/n in log scale, and
     log eta_n increasing from n = 2, for every n <= nmax."""
     logs = moments.log_eta_sequence(nmax)
-    bounds_ok = all(
-        math.lgamma(n + 1) - n * math.log(2.0) - math.log(8.0) <= le <= math.lgamma(n + 1)
-        and (n == 0 or le <= math.lgamma(n) - math.log(n))
-        for n, le in enumerate(logs))
     return [
-        _check("eta-bounds-log-scale", bounds_ok, n_max=nmax),
-        _check("log-eta-monotone-from-2", all(logs[n + 1] > logs[n] for n in range(2, nmax)),
-               n_max=nmax),
+        _within("eta-bounds-log-scale", info={"n_max": nmax}, counts={"bracket_failures": (
+            math.lgamma(n + 1) - n * math.log(2.0) - math.log(8.0) <= le <= math.lgamma(n + 1)
+            and (n == 0 or le <= math.lgamma(n) - math.log(n))
+            for n, le in enumerate(logs))}),
+        _within("log-eta-monotone-from-2", info={"n_max": nmax}, counts={"order_failures": (
+            logs[n + 1] > logs[n] for n in range(2, nmax))}),
     ]
 
 
@@ -262,15 +261,12 @@ def suite_moments(seed: int = 0, nmax: int = _NMAX, points: int = _POINTS) -> li
         _rel_gap(math.e * math.gamma(n + 1) * expint.en(n + 1, 1.0) - moments.eta_closed_form(n),
                  moments.eta_closed_form(n + 1)) for n in range(31))))
 
-    ok = True
-    details = {}
-    for n_terms in (100, 1000):
-        s = moments.eta_factorial_sum(n_terms)
-        details[f"S_{n_terms}"] = s
-        ok = ok and 1.0 - 1.1 / n_terms < s <= 1.0
+    sums = {n: moments.eta_factorial_sum(n) for n in (100, 1000)}
     prefix = [moments.eta_factorial_sum(n) for n in (0, 1, 2, 5, 10, 50, 100)]
-    ok = ok and all(a <= b for a, b in zip(prefix, prefix[1:]))
-    checks.append(_check("factorial-sum-to-one", ok, **details))
+    checks.append(_within("factorial-sum-to-one", info={f"S_{n}": s for n, s in sums.items()},
+                          counts={"bracket_failures": (1.0 - 1.1 / n < s <= 1.0
+                                                       for n, s in sums.items()),
+                                  "order_failures": (a <= b for a, b in zip(prefix, prefix[1:]))}))
 
     checks.extend(_gfs_checks(seed, points))
 
@@ -288,13 +284,9 @@ def suite_moments(seed: int = 0, nmax: int = _NMAX, points: int = _POINTS) -> li
 
 def suite_hfock(seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
-    checks = []
-
-    ok = True
-    for r in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
-        v = space.efun(r).real
-        ok = ok and math.exp(r) <= v <= 8.0 * math.exp(2.0 * r)
-    checks.append(_check("efun-growth-sandwich", ok))
+    checks = [_within("efun-growth-sandwich", counts={"sandwich_failures": (
+        math.exp(r) <= space.efun(r).real <= 8.0 * math.exp(2.0 * r)
+        for r in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0))})]
 
     checks.append(_within("kernel-diagonal", 1e-12, max_rel_gap=(
         _rel_gap(space.kernel(z, z).real, space.efun(abs(z) ** 2).real)
@@ -316,25 +308,23 @@ def suite_hfock(seed: int = 0) -> list[dict]:
         abs(space.h_inner(basis(n), basis(m)) - (1.0 if n == m else 0.0))
         for n in range(41) for m in range(n, 41))))
 
-    structural_zero = all(
-        space.h_inner(space.EntireSeries.monomial(n), space.EntireSeries.monomial(n - 1)) == 0
-        for n in range(1, 21))
-    checks.append(_within("basis-orthonormal-quadrature-route", 1e-9, ok=structural_zero,
-                          max_gap=(abs(space.norm_sq_by_quadrature(basis(n)) - 1.0)
-                                   for n in range(21))))
+    monomial = space.EntireSeries.monomial
+    checks.append(_within(
+        "basis-orthonormal-quadrature-route", 1e-9,
+        counts={"structural_zero_failures": (space.h_inner(monomial(n), monomial(n - 1)) == 0
+                                             for n in range(1, 21))},
+        max_gap=(abs(space.norm_sq_by_quadrature(basis(n)) - 1.0) for n in range(21))))
 
-    ok = True
-    for _ in range(100):
-        f = _random_series(rng, rng.randrange(0, 24))
-        ok = ok and space.h_norm(f) <= space.fock_norm(f) * (1.0 + 1e-12)
-    checks.append(_check("norm-domination", ok))
+    checks.append(_within("norm-domination", 1e-12, max_rel_excess=(
+        space.h_norm(f) / space.fock_norm(f) - 1.0
+        for f in (_random_series(rng, rng.randrange(0, 24)) for _ in range(100)))))
 
     checks.append(_psd_sampling("gram-psd-sampling", (
         (space.gram_kernel([disk_point(local, 2.0) for _ in range(50)]), space.kernel, local)
-        for local in map(random.Random, range(seed + 1000, seed + 1020)))))
+        for local in (random.Random(f"gram-psd:{seed}:{s}") for s in range(20)))))
 
     # |f(z)| <= sqrt(K(z, z)) ||f||, to a relative rounding slack of 1e-10;
-    # f = K_w (truncated), last, meets the bound at z = w (Cauchy-Schwarz saturation)
+    # f = K_w (truncated), last, meets the cap at z = w (Cauchy-Schwarz saturation)
     w = 0.8 + 0.4j
     logs = moments.log_eta_sequence(60)
     kw = space.EntireSeries(tuple(w.conjugate() ** n * math.exp(-logs[n]) for n in range(61)))
@@ -344,15 +334,16 @@ def suite_hfock(seed: int = 0) -> list[dict]:
                           (_random_series(rng, 8), disk_point(rng, 2.0)),
                           (kw, w))]
     saturation = pairs[-1][0] / pairs[-1][1]
-    ok = all(value <= bound * (1.0 + 1e-10) for value, bound in pairs)
-    checks.append(_check("pointwise-bound", ok and saturation > 1.0 - 1e-10,
-                         saturation=saturation))
+    checks.append(_within("pointwise-bound", 1e-10, info={"saturation": saturation},
+                          max_rel_excess=(value / cap - 1.0 for value, cap in pairs),
+                          saturation_shortfall=[1.0 - saturation]))
 
     b3 = basis(3)
     h3, fock3 = space.h_norm(b3), space.fock_norm(b3)
-    ok = (abs(h3 - 1.0) <= 1e-12
-          and abs(fock3 - math.sqrt(6.0 / moments.eta_closed_form(3))) <= 1e-12)
-    checks.append(_check("membership-basis-element", ok, h_norm=h3, fock_norm=fock3))
+    checks.append(_within("membership-basis-element", 1e-12,
+                          info={"h_norm": h3, "fock_norm": fock3},
+                          h_norm_gap=[abs(h3 - 1.0)],
+                          fock_norm_gap=[abs(fock3 - math.sqrt(6.0 / moments.eta_closed_form(3)))]))
 
     return checks
 
@@ -408,8 +399,6 @@ def suite_bargmann(seed: int = 0) -> list[dict]:
 
 def suite_lerch(seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
-    checks = []
-
     gaps = []
     for n in (1, 2, 5):
         # slope at 0 by complex step, curvature by central second difference
@@ -420,7 +409,7 @@ def suite_lerch(seed: int = 0) -> list[dict]:
         fd2 = (lerch.phi(n, h, 1e-16) - 2.0 * lerch.phi(n, 0.0)
                + lerch.phi(n, -h, 1e-16)).real / h ** 2
         gaps.append(_rel_gap(fd2, 2.0 * (1.0 / (n + 2))))
-    checks.append(_within("taylor-coefficients", 1e-5, max_gap=gaps))
+    checks = [_within("taylor-coefficients", 1e-5, max_gap=gaps)]
 
     gaps = [abs((lerch.phi(1, x) * x).real + math.log1p(-x))
             for x in (-0.9 + 1.8 * i / 36.0 for i in range(37)) if abs(x) >= 1e-9]
@@ -433,7 +422,7 @@ def suite_lerch(seed: int = 0) -> list[dict]:
 
     draws = [(disk_point(rng, 0.9), rng.randrange(1, 6)) for _ in range(50)]
     checks.append(_within("lerch-phi-consistency", 1e-12, max_gap=(
-        abs(lerch.lerch_phi(z, 1.0, float(n)) - lerch.phi(n, z)) for z, n in draws)))
+        abs(lerch.lerch_phi_integral(z, 1.0, n) - lerch.phi(n, z)) for z, n in draws)))
 
     checks.append(_within("hurwitz-zeta-routes", 1e-9, max_gap=(
         abs(lerch.hurwitz_zeta(s, a, 1e-11) - lerch.hurwitz_zeta_integral(s, a, 1e-11))
@@ -446,16 +435,15 @@ def suite_lerch(seed: int = 0) -> list[dict]:
         (lerch.gram_phi(n, [disk_point(local, 0.95) for _ in range(30)]),
          lambda z, w, n=n: lerch.phi(n, z * w.conjugate()), local)
         for n in (1, 2, 3)
-        for local in map(random.Random, range(seed + 100 * n, seed + 100 * n + 10)))))
+        for local in (random.Random(f"phi-gram-psd:{seed}:{n}:{s}") for s in range(10)))))
 
-    ok = all(lerch.cm_evidence(lambda a: expint.laplace_en(n, a)).passed for n in (1, 2, 3))
-    checks.append(_check("complete-monotonicity-evidence", ok))
+    checks.append(_within("complete-monotonicity-evidence", counts={"cm_failures": (
+        lerch.cm_evidence(lambda a: expint.laplace_en(n, a)).passed for n in (1, 2, 3))}))
 
     audits = [lerch.ml_audit("phi_tilde", n, seed=seed) for n in (1, 2, 3)]
     audits.append(lerch.ml_audit("eta0_K", seed=seed))
-    ok = all(a["passed_i_ii"] for a in audits)
-    checks.append(_check("ml-audit-i-ii", ok,
-                         kernels=[a["kernel"] for a in audits]))
+    checks.append(_within("ml-audit-i-ii", info={"kernels": [a["kernel"] for a in audits]},
+                          counts={"audit_failures": (a["passed_i_ii"] for a in audits)}))
 
     return checks
 
@@ -465,8 +453,6 @@ def suite_lerch(seed: int = 0) -> list[dict]:
 
 def suite_dbar(seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
-    checks = []
-
     reps = []
     for _ in range(50):
         f = _random_series(rng, rng.randrange(0, 7))
@@ -474,30 +460,29 @@ def suite_dbar(seed: int = 0) -> list[dict]:
         u = dbar.assemble_solution(f, u0)
         samples = [disk_point(rng, 2.0) for _ in range(10)]
         reps.append(dbar.dbar_residual(u, f, samples, 1e-5))
-    checks.append(_within("assembled-solution-residual", _DBAR_RESIDUAL_BOUND,
-                          ok=all(rep.symbolic_zero for rep in reps),
-                          max_residual=(rep.max_residual for rep in reps)))
+    checks = [_within("assembled-solution-residual", _DBAR_RESIDUAL_BOUND,
+                      counts={"symbolic_zero_failures": (rep.symbolic_zero for rep in reps)},
+                      max_residual=(rep.max_residual for rep in reps))]
 
-    flagged = 0
+    flags = []
     for _ in range(10):
         f = _random_series(rng, 4)
-        u0 = _random_series(rng, 4)
-        u = dbar.assemble_solution(f, u0)
+        u = dbar.assemble_solution(f, _random_series(rng, 4))
         j = rng.randrange(0, 5)
         rows = [list(r) for r in u.rows]
         rows[1][j] += 1e-3
         bad = dbar.PolyanalyticSeries(tuple(tuple(r) for r in rows))
         samples = [cmath.rect(1.0, 2.0 * math.pi * k / 7.0) for k in range(7)]
         rep = dbar.dbar_residual(bad, f, samples, 1e-5)
-        if rep.max_residual > _DBAR_RESIDUAL_BOUND and not rep.symbolic_zero:
-            flagged += 1
-    checks.append(_check("negative-controls-flagged", flagged == 10, flagged=flagged))
+        flags.append(rep.max_residual > _DBAR_RESIDUAL_BOUND and not rep.symbolic_zero)
+    checks.append(_within("negative-controls-flagged", counts={"flag_failures": flags},
+                          info={"flagged": sum(flags)}))
 
     local = random.Random(seed + 7)
     pts = [disk_point(local, 1.5) for _ in range(20)]
     g = space.build_gram(pts, lambda zi, zj: dbar.poly_fock_kernel(2, zi, zj))
-    checks.append(_check("order-2-kernel-psd", g.is_psd(),
-                         min_eig=g.min_eig, trace=g.trace))
+    checks.append(_within("order-2-kernel-psd", counts={"psd_failures": [g.is_psd()]},
+                          info={"min_eig": g.min_eig, "trace": g.trace}))
 
     pairs = [(disk_point(rng, 2.0), disk_point(rng, 2.0)) for _ in range(25)]
     checks.append(_within("order-1-kernel-exponential", 1e-14, max_rel_gap=(
@@ -512,9 +497,10 @@ def suite_dbar(seed: int = 0) -> list[dict]:
     # scale u0 so its weighted mass is exactly 3.1 M(f): must be rejected
     scale = math.sqrt(3.1 / moments.eta_closed_form(0))
     bad = dbar.weighted_budget_check(space.EntireSeries((scale,)), one)
-    checks.append(_check("membership-budget",
-                         good.ok and not bad.ok and abs(bad.ratio - 3.1 / 3.0) < 1e-12,
-                         good_ratio=good.ratio, bad_ratio=bad.ratio))
+    checks.append(_within("membership-budget", 1e-12,
+                          info={"good_ratio": good.ratio, "bad_ratio": bad.ratio},
+                          counts={"verdict_failures": (good.ok, not bad.ok)},
+                          bad_ratio_gap=[abs(bad.ratio - 3.1 / 3.0)]))
 
     return checks
 

@@ -172,6 +172,19 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith(f"hfock: error: {path}: {entry}")
 
+    # past a double's range: a^n overflows, or a^s underflows
+    @pytest.mark.parametrize("argv", [
+        ["expint", "--x", "1", "--n", "3", "--laplace", "1e200"],
+        ["expint", "--x", "1", "--n", "20", "--laplace", "1e20"],
+        ["lerch", "--zeta", "2", "1e-300"],
+        ["lerch", "--lerch", "0.5", "2", "1e-170"],
+    ], ids=" ".join)
+    def test_out_of_range_argument_is_one_error_line(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("hfock: error: ")
+        assert err.count("\n") == 1
+
     # without the Lerch series' guard these loop forever, so each runs in a
     # fresh interpreter whose timeout fails the test instead of hanging it
     @pytest.mark.parametrize("argv", [

@@ -152,6 +152,20 @@ class TestLaplaceEn:
         with pytest.raises(AccuracyError):
             expint.laplace_en(n, a)
 
+    @pytest.mark.parametrize("n,a", [(20, 1e20), (3, 1e200)])
+    def test_closed_form_past_double_range_raises(self, n, a):
+        # a^n overflows; below that the value is about 1/((n-1) a)
+        with pytest.raises(AccuracyError):
+            expint.laplace_en(n, a)
+
+    def test_closed_form_just_inside_double_range(self):
+        assert expint.laplace_en(3, 1e100) == pytest.approx(5e-101, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_argument_is_a_domain_error(self, a):
+        with pytest.raises(DomainError):
+            expint.laplace_en(3, a)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             expint.laplace_en(2, -1.0)

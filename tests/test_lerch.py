@@ -140,6 +140,12 @@ class TestLerchPhi:
         with pytest.raises(ConfigurationError):
             lerch.lerch_phi_integral(0.5, 0.5, 1.0)
 
+    @pytest.mark.parametrize("z, a", [(0.5, 1e-170), (0.0, 1e-170), (0.5, 1e-155)])
+    def test_tiny_shift_raises(self, z, a):
+        # a^2 underflows to 0, or to a subnormal whose reciprocal is inf
+        with pytest.raises(DomainError):
+            lerch.lerch_phi(z, 2.0, a)
+
 
 class TestHurwitzZeta:
     def test_basel_value(self, gold):
@@ -159,6 +165,11 @@ class TestHurwitzZeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             lerch.hurwitz_zeta(1.0, 1.0)
+
+    def test_tiny_shift_raises(self):
+        # a^-s = 1e600 overflows
+        with pytest.raises(DomainError):
+            lerch.hurwitz_zeta(2.0, 1e-300)
 
     @pytest.mark.parametrize("s", [1.2, 1.5])
     def test_integral_raises_at_the_refinement_floor(self, s):

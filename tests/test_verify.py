@@ -6,13 +6,14 @@ The full report is built once, at collection, so that each check name
 becomes a case id.
 """
 import cmath
+import functools
 import math
 import time
 from collections import Counter
 
 import pytest
 
-from hfock import bargmann, expint, lerch, moments, verify
+from hfock import bargmann, expint, lerch, moments, space, verify
 from hfock.numerics import integrate_semi_infinite
 
 _t0 = time.perf_counter()
@@ -28,6 +29,47 @@ def test_check(check):
 def test_check_names_unique():
     names = [c["name"] for c in _REPORT["checks"]]
     assert len(names) == len(set(names))
+
+
+@functools.lru_cache(maxsize=None)
+def _report(seed):
+    return _REPORT if seed == 0 else verify.run("all", seed=seed)
+
+
+def _check_of(seed, name):
+    (check,) = [c for c in _report(seed)["checks"] if c["name"] == name]
+    return check
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_check_holds_a_value_to_its_bound(seed):
+    for check in _report(seed)["checks"]:
+        assert set(check) == {"name", "status", "bound", "margin", "details"}, check["name"]
+        details, bound, margin = check["details"], check["bound"], check["margin"]
+        counts = [v for k, v in details.items() if k.endswith("_failures")]
+        if margin is None:
+            # a count-only check
+            assert bound == 0 and counts, check["name"]
+            gaps_ok = True
+        else:
+            assert bound > 0, check["name"]
+            # the margin is the worst gap over the bound, and the worst gap is a detail
+            assert margin == 0.0 or margin in [v / bound for v in details.values()
+                                               if isinstance(v, float)], check["name"]
+            gaps_ok = margin <= 1.0
+        passes = gaps_ok and all(c == 0 for c in counts)
+        assert (check["status"] == "pass") == passes, check["name"]
+
+
+def test_lerch_phi_consistency_compares_two_routes():
+    # phi against the integral route, not against the series phi itself calls
+    assert _check_of(0, "lerch-phi-consistency")["details"]["max_gap"] > 0.0
+
+
+@pytest.mark.parametrize("name", ["gram-psd-sampling", "phi-gram-psd-sampling"])
+def test_psd_sampling_draws_new_points_on_every_seed(name):
+    gaps = {_check_of(seed, name)["details"]["max_scaled_entry_gap"] for seed in range(10)}
+    assert len(gaps) == 10
 
 
 def test_phi_psd_sampling_reports_the_smallest_sampled_ratio():
@@ -77,6 +119,32 @@ def test_nan_route_fails_its_check(monkeypatch, suite, module, route, check, at_
     (result,) = [c for c in verify.SUITES[suite](seed=0) if c["name"] == check]
     assert result["status"] == "fail"
     assert all(math.isnan(v) for v in result["details"].values())
+
+
+# (suite, module, route, check, count key, the arguments at which the route
+# turns NaN): each route feeds one condition of its check per argument
+_NAN_CASES = [
+    ("hfock", space, "efun", "efun-growth-sandwich", "sandwich_failures",
+     lambda q, *tol: q == 2.0),
+    ("expint", expint, "incomplete_gamma_int", "negative-order-definition",
+     "equality_failures", lambda m, x: m == 6),
+]
+
+
+@pytest.mark.parametrize("suite, module, route, check, key, at_one_point", _NAN_CASES,
+                         ids=[r[3] for r in _NAN_CASES])
+def test_nan_case_is_counted_by_its_check(monkeypatch, suite, module, route, check, key,
+                                          at_one_point):
+    real = getattr(module, route)
+
+    def patched(*args):
+        return math.nan if at_one_point(*args) else real(*args)
+
+    monkeypatch.setattr(module, route, patched)
+    (result,) = [c for c in verify.SUITES[suite](seed=0) if c["name"] == check]
+    assert result["status"] == "fail"
+    assert result["details"][key] == 1
+    assert (result["bound"], result["margin"]) == (0, None)
 
 
 def test_laplace_gaps_evaluate_each_node_once(monkeypatch):
