@@ -194,19 +194,21 @@ def _cmd_lerch(args) -> int:
                 f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
         _emit_json(obj, args.out)
         return 0
+    tol = 1e-12 if args.tol is None else args.tol
     if args.zeta is not None:
         s, a = args.zeta
-        _emit_json({"s": s, "a": a, "value": lerch.hurwitz_zeta(s, a, args.tol)}, args.out)
+        _emit_json({"s": s, "a": a, "value": lerch.hurwitz_zeta(s, a, tol)}, args.out)
         return 0
     if args.lerch is not None:
         z = _parse_complex(args.lerch[0])
         s, a = _parse_number(args.lerch[1]), _parse_number(args.lerch[2])
         _emit_json({"z": _pair(z), "s": s, "a": a,
-                    "value": _pair(lerch.lerch_phi(z, s, a, args.tol))}, args.out)
+                    "value": _pair(lerch.lerch_phi(z, s, a, tol))}, args.out)
         return 0
     n = _parse_number(args.phi[0], int)
     z = _parse_complex(args.phi[1])
-    _emit_json({"n": n, "z": _pair(z), "value": _pair(lerch.phi(n, z))}, args.out)
+    value = lerch.phi(n, z) if args.tol is None else lerch.phi(n, z, args.tol)
+    _emit_json({"n": n, "z": _pair(z), "value": _pair(value)}, args.out)
     return 0
 
 
@@ -294,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bargmann)
 
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
-    common(p, tol=True, seed=True)
+    common(p, seed=True)
+    p.add_argument("--tol", type=float, default=None, help="default 1e-12; 1e-13 for --phi")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
     what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)

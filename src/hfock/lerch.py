@@ -31,22 +31,25 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
     sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``.
 
     The one guard of every Lerch-series route: it raises unless
-    0 <= r <= 1 - DISK_MARGIN, tol > 0 and a^s is a normal double, NaN
-    included, so the loop ends and every term is finite.
+    0 <= r <= 1 - DISK_MARGIN, tol > 0, a^s is a normal double and no
+    (k+a)^s overflows, NaN included, so the loop ends and every term is finite.
     """
     if not 0.0 <= r <= 1.0 - DISK_MARGIN:
         raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
     if not tol > 0.0:
         raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
-    dens = [a ** s]
-    if not dens[0] >= _MIN_NORMAL:
-        raise DomainError(f"Lerch series: a^s = {dens[0]} at s={s}, a={a} is below 2^-1022")
-    while True:
-        k = len(dens)
-        den = (k + a) ** s
-        if r ** k / (den * (1.0 - r)) < tol:
-            return dens
-        dens.append(den)
+    try:
+        dens = [a ** s]
+        if not dens[0] >= _MIN_NORMAL:
+            raise DomainError(f"Lerch series: a^s = {dens[0]} at s={s}, a={a} is below 2^-1022")
+        while True:
+            k = len(dens)
+            den = (k + a) ** s
+            if r ** k / (den * (1.0 - r)) < tol:
+                return dens
+            dens.append(den)
+    except OverflowError:
+        raise DomainError(f"Lerch series: (k+a)^s overflows at s={s}, a={a}") from None
 
 
 def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
@@ -77,7 +80,8 @@ def phi_tilde(n: int, z: complex) -> complex:
 def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
     """Lerch transcendent sum_k z^k / (k+a)^s on |z| <= 1 - 1e-6, s > 0, a > 0,
     summed to the first order K whose tail bound |z|^K / ((K+a)^s (1-|z|))
-    is below ``tol`` (which must be positive)."""
+    is below ``tol`` (which must be positive).  Raises DomainError where a^s
+    is below 2^-1022 or some (k+a)^s overflows."""
     if not s > 0.0:
         raise DomainError(f"lerch_phi: requires s > 0, got {s}")
     if not a > 0.0:
@@ -123,13 +127,13 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
     (K - 1/2 + a)^{1-s}/(s-1); K grows until the correction's own error bound
     s (K-1+a)^{-s-1} / 24 is below tol/2.
     """
-    if s <= 1.0 + 1e-6:
+    if not s > 1.0 + 1e-6:
         raise DomainError(f"hurwitz_zeta: requires s > 1, got {s}")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"hurwitz_zeta: requires a > 0, got {a}")
     if a < 1.0 and a ** s < _MIN_NORMAL:
         raise DomainError(f"hurwitz_zeta: a^s = {a ** s} at s={s}, a={a} is below 2^-1022")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigurationError("hurwitz_zeta: tol must be > 0")
     k_terms = 64
     while True:
@@ -151,7 +155,7 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     until the singular part t^{s-2} on (0, 1), whose integral is exactly
     1/(s-1), is subtracted and only the smooth remainder integrated.
     """
-    if s <= 1.0 + 1e-6:
+    if not s > 1.0 + 1e-6:
         raise DomainError(f"hurwitz_zeta_integral: requires s > 1, got {s}")
 
     def integrand(t):

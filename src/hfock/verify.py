@@ -142,7 +142,7 @@ def suite_numerics(seed: int = 0) -> list[dict]:
 
     checks.append(_within("rule-structure", counts={"rule_failures": (
         np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
-        for n in (1, 2, 64, 512) for rule in (gauss_laguerre(n), gauss_hermite(n)))}))
+        for n in (1, 2, 64) for rule in (gauss_laguerre(n), gauss_hermite(n)))}))
 
     checks.append(_within("integrate-factorial-moments", 1e-11, max_rel_gap=(
         _rel_gap(integrate_semi_infinite(lambda t, k=k: t ** k * math.exp(-t)).value,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hfock import cli, verify
+from hfock import cli, lerch, verify
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -69,6 +69,14 @@ class TestValueCommands:
         code, out, _ = _run(capsys, ["lerch", "--zeta", "2", "1"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(gold["zeta_2_1"], abs=1e-10)
+
+    def test_lerch_phi_reads_tol(self, capsys):
+        # without --tol, --phi sums to phi's own default 1e-13, not the 1e-12 of --zeta and --lerch
+        default = json.loads(_run(capsys, ["lerch", "--phi", "1", "0.5"])[1])["value"]
+        loose = json.loads(_run(capsys, ["lerch", "--phi", "1", "0.5", "--tol", "1e-3"])[1])["value"]
+        assert default == [lerch.phi(1, 0.5).real, 0.0]
+        assert loose == [lerch.phi(1, 0.5, 1e-3).real, 0.0]
+        assert default != loose
 
     def test_lerch_audit(self, capsys):
         code, out, _ = _run(capsys, ["lerch", "--audit", "phi_tilde:2"])
@@ -172,12 +180,13 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith(f"hfock: error: {path}: {entry}")
 
-    # past a double's range: a^n overflows, or a^s underflows
+    # past a double's range: a^n or a^s overflows, or a^s underflows
     @pytest.mark.parametrize("argv", [
         ["expint", "--x", "1", "--n", "3", "--laplace", "1e200"],
         ["expint", "--x", "1", "--n", "20", "--laplace", "1e20"],
         ["lerch", "--zeta", "2", "1e-300"],
         ["lerch", "--lerch", "0.5", "2", "1e-170"],
+        ["lerch", "--lerch", "0.5", "2", "1e200"],
     ], ids=" ".join)
     def test_out_of_range_argument_is_one_error_line(self, capsys, argv):
         code, out, err = _run(capsys, argv)

@@ -146,6 +146,12 @@ class TestLerchPhi:
         with pytest.raises(DomainError):
             lerch.lerch_phi(z, 2.0, a)
 
+    @pytest.mark.parametrize("z, s, a", [(0.5, 2.0, 1e200), (0.0, 2.0, 1e200), (0.5, 1100.0, 2.0)])
+    def test_overflowing_shift_raises(self, z, s, a):
+        # a^s past the double range: the guard's DomainError, not Python's OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            lerch.lerch_phi(z, s, a)
+
 
 class TestHurwitzZeta:
     def test_basel_value(self, gold):
@@ -165,6 +171,17 @@ class TestHurwitzZeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             lerch.hurwitz_zeta(1.0, 1.0)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: lerch.hurwitz_zeta(2.0, math.nan), DomainError),
+        (lambda: lerch.hurwitz_zeta(math.nan, 1.0), DomainError),
+        (lambda: lerch.hurwitz_zeta(2.0, 1.0, math.nan), ConfigurationError),
+        (lambda: lerch.hurwitz_zeta_integral(math.nan, 1.0), DomainError),
+    ], ids=["a", "s", "tol", "integral-s"])
+    def test_nan_arguments_raise(self, call, error):
+        # NaN fails every guard, so no nan is returned and a nan tol cannot run the sum to its cap
+        with pytest.raises(error):
+            call()
 
     def test_tiny_shift_raises(self):
         # a^-s = 1e600 overflows

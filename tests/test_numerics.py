@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -37,12 +38,12 @@ class TestGaussLaguerre:
         assert got == pytest.approx(gold["eta0"], abs=1e-6)
 
     def test_structure(self):
-        for n in (2, 64, 512):
+        for n in (2, 64):
             rule = gauss_laguerre(n)
             assert np.all(np.diff(rule.nodes) > 0)
             assert np.all(rule.weights > 0)
 
-    @pytest.mark.parametrize("n", [0, -3, 513])
+    @pytest.mark.parametrize("n", [0, -3, 65])
     def test_rejects_bad_order(self, n):
         with pytest.raises(ConfigurationError):
             gauss_laguerre(n)
@@ -73,36 +74,46 @@ class TestGaussHermite:
             got = float(np.dot(rule.weights, rule.nodes ** k))
             assert abs(got - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("n", [0, 201])
+    def test_rejects_bad_order(self, n):
+        with pytest.raises(ConfigurationError):
+            gauss_hermite(n)
+
+
+@pytest.mark.parametrize("rule, n", [(gauss_hermite, 200), (gauss_laguerre, 64)],
+                         ids=["hermite", "laguerre"])
+def test_weights_normal_at_the_cap(rule, n):
+    # the fact that lets the Christoffel recurrence go without rescaling or clamping
+    weights = rule(n).weights
+    assert np.all(np.isfinite(weights))
+    assert weights.min() >= sys.float_info.min
+
 
 def _scalar_christoffel_weight(x, diag, offdiag, mu0):
     # the scalar recurrence at one node: the reference the array version matches bit for bit
     p_prev = 0.0
     p_cur = 1.0 / math.sqrt(mu0)
     total = p_cur * p_cur
-    shift = 0
     for j in range(len(diag) - 1):
         p_next = ((x - diag[j]) * p_cur - (offdiag[j - 1] if j > 0 else 0.0) * p_prev) / offdiag[j]
         p_prev, p_cur = p_cur, p_next
         total += p_cur * p_cur
-        if abs(p_cur) > 2.0 ** 300:
-            p_prev = math.ldexp(p_prev, -600)
-            p_cur = math.ldexp(p_cur, -600)
-            total = math.ldexp(total, -1200)
-            shift += 1200
-    w = math.ldexp(1.0 / total, -shift)
-    return w if w > 0.0 else 5e-324
+    return 1.0 / total
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 64, 200, 512])
-@pytest.mark.parametrize("rule, diag, offdiag, mu0", [
-    (gauss_laguerre, lambda n: [2.0 * k + 1.0 for k in range(n)],
-     lambda n: [float(k) for k in range(1, n)], 1.0),
-    (gauss_hermite, lambda n: [0.0] * n,
-     lambda n: [math.sqrt(0.5 * k) for k in range(1, n)], math.sqrt(math.pi)),
-], ids=["laguerre", "hermite"])
-def test_weights_bit_identical_to_scalar_recurrence(rule, diag, offdiag, mu0, n):
-    # Laguerre 512 takes the rescale branch and has 152 subnormal weights,
-    # 144 of them clamped to 5e-324, so those paths are compared bit for bit too
+_RECURRENCES = {
+    "laguerre": (gauss_laguerre, lambda n: [2.0 * k + 1.0 for k in range(n)],
+                 lambda n: [float(k) for k in range(1, n)], 1.0),
+    "hermite": (gauss_hermite, lambda n: [0.0] * n,
+                lambda n: [math.sqrt(0.5 * k) for k in range(1, n)], math.sqrt(math.pi)),
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in _RECURRENCES for n in (1, 2, 3, 20, 64)), ("hermite", 200),
+], ids=str)
+def test_weights_bit_identical_to_scalar_recurrence(name, n):
+    rule, diag, offdiag, mu0 = _RECURRENCES[name]
     got = rule(n)
     ref = np.asarray([_scalar_christoffel_weight(x, diag(n), offdiag(n), mu0)
                       for x in got.nodes])

@@ -30,6 +30,7 @@ COMMANDS = (
     "bargmann --z 2.5,-1 --xmin -2 --xmax 2 --nx 9",
     "lerch --phi 1 0",
     "lerch --phi 2 0.3,0.4",
+    "lerch --phi 2 0.3,0.4 --tol 1e-6",
     "lerch --phi 3 -0.7",
     "lerch --zeta 2 1",
     "lerch --lerch 0.5,0.3 1.5 2",
