@@ -184,6 +184,8 @@ def _cmd_bargmann(args) -> int:
 
 def _cmd_lerch(args) -> int:
     if args.audit is not None:
+        if args.tol is not None:
+            raise ConfigurationError("--tol does not apply to --audit, which takes no tolerance")
         if args.audit == "eta0_K":
             obj = lerch.ml_audit("eta0_K", seed=args.seed)
         elif args.audit.startswith("phi_tilde:"):
@@ -297,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
     common(p, seed=True)
-    p.add_argument("--tol", type=float, default=None, help="default 1e-12; 1e-13 for --phi")
+    p.add_argument("--tol", type=float, default=None,
+                   help="default 1e-12; 1e-13 for --phi; --audit takes none")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
     what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)

@@ -127,8 +127,8 @@ def hurwitz_zeta(s: float, a: float, tol: float = 1e-12) -> float:
     (K - 1/2 + a)^{1-s}/(s-1); K grows until the correction's own error bound
     s (K-1+a)^{-s-1} / 24 is below tol/2.
     """
-    if not s > 1.0 + 1e-6:
-        raise DomainError(f"hurwitz_zeta: requires s > 1, got {s}")
+    if not 1.0 + 1e-6 < s < math.inf:
+        raise DomainError(f"hurwitz_zeta: requires finite s > 1, got {s}")
     if not a > 0.0:
         raise DomainError(f"hurwitz_zeta: requires a > 0, got {a}")
     if a < 1.0 and a ** s < _MIN_NORMAL:

@@ -10,6 +10,13 @@ returns a non-finite value, a guarded smallest-eigenvalue routine for Hermitian
 matrices, central finite differences for the Wirtinger derivative
 d/d(conj z), and a seeded uniform sampler of the disk.
 
+The integrator keeps the nodes of each dyadic panel it has built (t and
+(1-u)^2 at the 15 nodes, in an LRU cache of 512 panels shared by all
+calls), and re-sums its panels exactly only on steps where running totals,
+widened by their rounding bound, could pass the stopping test; every value,
+error estimate, node count and error message is the one that re-summing on
+every step gives.
+
 Only the Gauss rules and the eigenvalue routine build arrays; they import
 numpy when first called, so the integrator, the finite differences, the
 sampler and ``csum`` run on the standard library alone.
@@ -49,6 +56,11 @@ _K15_PAIRS = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _PANEL_EVALS = 1 + 2 * len(_K15_PAIRS)  # 15 integrand calls
+# recursive summation errs by at most about u = 2^-53 per addition times
+# the magnitudes summed: the running sums by (additions) u, an exact re-sum
+# of P panels by (P - 1) u.  8u per addition and panel covers both twice
+# over and the rounding of the gate's own arithmetic.
+_SUM_SLACK = 8.0 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -131,30 +143,56 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return _golub_welsch(diag, offdiag, math.sqrt(math.pi))
 
 
+@lru_cache(maxsize=512)
+def _panel_nodes(a, b):
+    # the K15 nodes of the panel (a, b) of the unit interval, mapped by
+    # t = u/(1-u) with Jacobian 1/(1-u)^2: the centre's (t, (1-u)^2), then
+    # (t-, j-, t+, j+, wk, wg) for each _K15_PAIRS entry, and whether every
+    # node lies below u = 1.  A node that rounds to u = 1, where u/(1-u)
+    # divides by zero, is stored as (inf, 0.0).  Bisection makes the same
+    # dyadic panels recur across calls, so each is built once.
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    r = 1.0 - mid
+    below_one = r != 0.0
+    centre = (mid / r if below_one else math.inf, r * r)
+    pairs = []
+    for x, wk, wg in _K15_PAIRS:
+        dx = half * x
+        lo = mid - dx
+        hi = mid + dx
+        rlo = 1.0 - lo
+        rhi = 1.0 - hi
+        below_one = below_one and rlo != 0.0 and rhi != 0.0
+        pairs.append((lo / rlo if rlo else math.inf, rlo * rlo,
+                      hi / rhi if rhi else math.inf, rhi * rhi, wk, wg))
+    return centre, tuple(pairs), below_one
+
+
 def _panel_estimates(f, a, b):
     # K15 and |K15 - G7| of f on the panel (a, b) of the unit interval,
     # through t = u/(1-u); the two sums stay Python floats or complexes
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    (t, j), pairs, below_one = _panel_nodes(a, b)
     try:
-        u = mid
-        r = 1.0 - u
-        centre = f(u / r) / (r * r)
+        if not below_one:
+            # f sees the nodes before the one at u = 1, in order; that
+            # node's division by 1 - u = 0 then ends the call as t = inf
+            for t, j in ((t, j), *(node for p in pairs for node in (p[:2], p[2:4]))):
+                if not j:
+                    raise ZeroDivisionError("float division by zero")
+                f(t) / j
+        centre = f(t) / j
         kronrod = _K15_CENTER_W * centre
         gauss = _G7_CENTER_W * centre
-        for x, wk, wg in _K15_PAIRS:
-            dx = half * x
-            u = mid - dx
-            r = 1.0 - u
-            pair = f(u / r) / (r * r)
-            u = mid + dx
-            r = 1.0 - u
-            pair += f(u / r) / (r * r)
+        for t, jm, tp, jp, wk, wg in pairs:
+            pair = f(t) / jm
+            t = tp
+            pair += f(t) / jp
             kronrod += wk * pair
             gauss += wg * pair
     except (OverflowError, ZeroDivisionError) as exc:
-        t = u / r if r else math.inf
         raise AccuracyError(f"integrand overflowed at t={t!r}") from exc
+    half = 0.5 * (b - a)
     err = abs(half * (kronrod - gauss))
     if not math.isfinite(err):
         raise AccuracyError("integrand produced non-finite values")
@@ -177,11 +215,19 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     singularity can reach that floor: ``t ** -0.5 * exp(-t)`` does at
     tol 1e-10.
 
+    The stopping test reads exact re-sums over all panels.  A step skips
+    them while running totals of the values and error estimates fail the
+    test by more than their rounding bound, 8u (additions + panels) times
+    the magnitudes summed (u = 2^-53): the re-sums would fail it too, so
+    the result is the same as re-summing on every step.
+
     ``f`` receives Python floats, so Python's float arithmetic rules apply
     inside it: ``t ** n`` past the double range raises ``OverflowError``
     and a division by zero raises ``ZeroDivisionError``.  Either one ends
     the integration at once with :class:`AccuracyError` ("integrand
-    overflowed at t=...", chained from the original exception).  So does
+    overflowed at t=...", chained from the original exception); a node that
+    rounds to u = 1, which a tail like ``(1 + t) ** -1.3`` reaches, ends it
+    as "t=inf".  So does
     an integrand value that is inf or nan, or a panel sum that overflows
     ("integrand produced non-finite values").
 
@@ -197,38 +243,65 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     frozen = []  # popped panels narrower than 1e-15: never bisected, still counted
     seq = 0
     evals = 0
+    # running sums over panels + frozen; abs_val sums |value| over every
+    # panel they ever held, abs_err the error estimates since the last
+    # exact re-sum, and ops counts the additions since then
+    run_val = run_err = abs_val = abs_err = 0.0
+    ops = 0
     for i in range(n_init):
         a, b = i / n_init, (i + 1) / n_init
         val, err = _panel_estimates(f, a, b)
         evals += _PANEL_EVALS
         heapq.heappush(panels, (-err, seq, a, b, val))
         seq += 1
+        run_val += val
+        run_err += err
+        abs_val += abs(val)
+        abs_err += err
+        ops += 1
 
     while True:
-        counted = panels + frozen
-        total = sum(p[4] for p in counted)
-        total_err = sum(-p[0] for p in counted)
-        if total_err <= tol * abs(total):
-            return IntegralResult(total, total_err, evals)
-        if frozen and sum(-p[0] for p in frozen) > tol * abs(total):
-            raise AccuracyError(
-                f"refinement floor reached (error estimate {total_err:.3e})",
-                result=IntegralResult(total, total_err, evals))
-        if evals >= _MAX_EVALS:
-            raise AccuracyError(
-                f"node budget {_MAX_EVALS} exhausted (error estimate {total_err:.3e})",
-                result=IntegralResult(total, total_err, evals))
+        # the running sums lie within slack * abs_* of the exact re-sums
+        # below, so while they fail the stopping test by more than that, the
+        # re-sums would fail it too and are skipped
+        slack = _SUM_SLACK * (ops + len(panels))
+        if frozen or evals >= _MAX_EVALS or not (
+                run_err - slack * abs_err > tol * (abs(run_val) + slack * abs_val)):
+            counted = panels + frozen
+            total = sum(p[4] for p in counted)
+            total_err = sum(-p[0] for p in counted)
+            if total_err <= tol * abs(total):
+                return IntegralResult(total, total_err, evals)
+            if frozen and sum(-p[0] for p in frozen) > tol * abs(total):
+                raise AccuracyError(
+                    f"refinement floor reached (error estimate {total_err:.3e})",
+                    result=IntegralResult(total, total_err, evals))
+            if evals >= _MAX_EVALS:
+                raise AccuracyError(
+                    f"node budget {_MAX_EVALS} exhausted (error estimate {total_err:.3e})",
+                    result=IntegralResult(total, total_err, evals))
+            # restart the running sums from the re-sums, which err by at
+            # most (P - 1) u times abs_val and total_err respectively
+            run_val, run_err, abs_err, ops = total, total_err, total_err, 0
         panel = heapq.heappop(panels)
-        _, _, a, b, _ = panel
+        neg_err, _, a, b, val = panel
         if b - a < 1e-15:
             frozen.append(panel)
             continue
+        run_val -= val
+        run_err += neg_err
+        ops += 1
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
             val, err = _panel_estimates(f, lo, hi)
             evals += _PANEL_EVALS
             heapq.heappush(panels, (-err, seq, lo, hi, val))
             seq += 1
+            run_val += val
+            run_err += err
+            abs_val += abs(val)
+            abs_err += err
+            ops += 1
 
 
 def wirtinger_fd(F, z: complex, h: float = 1e-5) -> complex:

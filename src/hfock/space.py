@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -146,11 +147,27 @@ def h_norm(f: EntireSeries) -> float:
 
 
 def fock_norm(f: EntireSeries) -> float:
-    """Norm with weights n! instead of eta_n (the containing Gaussian space)."""
+    """Norm with weights n! instead of eta_n (the containing Gaussian space).
+
+    Summed in log scale: when the largest term |a_n|^2 n! passes e^700, every
+    term is scaled by the same exp(-shift) and the root by exp(shift / 2), so
+    sqrt(200!) ~ 2.8e187 is returned; a norm past the double range raises
+    :class:`AccuracyError`.
+    """
+    pairs = [(n, c * c.conjugate()) for n, c in enumerate(f.coeffs)]
     logs = [math.lgamma(n + 1) for n in range(f.degree + 1)]
-    pairs = ((n, f.coeffs[n] * f.coeffs[n].conjugate()) for n in range(f.degree + 1))
-    val = csum(_eta_weighted_terms(pairs, logs))
-    return math.sqrt(max(complex(val).real, 0.0))
+    top = max((logs[n] + math.log(abs(p)) for n, p in pairs if p), default=0.0)
+    # below e^700 a term cannot overflow, nor can a sum of at most 4001 of
+    # them; an integer shift leaves the largest terms' log weights exact
+    shift = math.floor(top) - 600 if top > 700.0 else 0
+    val = csum(_eta_weighted_terms(pairs, [lw - shift for lw in logs]))
+    # with a shift the root is at least e^300, so capping the factor at
+    # exp(709) still overflows whenever exp(shift / 2) would
+    norm = math.sqrt(max(complex(val).real, 0.0)) * math.exp(min(0.5 * shift, 709.0))
+    if math.isinf(norm):
+        raise AccuracyError(
+            f"fock_norm: the norm exceeds the double range (log norm {0.5 * top:.6g})")
+    return norm
 
 
 def norm_sq_by_quadrature(f: EntireSeries) -> float:
@@ -172,13 +189,23 @@ def norm_sq_by_quadrature(f: EntireSeries) -> float:
 
 
 def reproducing_check(f: EntireSeries, z: complex) -> tuple[complex, complex]:
-    """(<f, K_z>, f(z)); the two agree to rounding by the reproducing property."""
+    """(<f, K_z>, f(z)); the two agree to rounding by the reproducing property.
+
+    Raises :class:`AccuracyError` where doubles cannot hold the two sides:
+    f(z) is not finite, or a coefficient conj(z)^n / eta_n of K_z that meets
+    a nonzero a_n falls below the normal range (a z of 0 gives exact zeros).
+    """
     if f.degree > 1000:
         raise ConfigurationError("reproducing_check: degree capped at 1000")
     z = complex(z)
     # coefficients of K_z: conj(z)^n / eta_n
-    kz_series = EntireSeries(tuple(_kernel_terms(z.conjugate(), f.degree)))
-    return h_inner(f, kz_series), f(z)
+    kz_terms = _kernel_terms(z.conjugate(), f.degree)
+    direct = f(z)
+    if not cmath.isfinite(direct) or z and any(
+            c and abs(k) < sys.float_info.min for c, k in zip(f.coeffs, kz_terms)):
+        raise AccuracyError(
+            f"reproducing_check: f(z) or a coefficient of K_z leaves the double range at z={z!r}")
+    return h_inner(f, EntireSeries(tuple(kz_terms))), direct
 
 
 @dataclass(frozen=True)

@@ -175,11 +175,13 @@ class TestHurwitzZeta:
     @pytest.mark.parametrize("call, error", [
         (lambda: lerch.hurwitz_zeta(2.0, math.nan), DomainError),
         (lambda: lerch.hurwitz_zeta(math.nan, 1.0), DomainError),
+        (lambda: lerch.hurwitz_zeta(math.inf, 1.0), DomainError),
         (lambda: lerch.hurwitz_zeta(2.0, 1.0, math.nan), ConfigurationError),
         (lambda: lerch.hurwitz_zeta_integral(math.nan, 1.0), DomainError),
-    ], ids=["a", "s", "tol", "integral-s"])
+    ], ids=["a", "s", "s-inf", "tol", "integral-s"])
     def test_nan_arguments_raise(self, call, error):
-        # NaN fails every guard, so no nan is returned and a nan tol cannot run the sum to its cap
+        # NaN fails every guard, so no nan is returned and a nan tol cannot
+        # run the sum to its cap; nor can s = inf, whose tail bound is inf * 0
         with pytest.raises(error):
             call()
 

@@ -344,6 +344,186 @@ def test_integrand_families_meet_tol_against_mpmath(monkeypatch, family):
         assert abs(got - ref) <= tol * abs(ref)
 
 
+def _reference_integrate(f, tol=1e-12):
+    """integrate_semi_infinite without its panel-node cache and its gated
+    re-sum: node arithmetic inline, every panel re-summed on every step."""
+
+    def panel(a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        try:
+            u = mid
+            r = 1.0 - u
+            centre = f(u / r) / (r * r)
+            kronrod = numerics._K15_CENTER_W * centre
+            gauss = numerics._G7_CENTER_W * centre
+            for x, wk, wg in numerics._K15_PAIRS:
+                dx = half * x
+                u = mid - dx
+                r = 1.0 - u
+                pair = f(u / r) / (r * r)
+                u = mid + dx
+                r = 1.0 - u
+                pair += f(u / r) / (r * r)
+                kronrod += wk * pair
+                gauss += wg * pair
+        except (OverflowError, ZeroDivisionError) as exc:
+            t = u / r if r else math.inf
+            raise AccuracyError(f"integrand overflowed at t={t!r}") from exc
+        err = abs(half * (kronrod - gauss))
+        if not math.isfinite(err):
+            raise AccuracyError("integrand produced non-finite values")
+        return half * kronrod, err
+
+    budget = numerics._MAX_EVALS
+    panels, frozen, seq, evals = [], [], 0, 0
+    for i in range(8):
+        val, err = panel(i / 8, (i + 1) / 8)
+        evals += numerics._PANEL_EVALS
+        numerics.heapq.heappush(panels, (-err, seq, i / 8, (i + 1) / 8, val))
+        seq += 1
+    while True:
+        counted = panels + frozen
+        total = sum(p[4] for p in counted)
+        total_err = sum(-p[0] for p in counted)
+        result = numerics.IntegralResult(total, total_err, evals)
+        if total_err <= tol * abs(total):
+            return result
+        if frozen and sum(-p[0] for p in frozen) > tol * abs(total):
+            raise AccuracyError(
+                f"refinement floor reached (error estimate {total_err:.3e})", result=result)
+        if evals >= budget:
+            raise AccuracyError(
+                f"node budget {budget} exhausted (error estimate {total_err:.3e})", result=result)
+        popped = numerics.heapq.heappop(panels)
+        _, _, a, b, _ = popped
+        if b - a < 1e-15:
+            frozen.append(popped)
+            continue
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            val, err = panel(lo, hi)
+            evals += numerics._PANEL_EVALS
+            numerics.heapq.heappush(panels, (-err, seq, lo, hi, val))
+            seq += 1
+
+
+def _power_tail(t):
+    # (1+t)^-1.3: the bisection runs toward u = 1 until a node rounds to
+    # u = 1, where t = u/(1-u) divides by zero
+    return (1.0 + t) ** -1.3
+
+
+_IDENTITY_CASES = {
+    # name: (integrate_semi_infinite's arguments, text the outcome holds)
+    "floor_converges": ((lambda t: t ** -0.3 * math.exp(-t), 1e-12), "IntegralResult"),
+    "floor_raises": ((lambda t: t ** -0.7 * math.exp(-t), 1e-10), "refinement floor reached"),
+    "overflow_power": ((lambda t: t ** 120 * math.exp(-t),), "integrand overflowed at t="),
+    "overflow_division": ((lambda t: 1.0 / (t - t),), "integrand overflowed at t="),
+    "non_finite": ((lambda t: (t ** 60 * t ** 60) * math.exp(-t),), "non-finite"),
+    "complex": ((lambda t: (1 + 2j) * math.exp(-t),), "IntegralResult"),
+    "u_equals_one": ((_power_tail,), "integrand overflowed at t=inf"),
+}
+
+
+def _assert_identical_to_reference(args, warm=True):
+    want = _outcome(_reference_integrate, *args)
+    numerics._panel_nodes.cache_clear()
+    assert _outcome(integrate_semi_infinite, *args) == want  # cold node cache
+    if warm:
+        assert _outcome(integrate_semi_infinite, *args) == want
+    return want
+
+
+def _outcome(integrate, f, *args):
+    """Every node f sees, in order, and the result or the raised error's
+    text, cause and attached result, as reprs."""
+    nodes = []
+
+    def recorded(t):
+        nodes.append(t)
+        return f(t)
+
+    try:
+        res = integrate(recorded, *args)
+    except AccuracyError as exc:
+        return nodes, str(exc), repr(exc.__cause__), repr(exc.result)
+    return nodes, repr(res)
+
+
+@pytest.mark.parametrize("family", sorted(_INTEGRAND_FAMILIES))
+def test_integrand_families_bit_identical_to_reference(monkeypatch, family):
+    # the node cache and the gated re-sum change no node f sees, no value,
+    # error estimate or node count, and no error text
+    calls = _INTEGRAND_FAMILIES[family](monkeypatch)
+    assert calls
+    for args in calls:
+        _assert_identical_to_reference(args)
+
+
+@pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+def test_edge_cases_bit_identical_to_reference(case):
+    args, text = _IDENTITY_CASES[case]
+    assert text in _assert_identical_to_reference(args)[1]
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("overflow_power", OverflowError), ("overflow_division", ZeroDivisionError)])
+def test_overflow_message_names_a_node_where_f_raises(case, cause):
+    f = _IDENTITY_CASES[case][0][0]
+    message = _outcome(integrate_semi_infinite, f)[1]
+    with pytest.raises(cause):
+        f(float(message.rsplit("t=", 1)[1]))
+
+
+def test_node_at_u_equals_one_after_an_overflow():
+    # f raises at the last finite node of the panel whose next node rounds
+    # to u = 1 (on that visit: near u = 1 nodes of nested panels coincide).
+    # f still sees that panel's earlier nodes, and the error names the node
+    # where f raised, not t = inf
+    nodes = _outcome(_reference_integrate, _power_tail)[0]
+    last = nodes[-1]
+
+    def planted():
+        visits = [nodes.count(last)]
+
+        def f(t):
+            if t == last:
+                visits[0] -= 1
+                if not visits[0]:
+                    raise OverflowError("planted")
+            return _power_tail(t)
+        return f
+
+    want = _outcome(_reference_integrate, planted())
+    assert want[1:3] == (f"integrand overflowed at t={last!r}", "OverflowError('planted')")
+    numerics._panel_nodes.cache_clear()
+    assert _outcome(integrate_semi_infinite, planted()) == want  # cold node cache
+    assert _outcome(integrate_semi_infinite, planted()) == want  # warm
+
+
+def test_budget_exhaustion_bit_identical_to_reference(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 10 * numerics._PANEL_EVALS)
+    want = _assert_identical_to_reference((lambda t: math.exp(-t),))
+    assert want[1].startswith("node budget 150 exhausted")
+
+
+def test_hopeless_call_bit_identical_to_reference(monkeypatch):
+    # log eta_400 at 1e-14 exhausts the full budget with its error near tol,
+    # where the gate re-sums on most steps
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        raise AccuracyError("recorded")
+
+    monkeypatch.setattr(moments, "integrate_semi_infinite", record)
+    with pytest.raises(AccuracyError, match="recorded"):
+        moments.log_eta_quadrature(400, 1e-14)
+    want = _assert_identical_to_reference(seen[0], warm=False)
+    assert want[1].startswith(f"node budget {numerics._MAX_EVALS} exhausted")
+
+
 class TestWirtinger:
     def test_analytic_function_annihilated(self):
         assert abs(wirtinger_fd(lambda z: z, 0.3 + 0.7j)) < 1e-9

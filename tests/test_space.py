@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hfock import moments, space
-from hfock.errors import ConfigurationError, ValidationError
+from hfock.errors import AccuracyError, ConfigurationError, ValidationError
 from hfock.numerics import disk_point
 
 
@@ -121,6 +121,18 @@ class TestReproducing:
             inner, direct = space.reproducing_check(f, z)
             assert abs(inner - direct) <= 1e-12 * (1.0 + abs(direct))
 
+    @pytest.mark.parametrize("n, z", [(1000, 30), (300, 3)])
+    def test_out_of_range_raises(self, n, z):
+        # 30^1000 overflows f(z); 3^300 / eta_300 underflows K_z's coefficient
+        with pytest.raises(AccuracyError, match="double range"):
+            space.reproducing_check(space.EntireSeries.monomial(n), z)
+
+    def test_origin_keeps_its_zero_coefficients(self):
+        # K_0 = 1 / eta_0 exactly: its zero coefficients are no underflow
+        inner, direct = space.reproducing_check(space.EntireSeries((0.5, 1.0, 2.0)), 0)
+        assert direct == 0.5
+        assert inner == pytest.approx(0.5, rel=1e-13)
+
 
 def _value_and_bound(f, z):
     """|f(z)| and sqrt(K(z, z)) ||f||, which bounds it."""
@@ -216,6 +228,17 @@ class TestMembership:
         for _ in range(100):
             f = _random_series(rng, rng.randrange(0, 30))
             assert space.h_norm(f) <= space.fock_norm(f) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_fock_norm_of_a_high_monomial(self, n):
+        # n! overflows a double, its root does not; lgamma's few-ulp error
+        # at 863 (n = 200) shows as 2e-14 in the root
+        exact = float(math.isqrt(math.factorial(n)))
+        assert space.fock_norm(space.EntireSeries.monomial(n)) == pytest.approx(exact, rel=1e-13)
+
+    def test_fock_norm_past_the_double_range_raises(self):
+        with pytest.raises(AccuracyError, match="double range"):
+            space.fock_norm(space.EntireSeries.monomial(400))
 
 
 def test_min_eig_rejects_asymmetric_input():

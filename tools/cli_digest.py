@@ -21,6 +21,8 @@ COMMANDS = (
     "moments --nmax 170",
     "moments --nmax 30 --format json",
     "moments --nmax 1000 --format json",
+    "moments --nmax 60 --tol 1e-9",
+    "moments --nmax 40 --tol 1e-13 --format json",
     "efun --z 0 --z 1 --z 0,1 --z -3 --z 2.5,-1.5 --z 20 --z 200",
     "kernel --z 1,0.5 --w=-0.3,2",
     "kernel --z 1,0.5 --w=-0.3,2 --ml-normalized",
