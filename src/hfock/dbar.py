@@ -158,22 +158,13 @@ def weight_mass(f: space.EntireSeries, include_pi: bool = True) -> float:
     ``include_pi=False`` gives the Gaussian-normalized value sum n! |a_n|^2
     (the squared norm in the normalized convention); both appear in the
     literature and the budget check below keeps the un-normalized one on
-    both sides so the constant 3 is meaningful.
+    both sides so the constant 3 is meaningful.  Summed as
+    :func:`space.fock_norm`: 169! is returned, and a mass past the double
+    range raises :class:`AccuracyError`.
     """
-    val = _factorial_mass(f)
+    m, k = space._weighted_sum(space._log_factorials(f.degree), f.coeffs, f.coeffs)
+    val = space._times_exp(m.real, k, "weight_mass")
     return PI * val if include_pi else val
-
-
-def _factorial_mass(f: space.EntireSeries) -> float:
-    terms = []
-    for n, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        lg = math.lgamma(n + 1)
-        if lg > 700.0:
-            return math.inf
-        terms.append(math.gamma(n + 1) * abs(a) ** 2)
-    return math.fsum(terms) if terms else 0.0
 
 
 @dataclass(frozen=True)

@@ -155,8 +155,8 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     until the singular part t^{s-2} on (0, 1), whose integral is exactly
     1/(s-1), is subtracted and only the smooth remainder integrated.
     """
-    if not s > 1.0 + 1e-6:
-        raise DomainError(f"hurwitz_zeta_integral: requires s > 1, got {s}")
+    if not (1.0 + 1e-6 < s < math.inf and a > 0.0):
+        raise DomainError(f"hurwitz_zeta_integral: requires finite s > 1 and a > 0, got {s}, {a}")
 
     def integrand(t):
         return t ** (s - 1.0) * math.exp(-a * t) / -math.expm1(-t)

@@ -147,40 +147,29 @@ def gauss_hermite(n: int) -> QuadratureRule:
 def _panel_nodes(a, b):
     # the K15 nodes of the panel (a, b) of the unit interval, mapped by
     # t = u/(1-u) with Jacobian 1/(1-u)^2: the centre's (t, (1-u)^2), then
-    # (t-, j-, t+, j+, wk, wg) for each _K15_PAIRS entry, and whether every
-    # node lies below u = 1.  A node that rounds to u = 1, where u/(1-u)
-    # divides by zero, is stored as (inf, 0.0).  Bisection makes the same
-    # dyadic panels recur across calls, so each is built once.
+    # (t-, j-, t+, j+, wk, wg) for each _K15_PAIRS entry; None where a node
+    # rounds to u = 1, where u/(1-u) divides by zero.  Bisection makes the
+    # same dyadic panels recur across calls, so each is built once.
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     r = 1.0 - mid
-    below_one = r != 0.0
-    centre = (mid / r if below_one else math.inf, r * r)
     pairs = []
-    for x, wk, wg in _K15_PAIRS:
-        dx = half * x
-        lo = mid - dx
-        hi = mid + dx
-        rlo = 1.0 - lo
-        rhi = 1.0 - hi
-        below_one = below_one and rlo != 0.0 and rhi != 0.0
-        pairs.append((lo / rlo if rlo else math.inf, rlo * rlo,
-                      hi / rhi if rhi else math.inf, rhi * rhi, wk, wg))
-    return centre, tuple(pairs), below_one
+    try:
+        centre = (mid / r, r * r)
+        for x, wk, wg in _K15_PAIRS:
+            lo, hi = mid - half * x, mid + half * x
+            rlo, rhi = 1.0 - lo, 1.0 - hi
+            pairs.append((lo / rlo, rlo * rlo, hi / rhi, rhi * rhi, wk, wg))
+    except ZeroDivisionError:
+        return None
+    return centre, tuple(pairs)
 
 
 def _panel_estimates(f, a, b):
     # K15 and |K15 - G7| of f on the panel (a, b) of the unit interval,
     # through t = u/(1-u); the two sums stay Python floats or complexes
-    (t, j), pairs, below_one = _panel_nodes(a, b)
+    (t, j), pairs = _panel_nodes(a, b)
     try:
-        if not below_one:
-            # f sees the nodes before the one at u = 1, in order; that
-            # node's division by 1 - u = 0 then ends the call as t = inf
-            for t, j in ((t, j), *(node for p in pairs for node in (p[:2], p[2:4]))):
-                if not j:
-                    raise ZeroDivisionError("float division by zero")
-                f(t) / j
         centre = f(t) / j
         kronrod = _K15_CENTER_W * centre
         gauss = _G7_CENTER_W * centre
@@ -213,7 +202,9 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     such panels alone exceeds ``tol * |value|`` the call raises
     :class:`AccuracyError` ("refinement floor reached").  An endpoint
     singularity can reach that floor: ``t ** -0.5 * exp(-t)`` does at
-    tol 1e-10.
+    tol 1e-10.  So can a slowly decaying tail: a panel whose bisection
+    would put a node at u = 1, where t = u/(1-u) divides by zero, is
+    frozen the same way, so ``(1 + t) ** -1.3`` raises there.
 
     The stopping test reads exact re-sums over all panels.  A step skips
     them while running totals of the values and error estimates fail the
@@ -225,9 +216,7 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     inside it: ``t ** n`` past the double range raises ``OverflowError``
     and a division by zero raises ``ZeroDivisionError``.  Either one ends
     the integration at once with :class:`AccuracyError` ("integrand
-    overflowed at t=...", chained from the original exception); a node that
-    rounds to u = 1, which a tail like ``(1 + t) ** -1.3`` reaches, ends it
-    as "t=inf".  So does
+    overflowed at t=...", chained from the original exception).  So does
     an integrand value that is inf or nan, or a panel sum that overflows
     ("integrand produced non-finite values").
 
@@ -235,12 +224,12 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     budget of 100 000 integrand evaluations, raise :class:`AccuracyError`
     carrying the best estimate, with every panel's error counted.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigurationError(f"integrate_semi_infinite: tol must be > 0, got {tol}")
 
     n_init = 8
     panels = []  # (-err, seq, a, b, value)
-    frozen = []  # popped panels narrower than 1e-15: never bisected, still counted
+    frozen = []  # popped panels too narrow to bisect: never bisected, still counted
     seq = 0
     evals = 0
     # running sums over panels + frozen; abs_val sums |value| over every
@@ -285,13 +274,13 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
             run_val, run_err, abs_err, ops = total, total_err, total_err, 0
         panel = heapq.heappop(panels)
         neg_err, _, a, b, val = panel
-        if b - a < 1e-15:
+        mid = 0.5 * (a + b)
+        if b - a < 1e-15 or _panel_nodes(mid, b) is None:
             frozen.append(panel)
             continue
         run_val -= val
         run_err += neg_err
         ops += 1
-        mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
             val, err = _panel_estimates(f, lo, hi)
             evals += _PANEL_EVALS

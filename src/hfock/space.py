@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,6 +19,8 @@ from .errors import AccuracyError, ConfigurationError, ValidationError
 from .numerics import csum, min_eig_hermitian
 
 _LOG8 = math.log(8.0)
+_MIN_NORMAL = 2.0 ** -1022
+_E700 = math.exp(700.0)
 _TRUNC_CAP = 4000
 _LGAMMA_N2 = tuple(math.lgamma(n + 2) for n in range(_TRUNC_CAP))  # lgamma(n + 2), n < _TRUNC_CAP
 _MAX_GRAM_POINTS = 200
@@ -119,55 +120,73 @@ def kernel(z: complex, w: complex, tol: float = 1e-12, ml_normalized: bool = Fal
     return val
 
 
-def _eta_weighted_terms(pairs, log_weights):
-    # pairs: iterable of (n, complex product); weight exp(log_weights[n])
+def _weighted_sum(log_w, a, b) -> tuple[float | complex, int]:
+    """sum_n exp(log_w[n]) a_n conj(b_n) as (m, k), the sum being m e^k.
+
+    While every product a_n conj(b_n) is a normal double and every weight
+    and term is below e^700 (no sum of N_MAX + 1 such terms overflows), k = 0
+    and m is the compensated sum of ``math.exp(log_w[n]) * (a_n * conj(b_n))``.
+    Otherwise each term is formed in log scale, log_w[n] + log|a_n| +
+    log|b_n|, less the integer k that puts the largest near e^600.
+    """
     terms = []
-    for n, p in pairs:
-        if p == 0:
-            continue
-        lw = log_weights[n]
-        if lw < 700.0 and abs(p) < 1e290:
-            terms.append(math.exp(lw) * p)
-        else:
-            ltot = lw + math.log(abs(p))
-            terms.append(cmath.exp(ltot) * (p / abs(p)))
-    return terms
+    for lw, x, y in zip(log_w, a, b):
+        if x and y:
+            p = x * y.conjugate()
+            w = math.exp(lw) if lw < 700.0 else math.inf
+            if not (_MIN_NORMAL <= abs(p) and _MIN_NORMAL <= w * abs(p) < _E700):
+                break
+            terms.append(w * p)
+    else:
+        return csum(terms), 0
+    logs = [(lw + math.log(abs(x)) + math.log(abs(y)), x / abs(x) * (y / abs(y)).conjugate())
+            for lw, x, y in zip(log_w, a, b) if x and y]
+    top = max(lt for lt, _ in logs)
+    if not top < math.inf:
+        raise AccuracyError("a coefficient's modulus is not a finite double")
+    k = math.floor(top) - 600
+    return csum([math.exp(lt - k) * phase for lt, phase in logs]), k
+
+
+def _times_exp(x, e: float, name: str):
+    # x e^e, in steps of at most e^700; AccuracyError where a nonzero value
+    # leaves the normal double range
+    if not (x and e):
+        return x
+    y = x * math.exp(math.fmod(e, 700.0))
+    for _ in range(int(abs(e) // 700.0)):
+        y *= math.exp(math.copysign(700.0, e))
+    if not _MIN_NORMAL <= abs(y) < math.inf:
+        raise AccuracyError(f"{name}: the value leaves the double range "
+                            f"(log modulus {math.log(abs(x)) + e:.6g})")
+    return y
+
+
+def _log_factorials(n: int) -> list[float]:
+    return [math.lgamma(j + 1) for j in range(n + 1)]
+
+
+def _norm(log_w, f: EntireSeries, name: str) -> float:
+    # rooted before the rescaling: ||z^180|| ~ 2.5e162, though its square overflows
+    m, k = _weighted_sum(log_w, f.coeffs, f.coeffs)
+    return _times_exp(math.sqrt(max(m.real, 0.0)), 0.5 * k, name)
 
 
 def h_inner(f: EntireSeries, g: EntireSeries) -> complex:
-    """Inner product sum_n eta_n a_n conj(b_n)."""
-    deg = min(f.degree, g.degree)
-    logs = moments.log_eta_sequence(deg)
-    pairs = ((n, f.coeffs[n] * g.coeffs[n].conjugate()) for n in range(deg + 1))
-    return complex(csum(_eta_weighted_terms(pairs, logs)))
+    """Inner product sum_n eta_n a_n conj(b_n); :class:`AccuracyError` where
+    the value is past the double range, or nonzero and below its normal range."""
+    m, k = _weighted_sum(moments.log_eta_sequence(min(f.degree, g.degree)), f.coeffs, g.coeffs)
+    return complex(_times_exp(m, k, "h_inner"))
 
 
 def h_norm(f: EntireSeries) -> float:
-    return math.sqrt(max(h_inner(f, f).real, 0.0))
+    return _norm(moments.log_eta_sequence(f.degree), f, "h_norm")
 
 
 def fock_norm(f: EntireSeries) -> float:
-    """Norm with weights n! instead of eta_n (the containing Gaussian space).
-
-    Summed in log scale: when the largest term |a_n|^2 n! passes e^700, every
-    term is scaled by the same exp(-shift) and the root by exp(shift / 2), so
-    sqrt(200!) ~ 2.8e187 is returned; a norm past the double range raises
-    :class:`AccuracyError`.
-    """
-    pairs = [(n, c * c.conjugate()) for n, c in enumerate(f.coeffs)]
-    logs = [math.lgamma(n + 1) for n in range(f.degree + 1)]
-    top = max((logs[n] + math.log(abs(p)) for n, p in pairs if p), default=0.0)
-    # below e^700 a term cannot overflow, nor can a sum of at most 4001 of
-    # them; an integer shift leaves the largest terms' log weights exact
-    shift = math.floor(top) - 600 if top > 700.0 else 0
-    val = csum(_eta_weighted_terms(pairs, [lw - shift for lw in logs]))
-    # with a shift the root is at least e^300, so capping the factor at
-    # exp(709) still overflows whenever exp(shift / 2) would
-    norm = math.sqrt(max(complex(val).real, 0.0)) * math.exp(min(0.5 * shift, 709.0))
-    if math.isinf(norm):
-        raise AccuracyError(
-            f"fock_norm: the norm exceeds the double range (log norm {0.5 * top:.6g})")
-    return norm
+    """Norm with weights n! instead of eta_n (the containing Gaussian space),
+    summed and range-checked as :func:`h_inner`: sqrt(200!) ~ 2.8e187 is returned."""
+    return _norm(_log_factorials(f.degree), f, "fock_norm")
 
 
 def norm_sq_by_quadrature(f: EntireSeries) -> float:
@@ -202,7 +221,7 @@ def reproducing_check(f: EntireSeries, z: complex) -> tuple[complex, complex]:
     kz_terms = _kernel_terms(z.conjugate(), f.degree)
     direct = f(z)
     if not cmath.isfinite(direct) or z and any(
-            c and abs(k) < sys.float_info.min for c, k in zip(f.coeffs, kz_terms)):
+            c and abs(k) < _MIN_NORMAL for c, k in zip(f.coeffs, kz_terms)):
         raise AccuracyError(
             f"reproducing_check: f(z) or a coefficient of K_z leaves the double range at z={z!r}")
     return h_inner(f, EntireSeries(tuple(kz_terms))), direct

@@ -125,6 +125,16 @@ class TestDbar:
         assert obj["symbolic_zero"] is True
         assert obj["budget"]["ok"] is True
 
+    def test_tiny_high_degree_datum_breaks_the_budget(self, capsys):
+        # f = 1e-170 z^180 and u0 = 1: M(f) ~ 6.3e-11 is a normal double,
+        # so the budget is finite and the unit u0 exceeds it
+        path = Path(__file__).resolve().parent.parent / "tools" / "dbar_problem_tiny_f.json"
+        code, out, _ = _run(capsys, ["dbar", "--problem", str(path)])
+        budget = json.loads(out)["budget"]
+        assert code == 0
+        assert budget["budget"] == pytest.approx(1.8934e-10, rel=1e-4)
+        assert budget["ok"] is False
+
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, ["dbar", "--problem", "/nonexistent.json"])
         assert code == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hfock import dbar, space
-from hfock.errors import ConfigurationError, ValidationError
+from hfock.errors import AccuracyError, ConfigurationError, ValidationError
 from hfock.numerics import disk_point
 
 
@@ -359,6 +359,18 @@ class TestWeightMass:
         f = space.EntireSeries.exponential(1.0, 30)
         assert dbar.weight_mass(f, include_pi=False) == pytest.approx(math.e, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [169, 170])
+    def test_factorial_near_the_top_of_the_range(self, n):
+        # 169! ~ 4.3e304 and 170! ~ 7.3e306 are doubles; their log weights
+        # pass e^700, so they are summed in log scale
+        exact = float(math.factorial(n))
+        assert dbar.weight_mass(space.EntireSeries.monomial(n), include_pi=False) == \
+            pytest.approx(exact, rel=1e-13)
+
+    def test_mass_past_the_double_range_raises(self):
+        with pytest.raises(AccuracyError, match="double range"):
+            dbar.weight_mass(space.EntireSeries.monomial(200))
+
 
 class TestBudget:
     def test_zero_candidate(self):
@@ -372,6 +384,17 @@ class TestBudget:
         assert rep.lhs == pytest.approx(math.pi * gold["eta0"], rel=1e-13)
         assert rep.budget == pytest.approx(3.0 * math.pi, rel=1e-15)
         assert rep.ok
+
+    def test_tiny_high_degree_datum(self, gold, mp_oracle):
+        # f = 1e-170 z^180: M(f) = pi 180! 1e-340 ~ 6.3e-11, so the unit u0
+        # (lhs pi eta_0 ~ 1.27) breaks the budget
+        f = space.EntireSeries.monomial(180, 1e-170)
+        rep = dbar.weighted_budget_check(space.EntireSeries((1.0,)), f)
+        ctx = mp_oracle.ctx
+        exact = 3 * ctx.pi * ctx.factorial(180) * ctx.mpf(1e-170) ** 2
+        assert abs(rep.budget - exact) <= 1e-13 * exact
+        assert rep.lhs == pytest.approx(math.pi * gold["eta0"], rel=1e-13)
+        assert not rep.ok
 
     def test_constructed_violation(self, gold):
         scale = math.sqrt(3.1 / gold["eta0"])

@@ -178,10 +178,18 @@ class TestHurwitzZeta:
         (lambda: lerch.hurwitz_zeta(math.inf, 1.0), DomainError),
         (lambda: lerch.hurwitz_zeta(2.0, 1.0, math.nan), ConfigurationError),
         (lambda: lerch.hurwitz_zeta_integral(math.nan, 1.0), DomainError),
-    ], ids=["a", "s", "s-inf", "tol", "integral-s"])
+        (lambda: lerch.hurwitz_zeta_integral(math.inf, 1.0), DomainError),
+        (lambda: lerch.hurwitz_zeta_integral(2.0, math.nan), DomainError),
+        (lambda: lerch.hurwitz_zeta_integral(2.0, 0.0), DomainError),
+        (lambda: lerch.hurwitz_zeta_integral(2.0, -1.0), DomainError),
+        (lambda: lerch.hurwitz_zeta_integral(2.0, 1.0, math.nan), ConfigurationError),
+    ], ids=["a", "s", "s-inf", "tol", "integral-s", "integral-s-inf", "integral-a",
+            "integral-a-zero", "integral-a-negative", "integral-tol"])
     def test_nan_arguments_raise(self, call, error):
         # NaN fails every guard, so no nan is returned and a nan tol cannot
-        # run the sum to its cap; nor can s = inf, whose tail bound is inf * 0
+        # run the sum to its cap or the integrator to its budget; nor can
+        # s = inf, whose tail bound is inf * 0.  The integral's guards are
+        # the series' own, so a shift a <= 0 is a DomainError there too
         with pytest.raises(error):
             call()
 

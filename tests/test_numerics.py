@@ -152,9 +152,11 @@ class TestIntegrateSemiInfinite:
         assert exc.value.result is not None
         assert exc.value.result.value == pytest.approx(1.0, rel=1e-3)
 
-    def test_rejects_bad_tol(self):
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        # a nan tol fails the guard at once rather than spending the budget
         with pytest.raises(ConfigurationError):
-            integrate_semi_infinite(lambda t: math.exp(-t), 0.0)
+            integrate_semi_infinite(lambda t: math.exp(-t), tol)
 
     @pytest.mark.parametrize("f, cause", [
         (lambda t: t ** 120 * math.exp(-t), OverflowError),
@@ -348,6 +350,13 @@ def _reference_integrate(f, tol=1e-12):
     """integrate_semi_infinite without its panel-node cache and its gated
     re-sum: node arithmetic inline, every panel re-summed on every step."""
 
+    def node_at_one(a, b):
+        # whether a K15 node of the panel (a, b) rounds to u = 1
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        nodes = (mid + half * x for x in (0.0, *(p[0] for p in numerics._K15_PAIRS)))
+        return any(1.0 - u == 0.0 for u in nodes)
+
     def panel(a, b):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -368,8 +377,7 @@ def _reference_integrate(f, tol=1e-12):
                 kronrod += wk * pair
                 gauss += wg * pair
         except (OverflowError, ZeroDivisionError) as exc:
-            t = u / r if r else math.inf
-            raise AccuracyError(f"integrand overflowed at t={t!r}") from exc
+            raise AccuracyError(f"integrand overflowed at t={u / r!r}") from exc
         err = abs(half * (kronrod - gauss))
         if not math.isfinite(err):
             raise AccuracyError("integrand produced non-finite values")
@@ -397,10 +405,10 @@ def _reference_integrate(f, tol=1e-12):
                 f"node budget {budget} exhausted (error estimate {total_err:.3e})", result=result)
         popped = numerics.heapq.heappop(panels)
         _, _, a, b, _ = popped
-        if b - a < 1e-15:
+        mid = 0.5 * (a + b)
+        if b - a < 1e-15 or node_at_one(mid, b):
             frozen.append(popped)
             continue
-        mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
             val, err = panel(lo, hi)
             evals += numerics._PANEL_EVALS
@@ -409,8 +417,8 @@ def _reference_integrate(f, tol=1e-12):
 
 
 def _power_tail(t):
-    # (1+t)^-1.3: the bisection runs toward u = 1 until a node rounds to
-    # u = 1, where t = u/(1-u) divides by zero
+    # (1+t)^-1.3: the bisection runs toward u = 1 until splitting a panel
+    # would put a node at u = 1, where t = u/(1-u) divides by zero
     return (1.0 + t) ** -1.3
 
 
@@ -422,7 +430,7 @@ _IDENTITY_CASES = {
     "overflow_division": ((lambda t: 1.0 / (t - t),), "integrand overflowed at t="),
     "non_finite": ((lambda t: (t ** 60 * t ** 60) * math.exp(-t),), "non-finite"),
     "complex": ((lambda t: (1 + 2j) * math.exp(-t),), "IntegralResult"),
-    "u_equals_one": ((_power_tail,), "integrand overflowed at t=inf"),
+    "u_equals_one": ((_power_tail,), "refinement floor reached"),
 }
 
 
@@ -476,30 +484,24 @@ def test_overflow_message_names_a_node_where_f_raises(case, cause):
         f(float(message.rsplit("t=", 1)[1]))
 
 
-def test_node_at_u_equals_one_after_an_overflow():
-    # f raises at the last finite node of the panel whose next node rounds
-    # to u = 1 (on that visit: near u = 1 nodes of nested panels coincide).
-    # f still sees that panel's earlier nodes, and the error names the node
-    # where f raised, not t = inf
-    nodes = _outcome(_reference_integrate, _power_tail)[0]
-    last = nodes[-1]
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 1.3, 1.4, 1.5])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+def test_panel_with_a_node_at_u_equals_one_is_frozen(p, tol):
+    # a slowly decaying tail drives the bisection toward u = 1; the panel
+    # whose split would put a node there is frozen like a too-narrow one,
+    # so f never sees t = inf and the call ends at the floor, at once
+    nodes = []
 
-    def planted():
-        visits = [nodes.count(last)]
+    def f(t):
+        nodes.append(t)
+        return (1.0 + t) ** -p
 
-        def f(t):
-            if t == last:
-                visits[0] -= 1
-                if not visits[0]:
-                    raise OverflowError("planted")
-            return _power_tail(t)
-        return f
-
-    want = _outcome(_reference_integrate, planted())
-    assert want[1:3] == (f"integrand overflowed at t={last!r}", "OverflowError('planted')")
-    numerics._panel_nodes.cache_clear()
-    assert _outcome(integrate_semi_infinite, planted()) == want  # cold node cache
-    assert _outcome(integrate_semi_infinite, planted()) == want  # warm
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError, match="refinement floor reached") as exc:
+        integrate_semi_infinite(f, tol)
+    assert time.perf_counter() - start < 1.0
+    assert all(map(math.isfinite, nodes))
+    assert exc.value.result.nodes_used == len(nodes)
 
 
 def test_budget_exhaustion_bit_identical_to_reference(monkeypatch):

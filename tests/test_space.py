@@ -241,6 +241,56 @@ class TestMembership:
             space.fock_norm(space.EntireSeries.monomial(400))
 
 
+class TestWeightedSum:
+    """Every norm and inner product sums through one log-scale helper."""
+
+    def test_in_range_terms_keep_their_bits(self):
+        # where every term is normal, the terms are exp(log eta_n) * (a_n
+        # conj(b_n)), compensated-summed, as before the log-scale route
+        rng = random.Random(23)
+        for _ in range(50):
+            f, g = (_random_series(rng, rng.randrange(0, 40)) for _ in range(2))
+            logs = moments.log_eta_sequence(min(f.degree, g.degree))
+            terms = [math.exp(lw) * (a * b.conjugate())
+                     for lw, a, b in zip(logs, f.coeffs, g.coeffs) if a and b]
+            expected = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            assert space.h_inner(f, g) == expected
+            assert space.h_norm(f) == math.sqrt(max(space.h_inner(f, f).real, 0.0))
+
+    @pytest.mark.parametrize("call, exact", [
+        (lambda: space.h_norm(space.EntireSeries.monomial(180)),
+         lambda mp: mp.ctx.sqrt(mp.eta(180))),
+        (lambda: space.h_norm(space.EntireSeries.monomial(100, 1e-170)),
+         lambda mp: mp.ctx.sqrt(mp.eta(100)) * mp.ctx.mpf(1e-170)),
+        (lambda: space.fock_norm(space.EntireSeries.monomial(200, 1e-200)),
+         lambda mp: mp.ctx.sqrt(mp.ctx.factorial(200)) * mp.ctx.mpf(1e-200)),
+        (lambda: space.h_inner(space.EntireSeries.monomial(150, 1e-160),
+                               space.EntireSeries.monomial(150, 1e-170j)),
+         lambda mp: -1j * mp.eta(150) * mp.ctx.mpf(1e-160) * mp.ctx.mpf(1e-170)),
+    ], ids=["h_norm-180", "h_norm-tiny-coefficient", "fock_norm-tiny-coefficient",
+            "h_inner-underflowing-product"])
+    def test_value_held_to_mpmath_where_a_term_leaves_the_range(self, mp_oracle, call, exact):
+        # ||z^180||^2 overflows though the norm does not; a coefficient
+        # product of 1e-340 underflows though the norm or inner product is
+        # a normal double.  Both take the log-scale route
+        got = call()
+        ref = exact(mp_oracle)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("call", [
+        lambda: space.h_norm(space.EntireSeries.monomial(400)),
+        lambda: space.h_inner(space.EntireSeries.monomial(400), space.EntireSeries.monomial(400)),
+        lambda: space.h_inner(space.EntireSeries.monomial(170, 1e100),
+                              space.EntireSeries.monomial(170, 1e100)),
+        lambda: space.h_inner(space.EntireSeries.monomial(0, 1e-200),
+                              space.EntireSeries.monomial(0, 1e-200)),
+    ], ids=["h_norm-400", "h_inner-400", "h_inner-large-coefficient", "h_inner-underflow"])
+    def test_value_past_the_double_range_raises(self, call):
+        # never OverflowError, inf or a silent 0.0
+        with pytest.raises(AccuracyError, match="double range"):
+            call()
+
+
 def test_min_eig_rejects_asymmetric_input():
     import numpy as np
     from hfock.numerics import min_eig_hermitian

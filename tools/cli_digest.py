@@ -2,7 +2,8 @@
 """Print the SHA-256 of the stdout of a fixed list of deterministic commands.
 
 Run it from the root of a checkout; each command runs as a fresh
-``python -m hfock.cli`` process on that checkout's ``src``.  Run it on two
+``python -m hfock.cli`` process on that checkout's ``src``, and the ``dbar``
+problems are the checkout's ``tools/dbar_problem*.json``.  Run it on two
 checkouts (say, a change and its parent) and diff the outputs: every command
 whose stdout changed shows up as a differing line.  The digests are not a
 committed snapshot, because eigensolver bits in ``gram`` and ``verify`` may
@@ -42,6 +43,8 @@ COMMANDS = (
     "lerch --audit phi_tilde:2",
     "lerch --audit phi_tilde:3",
     "lerch --audit eta0_K",
+    "dbar --problem tools/dbar_problem.json",
+    "dbar --problem tools/dbar_problem_tiny_f.json",
     "gram --random 20 --seed 5",
     "gram --random 200 --seed 1 --radius 5",
     *(f"verify all --seed {k}" for k in range(10)),
