@@ -3,7 +3,7 @@
 Submodules:
 
 * ``numerics``  -- Gauss rules, adaptive semi-infinite integration,
-  Hermitian eigen-diagnostics, Wirtinger finite differences
+  Wirtinger finite differences
 * ``expint``    -- exponential integrals E_n, incomplete gamma, Laplace
   transform of E_n
 * ``moments``   -- the moment sequence eta_n by three cross-checked routes
@@ -18,14 +18,14 @@ Submodules:
   du/d(conj z) = f
 """
 
-from . import bargmann, dbar, expint, golden, lerch, moments, numerics, space
+from . import bargmann, dbar, expint, lerch, moments, numerics, space
 from .errors import (AccuracyError, ConfigurationError, DomainError,
                      PrecisionLossError, ValidationError)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "bargmann", "dbar", "expint", "golden", "lerch", "moments", "numerics",
+    "bargmann", "dbar", "expint", "lerch", "moments", "numerics",
     "space", "AccuracyError", "ConfigurationError", "DomainError",
     "PrecisionLossError", "ValidationError", "__version__",
 ]

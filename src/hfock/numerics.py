@@ -6,9 +6,8 @@ orders where every weight is normal), an adaptive integrator for absolutely
 convergent integrals on (0, inf) on Gauss-Kronrod G7/K15 panels that calls
 its integrand on Python floats, sums each panel in Python floats or
 complexes, and raises AccuracyError at once when the integrand overflows or
-returns a non-finite value, a guarded smallest-eigenvalue routine for Hermitian
-matrices, central finite differences for the Wirtinger derivative
-d/d(conj z), and a seeded uniform sampler of the disk.
+returns a non-finite value, central finite differences for the Wirtinger
+derivative d/d(conj z), and a seeded uniform sampler of the disk.
 
 The integrator keeps the nodes of each dyadic panel it has built (t and
 (1-u)^2 at the 15 nodes, in an LRU cache of 512 panels shared by all
@@ -17,9 +16,9 @@ widened by their rounding bound, could pass the stopping test; every value,
 error estimate, node count and error message is the one that re-summing on
 every step gives.
 
-Only the Gauss rules and the eigenvalue routine build arrays; they import
-numpy when first called, so the integrator, the finite differences, the
-sampler and ``csum`` run on the standard library alone.
+Only the Gauss rules build arrays; they import numpy when first called, so
+the integrator, the finite differences, the sampler and ``csum`` run on the
+standard library alone.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share between threads.
@@ -31,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AccuracyError, ConfigurationError, ValidationError
+from .errors import AccuracyError, ConfigurationError
 
 GAUSS_N_MAX = 200
 _MAX_EVALS = 100_000  # integrand evaluations one integrate_semi_infinite call may spend
@@ -316,27 +315,6 @@ def disk_point(rng, radius: float) -> complex:
     r = radius * math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
     return complex(r * math.cos(theta), r * math.sin(theta))
-
-
-def min_eig_hermitian(M) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The input must be Hermitian to 1e-12 entrywise (relative to the largest
-    entry magnitude, with an absolute floor of 1).  The eigensolve reads
-    only the lower triangle; that guard bounds how far the upper one departs
-    from it.
-    """
-    import numpy as np
-
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"min_eig_hermitian: expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    drift = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if drift > 1e-12 * scale:
-        raise ValidationError(
-            f"min_eig_hermitian: matrix is not Hermitian (max deviation {drift:.3e})")
-    return float(np.linalg.eigvalsh(M)[0])
 
 
 def csum(terms) -> float | complex:

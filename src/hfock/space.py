@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import moments
 from .errors import AccuracyError, ConfigurationError, ValidationError
-from .numerics import csum, min_eig_hermitian
+from .numerics import csum
 
 _LOG8 = math.log(8.0)
 _MIN_NORMAL = 2.0 ** -1022
@@ -265,7 +265,10 @@ def build_gram(points, entry_fn) -> GramMatrix:
 
     ``z`` and ``w`` are the complex arrays of all upper-triangle pairs,
     diagonal included; the values go above the diagonal and their conjugates
-    below it and on it.
+    below it and on it.  The matrix must be Hermitian to 1e-12 entrywise
+    (relative to the largest entry magnitude, with an absolute floor of 1),
+    which leaves only the diagonal to check: twice the imaginary part of each
+    diagonal value is its deviation.
     """
     import numpy as np
 
@@ -281,8 +284,15 @@ def build_gram(points, entry_fn) -> GramMatrix:
     M = np.empty((m, m), dtype=complex)
     M[iu, ju] = v
     M[ju, iu] = v.conj()
-    return GramMatrix(points=points, entries=M,
-                      min_eig=min_eig_hermitian(M), trace=float(M.trace().real))
+    # M - M^H is 0 off the diagonal where v is finite (NaN where it is not),
+    # and conj(v) - v on it
+    d = M.diagonal()
+    drift = float(np.max(np.abs(d - d.conj())))
+    if drift > 1e-12 * max(1.0, float(np.max(np.abs(v)))) and np.isfinite(v[iu < ju]).all():
+        raise ValidationError(
+            f"build_gram: matrix is not Hermitian (max deviation {drift:.3e})")
+    return GramMatrix(points=points, entries=M, min_eig=float(np.linalg.eigvalsh(M)[0]),
+                      trace=float(M.trace().real))
 
 
 def _diagonal_gram(points, log_coeffs) -> GramMatrix:

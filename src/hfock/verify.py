@@ -23,7 +23,7 @@ import random
 from . import bargmann, dbar, expint, lerch, moments, space
 from .errors import ConfigurationError
 from .numerics import (disk_point, gauss_hermite, gauss_laguerre,
-                       integrate_semi_infinite, min_eig_hermitian, wirtinger_fd)
+                       integrate_semi_infinite, wirtinger_fd)
 
 # what the moments battery runs at when run() is given no nmax or points
 _NMAX, _POINTS = 170, 20
@@ -74,9 +74,10 @@ def _rule_moments(rule, orders) -> list[tuple[int, float]]:
     return [(k, float(np.dot(rule.weights, rule.nodes ** k))) for k in orders]
 
 
-def _laplace_gaps(ns, alphas, tol: float):
-    """|laplace_en(n, a) - int_0^inf exp(-(a+1) t) e^t E_n(t) dt| by quadrature
-    at ``tol``, over every n in ``ns`` and a in ``alphas``.  The alpha
+def _laplace_gaps(route, ns, alphas, tol: float):
+    """|route(n, a) - int_0^inf exp(-(a+1) t) e^t E_n(t) dt| by quadrature at
+    ``tol``, over every n in ``ns`` and a in ``alphas``; the integral is
+    laplace_en(n, a) = phi_n(-a).  The alpha
     integrals of one n share most of their nodes, so e^t E_n(t) is computed
     once per distinct node."""
     for n in ns:
@@ -90,7 +91,7 @@ def _laplace_gaps(ns, alphas, tol: float):
         for a in alphas:
             quad = integrate_semi_infinite(
                 lambda t: math.exp(-(a + 1.0) * t) * en(t) if t > 0 else 0.0, tol).value
-            yield abs(expint.laplace_en(n, a) - quad)
+            yield abs(route(n, a) - quad)
 
 
 def _psd_sampling(name: str, samples) -> dict:
@@ -155,11 +156,19 @@ def suite_numerics(seed: int = 0) -> list[dict]:
     checks.append(_within("wirtinger-antianalytic-unit", 1e-9, abs_gap=[
         abs(wirtinger_fd(lambda z: z.conjugate(), 1 + 2j, 1e-5) - 1.0)]))
 
-    levels = (-1.0, 0.0, 1.0)
-    checks.append(_within("min-eig-2x2-closed-form", 1e-12, max_abs_gap=(
-        abs(min_eig_hermitian(np.array([[a, b], [np.conj(b), d]]))
-            - (0.5 * (a + d) - math.sqrt((0.5 * (a - d)) ** 2 + abs(b) ** 2)))
-        for a in levels for d in levels for b in levels + (1j,))))
+    def kernel(z, w):
+        # Hermitian and not positive: its Gram [[a, b], [conj b, d]] on an
+        # ordered pair of the grid is definite, singular or indefinite
+        return np.exp(z * w.conjugate()) - 2.0
+
+    grid = (0j, 1.0, 1j, 1.2, 1.2j, -1.5 + 0.5j)
+    gaps = []
+    for p in grid:
+        for q in grid:
+            a, d, b = kernel(p, p).real, kernel(q, q).real, kernel(p, q)
+            closed = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(b))
+            gaps.append(abs(space.build_gram((p, q), kernel).min_eig - closed))
+    checks.append(_within("min-eig-2x2-closed-form", 1e-12, max_abs_gap=gaps))
 
     return checks
 
@@ -189,7 +198,7 @@ def suite_expint(seed: int = 0) -> list[dict]:
         for k in range(2, 21))}))
 
     checks.append(_within("laplace-vs-quadrature", 1e-9, max_abs_gap=_laplace_gaps(
-        range(1, 11), (-0.5, 0.1, 1.0, 3.0), 1e-11)))
+        expint.laplace_en, range(1, 11), (-0.5, 0.1, 1.0, 3.0), 1e-11)))
 
     checks.append(_within("e1-branch-overlap", 1e-13, max_rel_gap=(
         _rel_gap(math.exp(-x) * expint._en_lentz_scaled(1, x), expint._e1_series(x))
@@ -417,8 +426,9 @@ def suite_lerch(seed: int = 0) -> list[dict]:
              (lerch.dirichlet_kernel_pair(q, 1.0) for q in (0.6 * 0.7j, 0.3 + 0.4j, -0.5 + 0.2j)))
     checks.append(_within("dirichlet-kernel-identity", 1e-11, max_gap=gaps))
 
+    # -0.25 takes phi's Lerch series, -0.5 and -0.9 its laplace_en route
     checks.append(_within("phi-negative-axis-vs-quadrature", 1e-8, max_gap=_laplace_gaps(
-        range(1, 6), (0.25, 0.5, 0.9, 2.0), 1e-10)))
+        lambda n, a: lerch.phi(n, -a), range(1, 6), (0.25, 0.5, 0.9), 1e-10)))
 
     draws = [(disk_point(rng, 0.9), rng.randrange(1, 6)) for _ in range(50)]
     checks.append(_within("lerch-phi-consistency", 1e-12, max_gap=(

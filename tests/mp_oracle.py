@@ -84,6 +84,40 @@ def kernel(z, w):
     return efun(ctx.mpc(z) * ctx.conj(w))
 
 
+def _psi(n: int, x):
+    """psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)), the orthonormal
+    Hermite function, from mpmath's Hermite polynomial H_n."""
+    return ctx.hermite(n, x) * ctx.exp(-x * x / 2) / ctx.sqrt(
+        2 ** n * ctx.factorial(n) * ctx.sqrt(ctx.pi))
+
+
+def bargmann_kernel(z, x, dps: int = 50):
+    """A(z, x) = sum_n z^n / sqrt(eta_n) psi_n(x) to 40 significant digits.
+
+    |psi_n| < 1 bounds a term by |z|^n / sqrt(eta_n), which halves at each
+    step past n = 4|z|^2 + 6; the sum is cut there once that bound is below
+    10^-d of the sum of the moduli.  The digits d are chosen as in ``efun``,
+    from the cancellation each sum measures."""
+    z, x = ctx.mpc(z), ctx.mpf(x)
+    lost = 0.0
+    while True:
+        d = dps + 50 * max(0, math.ceil((lost + 45 - dps) / 50))
+        with ctx.workdps(d):
+            a, scale = abs(z), ctx.mpf(10) ** d
+            n_min = 4 * int(a * a) + 6
+            total, size, n = ctx.mpc(0), ctx.mpf(0), 0
+            while True:
+                weight = ctx.sqrt(_inv_eta(d, n)[n])
+                term = z ** n * weight * _psi(n, x)
+                total, size = total + term, size + abs(term)
+                if n > n_min and a ** n * weight * scale < size:
+                    break
+                n += 1
+            lost = float(ctx.log10(size / abs(total))) if total else float(d)
+        if d - lost >= 45:
+            return total
+
+
 def phi(n: int, q):
     """phi_n(q) = sum q^k/(k+n): summed for |q| < 1/2, elsewhere the closed
     form q^-n (-log(1-q) - sum_{j<n} q^j/j) with digits for its cancellation."""

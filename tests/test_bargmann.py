@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hfock import bargmann, moments, space
-from hfock.errors import AccuracyError, ConfigurationError, DomainError
+from hfock.errors import AccuracyError, ConfigurationError, DomainError, PrecisionLossError
 from hfock.numerics import csum, gauss_hermite
 
 
@@ -74,6 +74,21 @@ class TestBargmannKernel:
         logs = moments.log_eta_sequence(80)
         brute = csum([z ** n * math.exp(-0.5 * logs[n]) * psi[n] for n in range(81)])
         assert bargmann.bargmann_kernel(z, x) == pytest.approx(brute, abs=1e-10)
+
+    @pytest.mark.parametrize("z, x", [(0.5 + 0.2j, 0.3), (1 - 1j, 1.5), (2.9j, -3.0)])
+    def test_against_mpmath(self, mp_oracle, z, x):
+        ref = complex(mp_oracle.bargmann_kernel(z, x))
+        assert abs(bargmann.bargmann_kernel(z, x) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: the cancelling sum is 1.2e-8 off, relative, without raising"))
+    def test_cancelling_sum_meets_tol_or_raises(self, mp_oracle):
+        ref = complex(mp_oracle.bargmann_kernel(2.75, -2.65))
+        try:
+            got = bargmann.bargmann_kernel(2.75, -2.65)
+        except (AccuracyError, PrecisionLossError):
+            return
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_overflowing_powers_raise(self):
         # z^n overflows from n of about 364, before the cut near 392

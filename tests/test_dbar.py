@@ -229,7 +229,7 @@ class TestOrderTwoGram:
     @staticmethod
     def _symmetrised_min_eig(M):
         # eigvalsh reads one triangle, so on an exactly Hermitian matrix
-        # min_eig_hermitian must give the bits of this symmetrised eigensolve
+        # build_gram's min_eig must give the bits of this symmetrised eigensolve
         return float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
 
     @pytest.mark.parametrize("seed", range(10))

@@ -71,3 +71,11 @@ def test_dbar_command_skips_numpy(tmp_path):
 def test_array_command_loads_numpy():
     # the control: without it the cases above could pass on a broken probe
     assert _numpy_loaded(_CLI, json.dumps(["gram", "--random", "5"]))
+
+
+def test_cli_import_skips_the_golden_loader():
+    # hfock.golden is test-only; importing it would also load decimal
+    code = "import sys, hfock.cli; print(sorted({'decimal', 'hfock.golden'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"

@@ -30,6 +30,24 @@ def test_efun_keeps_40_digits_through_cancellation(mp_oracle, q, value):
     assert abs(complex(a) - value) <= 1e-14 * abs(value)
 
 
+@pytest.mark.parametrize("z, x", [(2.75, -2.65), (1 - 1j, 1.5)])
+def test_bargmann_kernel_keeps_40_digits(mp_oracle, z, x):
+    ctx = mp_oracle.ctx
+    a, b = mp_oracle.bargmann_kernel(z, x), mp_oracle.bargmann_kernel(z, x, dps=80)
+    assert abs(a - b) <= ctx.mpf(10) ** -40 * abs(b)
+
+
+def test_bargmann_kernel_hermite_normalisation(mp_oracle):
+    # with every eta_n = n!, the series is the classical generating function
+    # pi^(-1/4) exp(-(z^2 + x^2)/2 + sqrt(2) z x)
+    ctx = mp_oracle.ctx
+    z, x = ctx.mpc(0.7, -0.4), ctx.mpf(1.3)
+    total = ctx.fsum(z ** n / ctx.sqrt(ctx.factorial(n)) * mp_oracle._psi(n, x)
+                     for n in range(120))
+    closed = ctx.exp(-(z * z + x * x) / 2 + ctx.sqrt(2) * z * x) / ctx.sqrt(ctx.sqrt(ctx.pi))
+    assert abs(total - closed) <= ctx.mpf(10) ** -40 * abs(closed)
+
+
 def test_import_leaves_hfock_and_pytest_out(mp_oracle):
     code = ("import sys; import mp_oracle; "
             "print(sorted({'hfock', 'pytest'} & set(sys.modules)))")

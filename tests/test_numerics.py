@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from hfock import bargmann, lerch, moments, numerics, verify
-from hfock.errors import AccuracyError, ConfigurationError, ValidationError
+from hfock.errors import AccuracyError, ConfigurationError
 from hfock.numerics import (csum, gauss_hermite, gauss_laguerre,
-                            integrate_semi_infinite, min_eig_hermitian,
-                            wirtinger_fd)
+                            integrate_semi_infinite, wirtinger_fd)
 
 
 class TestGaussLaguerre:
@@ -151,6 +150,16 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda t: math.exp(-t), 1e-12)
         assert exc.value.result is not None
         assert exc.value.result.value == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: the tail past the last panel is in no error estimate, so "
+        "the call returns a value 2.07e-12 off while its estimate reads 9.6e-13"))
+    def test_slow_tail_meets_tol_or_raises(self):
+        try:
+            res = integrate_semi_infinite(lambda t: (1.0 + t) ** -1.7, 1e-12)
+        except AccuracyError:
+            return
+        assert abs(res.value - 1 / 0.7) <= 1e-12 * (1 / 0.7)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
     def test_rejects_bad_tol(self, tol):
@@ -556,30 +565,6 @@ class TestWirtinger:
     def test_step_validation(self):
         with pytest.raises(ConfigurationError):
             wirtinger_fd(lambda z: z, 0j, h=0.1)
-
-
-class TestMinEigHermitian:
-    def test_identity(self):
-        assert min_eig_hermitian(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_diagonal(self):
-        assert min_eig_hermitian(np.diag([2.0, 0.5, -1.0])) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_2x2_family_against_closed_form(self):
-        for a in (-1.0, 0.0, 1.0):
-            for d in (-1.0, 0.0, 1.0):
-                for b in (-1.0, 0.0, 1.0, 1j):
-                    M = np.array([[a, b], [np.conj(b), d]])
-                    expected = 0.5 * (a + d) - math.sqrt((0.5 * (a - d)) ** 2 + abs(b) ** 2)
-                    assert min_eig_hermitian(M) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            min_eig_hermitian(np.zeros((2, 3)))
 
 
 def test_csum_matches_fsum():

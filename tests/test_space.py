@@ -5,7 +5,8 @@ import random
 import pytest
 
 from hfock import moments, space
-from hfock.errors import AccuracyError, ConfigurationError, ValidationError
+from hfock.errors import (AccuracyError, ConfigurationError, PrecisionLossError,
+                          ValidationError)
 from hfock.numerics import disk_point
 
 
@@ -51,6 +52,17 @@ class TestKernel:
         v1 = space.kernel(1.0, 1j)
         v2 = space.kernel(1j, 1.0)
         assert v1 == pytest.approx(v2.conjugate(), abs=1e-14)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: efun(-3) cancels, and kernel(1.5, -2) is 9.1e-11 off, "
+        "relative, without raising"))
+    def test_cancelling_sum_meets_tol_or_raises(self, mp_oracle):
+        ref = complex(mp_oracle.kernel(1.5, -2))
+        try:
+            got = space.kernel(1.5, -2)
+        except (AccuracyError, PrecisionLossError):
+            return
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_ml_normalization(self):
         assert space.kernel(0.7j, 0.0, ml_normalized=True) == pytest.approx(1.0, rel=1e-14)
@@ -204,6 +216,51 @@ class TestGram:
         g = space.gram_kernel([disk_point(rng, 5.0) for _ in range(50)])
         assert g.min_eig >= 0.0
 
+    def test_rejects_kernel_whose_diagonal_is_not_real(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            space.build_gram([1.0, 2.0], lambda z, w: z * w.conj() + 1j)
+
+    @pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+    def test_diagonal_imaginary_part_at_the_threshold(self, factor, raises):
+        # the diagonal values are 1 and 4 + i t, so the guard reads
+        # 2 t > 1e-12 * max(1, 4): its threshold is t = 2e-12
+        t = factor * 2e-12
+
+        def entry(z, w):
+            return z * w.conj() + 1j * t * (z == 2.0) * (w == 2.0)
+
+        if raises:
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                space.build_gram([1.0, 2.0], entry)
+        else:
+            assert space.build_gram([1.0, 2.0], entry).min_eig == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d0, off, raises", [
+        (1e-11j, 0.0, True),
+        (1e-11j, math.nan, False),
+        (1e-11j, complex(0.0, math.inf), False),
+        (complex(math.nan, 1e-11), 0.0, False),
+        (complex(0.0, math.nan), 0.0, False),
+        (complex(math.inf, 1e-11), 0.0, False),
+        (complex(math.nan, 1.7e308), 0.0, True),  # 2 Im overflows, max|M| is NaN
+    ])
+    def test_guard_is_the_full_hermitian_check(self, d0, off, raises):
+        # build_gram checks the diagonal alone, and must raise exactly where
+        # max|M - M^H| > 1e-12 max(1, max|M|) does, NaN and overflow included
+        import numpy as np
+
+        v = np.array([1.0 + d0, off, 1.0])  # entries (0, 0), (0, 1), (1, 1)
+        M = np.array([[v[0].conjugate(), v[1]], [v[1].conjugate(), v[2].conjugate()]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            drift = float(np.max(np.abs(M - M.conj().T)))
+            assert (drift > 1e-12 * max(1.0, float(np.max(np.abs(M))))) == raises
+            try:
+                space.build_gram([0.0, 1.0], lambda z, w: v)
+            except ValidationError:
+                assert raises
+            else:
+                assert not raises
+
     def test_more_points_than_terms_is_singular(self):
         # at radius 0.5 the kernel series is truncated after 13 terms
         rng = random.Random(3)
@@ -290,9 +347,3 @@ class TestWeightedSum:
         with pytest.raises(AccuracyError, match="double range"):
             call()
 
-
-def test_min_eig_rejects_asymmetric_input():
-    import numpy as np
-    from hfock.numerics import min_eig_hermitian
-    with pytest.raises(ValidationError):
-        min_eig_hermitian(np.array([[1.0, 2.0], [1.0, 1.0]]))

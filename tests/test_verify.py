@@ -99,6 +99,8 @@ _NAN_ROUTES = [
      lambda n: n == 7),
     ("lerch", lerch, "hurwitz_zeta_integral", "hurwitz-zeta-routes",
      lambda s, a, tol: (s, a) == (3.0, 1.0)),
+    ("lerch", lerch, "phi", "phi-negative-axis-vs-quadrature",
+     lambda n, z, *tol: (n, z) == (3, -0.5)),
     ("bargmann", bargmann, "kernel_l2_norm_sq", "l2-rotation-invariance",
      lambda z: z == cmath.rect(1.3, 5 * math.pi / 4.0)),
 ]
@@ -161,7 +163,7 @@ def test_laplace_gaps_evaluate_each_node_once(monkeypatch):
         tol).value) for n in ns for a in alphas]
     unshared = calls.copy()
     calls.clear()
-    assert list(verify._laplace_gaps(ns, alphas, tol)) == direct
+    assert list(verify._laplace_gaps(expint.laplace_en, ns, alphas, tol)) == direct
     # the alpha integrals of one n repeat nodes, and each is computed once
     assert max(unshared.values()) > 1
     assert calls == Counter(dict.fromkeys(unshared, 1))

@@ -50,7 +50,9 @@ COMMANDS = (
     *(f"verify all --seed {k}" for k in range(10)),
     "verify dbar --seed 3",
     "verify bounds --nmax 170",
+    "verify numerics --seed 0",
     "verify expint --seed 0",
+    "verify lerch --seed 0",
     "verify moments --seed 1",
     "verify gfs --points 20 --seed 7",
     "verify moments --nmax 300 --points 9 --seed 5",
