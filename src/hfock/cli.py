@@ -224,9 +224,8 @@ def _cmd_dbar(args) -> int:
     u = dbar.assemble_solution(f, u0)
     rep = dbar.dbar_residual(u, f, samples, h)
     budget = dbar.weighted_budget_check(u0, f)
-    obj = rep.as_json_obj()
-    obj["budget"] = {"lhs": budget.lhs, "budget": budget.budget,
-                     "ratio": budget.ratio, "ok": budget.ok}
+    obj = rep._asdict()
+    obj["budget"] = budget._asdict()
     obj["h"] = h
     _emit_json(obj, args.out)
     return 0

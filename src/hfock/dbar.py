@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import space
 from .errors import ConfigurationError
@@ -21,17 +21,16 @@ PI = math.pi
 _EXP_CMATH_CUTOFF = 700.0
 
 
-@dataclass(frozen=True)
-class PolyanalyticSeries:
-    """Coefficient grid rows[k][j] of sum_k sum_j conj(z)^k z^j a_{k,j}."""
+class PolyanalyticSeries(namedtuple("PolyanalyticSeries", "rows")):
+    """Coefficient grid ``rows[k][j]`` of sum_k sum_j conj(z)^k z^j a_{k,j}:
+    at least one row, each a tuple of complex."""
 
-    rows: tuple[tuple[complex, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rows:
+    def __new__(cls, rows):
+        if not rows:
             raise ConfigurationError("PolyanalyticSeries: need at least one row")
-        object.__setattr__(
-            self, "rows", tuple(tuple(complex(c) for c in row) for row in self.rows))
+        return super().__new__(cls, tuple(tuple(complex(c) for c in row) for row in rows))
 
     @property
     def order(self) -> int:
@@ -117,16 +116,11 @@ def assemble_solution(f: space.EntireSeries, u0: space.EntireSeries) -> Polyanal
     return PolyanalyticSeries((row0, row1))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    max_residual: float
-    residuals: tuple[float, ...]
-    symbolic_zero: bool
+class ResidualReport(namedtuple("ResidualReport", "max_residual residuals symbolic_zero")):
+    """``max_residual`` over the per-sample ``residuals``, and ``symbolic_zero``:
+    whether the conj(z) row of u equals the datum f exactly."""
 
-    def as_json_obj(self) -> dict:
-        return {"max_residual": self.max_residual,
-                "residuals": list(self.residuals),
-                "symbolic_zero": self.symbolic_zero}
+    __slots__ = ()
 
 
 def dbar_residual(u: PolyanalyticSeries, f: space.EntireSeries,
@@ -167,12 +161,10 @@ def weight_mass(f: space.EntireSeries, include_pi: bool = True) -> float:
     return PI * val if include_pi else val
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    lhs: float
-    budget: float
-    ratio: float
-    ok: bool
+class BudgetReport(namedtuple("BudgetReport", "lhs budget ratio ok")):
+    """``lhs`` = pi ||u0||^2, ``budget`` = 3 M(f), their ``ratio``, and ``ok`` = lhs <= budget."""
+
+    __slots__ = ()
 
 
 def weighted_budget_check(u0: space.EntireSeries, f: space.EntireSeries) -> BudgetReport:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import expint, moments, space
 from .errors import ConfigurationError, DomainError
@@ -179,12 +179,11 @@ def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:
     return series, closed
 
 
-@dataclass(frozen=True)
-class CMReport:
-    """Finite-difference complete-monotonicity evidence on ``_CM_GRID``."""
+class CMReport(namedtuple("CMReport", "order_checked min_signed")):
+    """Finite-difference complete-monotonicity evidence on ``_CM_GRID``: per
+    j <= ``order_checked``, ``min_signed`` holds the grid min of (-1)^j diff^j f."""
 
-    order_checked: int
-    min_signed: tuple[float, ...]  # min over the grid of (-1)^j * diff^j f, per j
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -18,9 +18,8 @@ integral over (1, inf) of (u-1)^n e^{-u}/u du = n! E_{n+1}(1).
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import expint
@@ -30,17 +29,39 @@ from .numerics import csum, integrate_semi_infinite
 N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
 _CROSS_CHECK_UP_TO = 60  # eta_table checks orders up to here by quadrature
+_FIRST_ORDER = 256  # order of the first table; each larger one doubles it, capped at N_MAX
+# (eta_0, (r_1 .. r_N), (log eta_0 .. log eta_N), (1/eta_0, eta_0/eta_1 .. eta_{N-1}/eta_N))
+_TABLE = (math.nan, (), (), ())
 
 
-@lru_cache(maxsize=1)
-def _table() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """(eta_0, (r_1 .. r_N_MAX), (log eta_0 .. log eta_N_MAX)), built once."""
-    e1_at_1 = expint.e1(1.0)
-    eta0, r = 1.0 - math.e * e1_at_1, [2.0 * math.e * e1_at_1 - 1.0]
-    for n in range(1, N_MAX):
-        r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
-    logs = [math.log(eta0)] + [math.log(r[n - 1]) + math.lgamma(n) for n in range(1, N_MAX + 1)]
-    return eta0, tuple(r), tuple(logs)
+def _table(n: int):
+    """The moment table through order n at least, n <= N_MAX.
+
+    A larger table runs the same recurrence and expressions on from a
+    snapshot of the current one, so its entries keep the bits of one table
+    built through N_MAX, and is published in one assignment: threads that
+    grow it at once each publish a correct table.
+    """
+    global _TABLE
+    table = _TABLE
+    if n < len(table[2]):
+        return table
+    size = _FIRST_ORDER
+    while size < n:
+        size *= 2
+    eta0, r, logs, ratios = table
+    if not logs:
+        e1_at_1 = expint.e1(1.0)
+        eta0, r = 1.0 - math.e * e1_at_1, (2.0 * math.e * e1_at_1 - 1.0,)
+        logs, ratios = (math.log(eta0),), (math.exp(-math.log(eta0)),)
+    r, logs, ratios = list(r), list(logs), list(ratios)
+    for k in range(len(r), min(size, N_MAX)):
+        r.append(1.0 / (k + 1) - (k + 2) * r[-1] / (k * (k + 1)))
+    for k in range(len(logs), len(r) + 1):
+        logs.append(math.log(r[k - 1]) + math.lgamma(k))
+        ratios.append(math.exp(logs[k - 1] - logs[k]))
+    table = _TABLE = (eta0, tuple(r), tuple(logs), tuple(ratios))
+    return table
 
 
 @lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
@@ -48,7 +69,7 @@ def residual_sequence(n_max: int) -> tuple[float, ...]:
     """Residuals r_1 .. r_{n_max}, r_n = e (1+n) E_n(1) - 1, in (0, 1/n]."""
     if not 1 <= n_max <= N_MAX:
         raise ConfigurationError(f"residual_sequence: n_max must be in [1, {N_MAX}]")
-    return _table()[1][:n_max]
+    return _table(n_max)[1][:n_max]
 
 
 def eta_closed_form(n: int) -> float:
@@ -57,7 +78,7 @@ def eta_closed_form(n: int) -> float:
         raise ConfigurationError(
             f"eta_closed_form: linear values require 0 <= n <= {LINEAR_LIMIT}, got {n}; "
             "use log_eta for larger orders")
-    eta0, r, _ = _table()
+    eta0, r, _, _ = _table(n)
     return eta0 if n == 0 else r[n - 1] * math.gamma(n)
 
 
@@ -65,7 +86,7 @@ def log_eta(n: int) -> float:
     """log(eta_n), valid for 0 <= n <= 10^4."""
     if not 0 <= n <= N_MAX:
         raise ConfigurationError(f"log_eta: n must be in [0, {N_MAX}], got {n}")
-    return _table()[2][n]
+    return _table(n)[2][n]
 
 
 @lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
@@ -73,7 +94,7 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     """log(eta_0) .. log(eta_{n_max}) as an immutable, shareable table."""
     if not 0 <= n_max <= N_MAX:
         raise ConfigurationError(f"log_eta_sequence: n_max must be in [0, {N_MAX}]")
-    return _table()[2][:n_max + 1]
+    return _table(n_max)[2][:n_max + 1]
 
 
 def _eta_integrand(n):
@@ -134,22 +155,18 @@ def eta_binomial(n: int) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(namedtuple("MomentTable", "n_max eta log_eta abs_err route overflow")):
     """eta_0 .. eta_{n_max} with per-entry provenance.
 
-    ``eta`` entries flagged in ``overflow`` are float('nan'); ``log_eta`` is
-    always populated.  ``abs_err`` is the cross-route discrepancy where the
+    Fields: ``n_max``, then tuples over n = 0 .. n_max: ``eta``,
+    ``log_eta``, ``abs_err``, ``route`` (strs) and ``overflow`` (bools).  ``eta``
+    entries flagged in ``overflow`` are float('nan'); ``log_eta`` is always
+    populated.  ``abs_err`` is the cross-route discrepancy where the
     quadrature check ran, otherwise a propagated recurrence bound (NaN once
     the linear value has overflowed).
     """
 
-    n_max: int
-    eta: tuple[float, ...]
-    log_eta: tuple[float, ...]
-    abs_err: tuple[float, ...]
-    route: tuple[str, ...]
-    overflow: tuple[bool, ...]
+    __slots__ = ()
 
     def rows(self):
         for n in range(self.n_max + 1):
@@ -160,6 +177,8 @@ class MomentTable:
                    "route": self.route[n]}
 
     def write_csv(self, fileobj) -> None:
+        import csv
+
         writer = csv.writer(fileobj, lineterminator="\n")
         writer.writerow(["n", "eta", "log_eta", "abs_err", "route"])
         for row in self.rows():

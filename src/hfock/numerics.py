@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import AccuracyError, ConfigurationError
@@ -62,26 +62,22 @@ _PANEL_EVALS = 1 + 2 * len(_K15_PAIRS)  # 15 integrand calls
 _SUM_SLACK = 8.0 * 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a Gauss rule.
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights")):
+    """Nodes and weights of a Gauss rule, as read-only numpy arrays.
 
     Weights absorb the weight function, so ``sum(w_i * f(x_i))``
     approximates the integral of ``f`` times the Gaussian weight
     (``exp(-t)`` on (0, inf) for Laguerre, ``exp(-x^2)`` on R for Hermite).
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    """Value of an integral together with an error estimate and cost."""
+class IntegralResult(namedtuple("IntegralResult", "value abs_error_estimate nodes_used")):
+    """An integral's ``value`` (float or complex), its ``abs_error_estimate``,
+    and its cost ``nodes_used`` in integrand evaluations."""
 
-    value: float | complex
-    abs_error_estimate: float
-    nodes_used: int
+    __slots__ = ()
 
 
 def _christoffel_weights(nodes, diag, offdiag, mu0):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import namedtuple
 
 from . import moments
 from .errors import AccuracyError, ConfigurationError, ValidationError
@@ -26,16 +25,16 @@ _LGAMMA_N2 = tuple(math.lgamma(n + 2) for n in range(_TRUNC_CAP))  # lgamma(n + 
 _MAX_GRAM_POINTS = 200
 
 
-@dataclass(frozen=True)
-class EntireSeries:
-    """Finitely supported coefficient sequence of an entire function."""
+class EntireSeries(namedtuple("EntireSeries", "coeffs")):
+    """Finitely supported coefficient sequence ``coeffs`` (a tuple of complex)
+    of an entire function."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) - 1 > moments.N_MAX:
+    def __new__(cls, coeffs):
+        if len(coeffs) - 1 > moments.N_MAX:
             raise ConfigurationError(f"EntireSeries: degree capped at {moments.N_MAX}")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        return super().__new__(cls, tuple(complex(c) for c in coeffs))
 
     @property
     def degree(self) -> int:
@@ -82,20 +81,12 @@ def _trunc_index(abs_z: float, tol: float) -> int:
     raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
 
 
-@lru_cache(maxsize=1)
-def _eta_ratios() -> tuple[float, tuple[float, ...]]:
-    """(1/eta_0, (eta_0/eta_1 .. eta_{N-1}/eta_N)) from the log moments, built once."""
-    logs = moments.log_eta_sequence(moments.N_MAX)
-    return math.exp(-logs[0]), tuple(
-        math.exp(logs[n - 1] - logs[n]) for n in range(1, moments.N_MAX + 1))
-
-
 def _kernel_terms(q: complex, n_max: int) -> list[complex]:
     """q^n / eta_n for n = 0..n_max, built by stable ratio updates."""
-    inv_eta0, ratios = _eta_ratios()
-    term = inv_eta0 + 0j
+    ratios = moments._table(n_max)[3]
+    term = ratios[0] + 0j
     terms = [term]
-    for ratio in ratios[:n_max]:
+    for ratio in ratios[1:n_max + 1]:
         term = term * q * ratio
         terms.append(term)
     return terms
@@ -227,14 +218,11 @@ def reproducing_check(f: EntireSeries, z: complex) -> tuple[complex, complex]:
     return h_inner(f, EntireSeries(tuple(kz_terms))), direct
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian kernel matrix over a point set with PSD diagnostics."""
+class GramMatrix(namedtuple("GramMatrix", "points entries min_eig trace")):
+    """Hermitian kernel matrix ``entries`` (numpy) over the tuple ``points``,
+    with the PSD diagnostics ``min_eig`` and ``trace``."""
 
-    points: tuple[complex, ...]
-    entries: np.ndarray = field(repr=False)
-    min_eig: float
-    trace: float
+    __slots__ = ()
 
     def is_psd(self) -> bool:
         return self.min_eig >= -1e-8 * max(self.trace, 0.0) - 1e-300
@@ -268,7 +256,8 @@ def build_gram(points, entry_fn) -> GramMatrix:
     below it and on it.  The matrix must be Hermitian to 1e-12 entrywise
     (relative to the largest entry magnitude, with an absolute floor of 1),
     which leaves only the diagonal to check: twice the imaginary part of each
-    diagonal value is its deviation.
+    diagonal value is its deviation.  A value that is not a finite double
+    raises :class:`AccuracyError`.
     """
     import numpy as np
 
@@ -281,14 +270,15 @@ def build_gram(points, entry_fn) -> GramMatrix:
         raise ValidationError(
             f"build_gram: entry_fn must map {iu.shape} point arrays to values of that shape, "
             f"got {v.shape}")
+    if not np.isfinite(v).all():
+        raise AccuracyError("build_gram: entry_fn returned a value that is not a finite double")
     M = np.empty((m, m), dtype=complex)
     M[iu, ju] = v
     M[ju, iu] = v.conj()
-    # M - M^H is 0 off the diagonal where v is finite (NaN where it is not),
-    # and conj(v) - v on it
+    # M - M^H is 0 off the diagonal and conj(v) - v on it
     d = M.diagonal()
     drift = float(np.max(np.abs(d - d.conj())))
-    if drift > 1e-12 * max(1.0, float(np.max(np.abs(v)))) and np.isfinite(v[iu < ju]).all():
+    if drift > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise ValidationError(
             f"build_gram: matrix is not Hermitian (max deviation {drift:.3e})")
     return GramMatrix(points=points, entries=M, min_eig=float(np.linalg.eigvalsh(M)[0]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from hfock import cli, lerch, verify
 
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = str(_ROOT / "src")
 
 
 def _run(capsys, argv):
@@ -318,3 +320,19 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("hfock: error: ") and err.count("\n") == 1
         assert code == 2
+
+
+# the commands of tools/cli_digests.txt that do not load numpy, whose
+# stdout cannot depend on the BLAS build: (digest, argv)
+_DIGESTS = [line.split("  ", 1) for line in
+            (_ROOT / "tools" / "cli_digests.txt").read_text().splitlines()
+            if not line.startswith("#") and not line.endswith("[blas]")]
+
+
+@pytest.mark.parametrize("digest, command", _DIGESTS, ids=[c for _, c in _DIGESTS])
+def test_stdout_matches_committed_digest(capsys, monkeypatch, digest, command):
+    # tools/cli_digest.py --check compares every command, [blas] ones too,
+    # in fresh processes; this holds the rest to the file in process
+    monkeypatch.chdir(_ROOT)  # the dbar problems are paths relative to the root
+    cli.main(command.split())
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,7 +1,10 @@
-"""numpy is loaded by the first call that builds an array, not by import.
+"""numpy is loaded by the first call that builds an array, not by import,
+and hfock's records are built without ``dataclasses`` (and so ``inspect``).
 
 Each case runs in a fresh interpreter, so modules imported by other tests
-cannot mask a module-level ``import numpy``.
+cannot mask a module-level ``import numpy``; the modules hfock brings in are
+those new in ``sys.modules`` after it ran, so modules that ``site`` imported
+cannot mask them either.
 """
 import json
 import os
@@ -13,36 +16,42 @@ import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+# modules that import hfock must not bring in
+_RECORD_MODULES = ("dataclasses", "inspect")
+
 # run the CLI on the argv in sys.argv[1] with stdout discarded, then report
-# whether numpy got imported
+# whether numpy got imported and which of _RECORD_MODULES hfock brought in
 _CLI = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from hfock import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, sorted(set(sys.modules) - before)]))
 """
 
 _IMPORT = """
 import json, sys
+before = set(sys.modules)
 import hfock
 hfock.moments.eta_table(30)
-print(json.dumps([0, "numpy" in sys.modules]))
+print(json.dumps([0, "numpy" in sys.modules, sorted(set(sys.modules) - before)]))
 """
 
 
-def _numpy_loaded(code: str, *args: str) -> bool:
+def _run(code: str, *args: str) -> tuple[bool, list[str]]:
+    """Whether numpy got loaded, and the _RECORD_MODULES that hfock imported."""
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    exit_code, loaded = json.loads(proc.stdout)
+    exit_code, loaded, new_modules = json.loads(proc.stdout)
     assert exit_code == 0
-    return loaded
+    return loaded, sorted(set(_RECORD_MODULES) & set(new_modules))
 
 
 def test_import_and_moment_table_skip_numpy():
-    assert not _numpy_loaded(_IMPORT)
+    assert _run(_IMPORT) == (False, [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -59,18 +68,18 @@ def test_import_and_moment_table_skip_numpy():
     ["verify", "gfs"],
 ], ids=" ".join)
 def test_scalar_command_skips_numpy(argv):
-    assert not _numpy_loaded(_CLI, json.dumps(argv))
+    assert _run(_CLI, json.dumps(argv)) == (False, [])
 
 
 def test_dbar_command_skips_numpy(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"f": [1.0], "samples": [[1.0, 0.0], [0.0, 1.0]]}))
-    assert not _numpy_loaded(_CLI, json.dumps(["dbar", "--problem", str(path)]))
+    assert _run(_CLI, json.dumps(["dbar", "--problem", str(path)])) == (False, [])
 
 
 def test_array_command_loads_numpy():
     # the control: without it the cases above could pass on a broken probe
-    assert _numpy_loaded(_CLI, json.dumps(["gram", "--random", "5"]))
+    assert _run(_CLI, json.dumps(["gram", "--random", "5"]))[0]
 
 
 def test_cli_import_skips_the_golden_loader():

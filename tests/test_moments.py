@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -132,35 +134,94 @@ class TestMomentTable:
 
 
 def _rebuilt_for_one_size(n_max):
-    """eta_0, r_1 .. r_{n_max} and log eta_0 .. log eta_{n_max}, recomputed from scratch."""
+    """eta_0, r_1 .. r_{n_max}, log eta_0 .. log eta_{n_max} and the ratios
+    1/eta_0, eta_0/eta_1 .. eta_{n_max-1}/eta_{n_max}, recomputed from scratch."""
     r = [2.0 * math.e * expint.e1(1.0) - 1.0]
     for n in range(1, n_max):
         r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
     eta0 = 1.0 - math.e * expint.e1(1.0)
     logs = [math.log(eta0)] + [math.log(r[n - 1]) + math.lgamma(n) for n in range(1, n_max + 1)]
-    return eta0, r[:n_max], logs
+    ratios = [math.exp(-logs[0])] + [math.exp(logs[n - 1] - logs[n]) for n in range(1, n_max + 1)]
+    return eta0, r[:n_max], logs, ratios
+
+
+_SIZES = [0, 1, 63, 64, 65, 170, 1000, 4097, moments.N_MAX]
+# the orders a table grown on demand can hold: 256, 512, ... capped at N_MAX
+_DOUBLING_ORDERS = sorted({min(moments._FIRST_ORDER * 2 ** k, moments.N_MAX)
+                           for k in range(moments.N_MAX.bit_length())})
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """No moment table yet, and no accessor results cached from an earlier one."""
+    monkeypatch.setattr(moments, "_TABLE", (math.nan, (), (), ()))
+    moments.residual_sequence.cache_clear()
+    moments.log_eta_sequence.cache_clear()
 
 
 class TestSharedTable:
-    @pytest.mark.parametrize("n_max", [0, 1, 63, 64, 65, 170, 1000, 4097, moments.N_MAX])
-    def test_accessors_bit_identical_to_rebuild(self, n_max):
-        eta0, r, logs = _rebuilt_for_one_size(n_max)
-        if n_max >= 1:
-            assert moments.residual_sequence(n_max) == tuple(r)
-        assert moments.log_eta_sequence(n_max) == tuple(logs)
-        assert moments.log_eta(n_max) == logs[n_max]
-        if n_max <= moments.LINEAR_LIMIT:
-            expected = eta0 if n_max == 0 else r[n_max - 1] * math.gamma(n_max)
-            assert moments.eta_closed_form(n_max) == expected
+    @pytest.mark.parametrize("n_max", _SIZES)
+    def test_accessors_bit_identical_to_rebuild(self, empty_table, n_max):
+        # grown from no table through each smaller size of the list to n_max
+        eta0, r, logs, ratios = _rebuilt_for_one_size(n_max)
+        for size in [s for s in _SIZES if s <= n_max]:
+            if size >= 1:
+                assert moments.residual_sequence(size) == tuple(r[:size])
+            assert moments.log_eta_sequence(size) == tuple(logs[:size + 1])
+            assert moments.log_eta(size) == logs[size]
+            assert moments._table(size)[3][:size + 1] == tuple(ratios[:size + 1])
+            if size <= moments.LINEAR_LIMIT:
+                expected = eta0 if size == 0 else r[size - 1] * math.gamma(size)
+                assert moments.eta_closed_form(size) == expected
 
-    def test_gram_kernel_does_not_rebuild_the_table(self, monkeypatch):
-        # building the moment table from scratch evaluates E1(1): the count bounds the rebuilds
-        calls = []
-        e1 = expint.e1
-        monkeypatch.setattr(expint, "e1", lambda x: calls.append(x) or e1(x))
+    def test_threads_growing_at_once_publish_correct_tables(self, empty_table):
+        # four threads on two cores, switching often, each grow the table
+        # through the sizes in their own order
+        _, r, logs, ratios = _rebuilt_for_one_size(moments.N_MAX)
+        wrong = []
+
+        def grow(sizes):
+            for n in sizes:
+                t = moments._table(n)
+                if (t[1][:n], t[2][:n + 1], t[3][:n + 1]) != (
+                        tuple(r[:n]), tuple(logs[:n + 1]), tuple(ratios[:n + 1])):
+                    wrong.append(n)
+
+        orders = [_SIZES, _SIZES[::-1], _SIZES[1::2] + _SIZES[::2], _SIZES[::2] + _SIZES[1::2]]
+        threads = [threading.Thread(target=grow, args=(sizes,)) for sizes in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_gram_kernel_grows_the_table_by_doubling(self, empty_table, monkeypatch):
+        # every table the readers get is a publication; from no table, each is
+        # one doubling step, so the steps bound their number
+        published = []
+        table = moments._table
+
+        def watched(n):
+            t = table(n)
+            if not any(t is p for p in published):
+                published.append(t)
+            return t
+
+        monkeypatch.setattr(moments, "_table", watched)
         rng = random.Random(5)
         space.gram_kernel([disk_point(rng, 2.0) for _ in range(100)])
-        assert len(calls) <= 20
+        for z in (100.0, 300.0):  # efun reads orders 737 and 2174
+            space.efun(z)
+        moments.eta_factorial_sum(moments.N_MAX)
+        orders = [len(t[2]) - 1 for t in published]
+        assert orders == sorted(set(orders)) and set(orders) <= set(_DOUBLING_ORDERS)
+        assert orders[-1] == moments.N_MAX and len(orders) <= len(_DOUBLING_ORDERS)
 
 
 class TestFactorialSum:

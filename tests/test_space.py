@@ -235,31 +235,41 @@ class TestGram:
         else:
             assert space.build_gram([1.0, 2.0], entry).min_eig == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("d0, off, raises", [
-        (1e-11j, 0.0, True),
-        (1e-11j, math.nan, False),
-        (1e-11j, complex(0.0, math.inf), False),
-        (complex(math.nan, 1e-11), 0.0, False),
-        (complex(0.0, math.nan), 0.0, False),
-        (complex(math.inf, 1e-11), 0.0, False),
-        (complex(math.nan, 1.7e308), 0.0, True),  # 2 Im overflows, max|M| is NaN
+    @pytest.mark.parametrize("d0, off, error", [
+        (1e-11j, 0.0, ValidationError),
+        (complex(0.0, 1.7e308), 0.0, ValidationError),  # 2 Im overflows
+        (1e-11j, math.nan, AccuracyError),
+        (1e-11j, complex(0.0, math.inf), AccuracyError),
+        (complex(math.nan, 1e-11), 0.0, AccuracyError),
+        (complex(0.0, math.nan), 0.0, AccuracyError),
+        (complex(math.inf, 1e-11), 0.0, AccuracyError),
+        (complex(math.nan, 1.7e308), 0.0, AccuracyError),
     ])
-    def test_guard_is_the_full_hermitian_check(self, d0, off, raises):
-        # build_gram checks the diagonal alone, and must raise exactly where
-        # max|M - M^H| > 1e-12 max(1, max|M|) does, NaN and overflow included
+    def test_guard_is_the_full_hermitian_check(self, d0, off, error):
+        # build_gram checks the diagonal alone, and must raise ValidationError
+        # exactly where max|M - M^H| > 1e-12 max(1, max|M|) does; a value that
+        # is not finite raises AccuracyError before that check
         import numpy as np
 
         v = np.array([1.0 + d0, off, 1.0])  # entries (0, 0), (0, 1), (1, 1)
-        M = np.array([[v[0].conjugate(), v[1]], [v[1].conjugate(), v[2].conjugate()]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            drift = float(np.max(np.abs(M - M.conj().T)))
-            assert (drift > 1e-12 * max(1.0, float(np.max(np.abs(M))))) == raises
-            try:
+        if error is AccuracyError:
+            with pytest.raises(AccuracyError, match="not a finite double"):
                 space.build_gram([0.0, 1.0], lambda z, w: v)
-            except ValidationError:
-                assert raises
-            else:
-                assert not raises
+            return
+        M = np.array([[v[0].conjugate(), v[1]], [v[1].conjugate(), v[2].conjugate()]])
+        with np.errstate(over="ignore"):
+            drift = float(np.max(np.abs(M - M.conj().T)))
+            assert drift > 1e-12 * max(1.0, float(np.max(np.abs(M))))
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                space.build_gram([0.0, 1.0], lambda z, w: v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_raises(self, bad):
+        # a NaN min_eig would read as the verdict "indefinite"
+        import numpy as np
+
+        with pytest.raises(AccuracyError, match="not a finite double"):
+            space.build_gram([0, 1], lambda z, w: np.array([1, bad, 1]))
 
     def test_more_points_than_terms_is_singular(self):
         # at radius 0.5 the kernel series is truncated after 13 terms

@@ -3,20 +3,35 @@
 
 Run it from the root of a checkout; each command runs as a fresh
 ``python -m hfock.cli`` process on that checkout's ``src``, and the ``dbar``
-problems are the checkout's ``tools/dbar_problem*.json``.  Run it on two
-checkouts (say, a change and its parent) and diff the outputs: every command
-whose stdout changed shows up as a differing line.  The digests are not a
-committed snapshot, because eigensolver bits in ``gram`` and ``verify`` may
-differ between BLAS builds.  Each command runs with one BLAS/OpenMP thread,
-as ``perfbench/run.py`` runs its ops, so a digest does not depend on the
-thread settings of the calling shell.
+problems are the checkout's ``tools/dbar_problem*.json``.  Each command runs
+with one BLAS/OpenMP thread, as ``perfbench/run.py`` runs its ops, so a
+digest does not depend on the thread settings of the calling shell.
+
+    python3 tools/cli_digest.py           # print every digest
+    python3 tools/cli_digest.py --check   # print the lines that differ from tools/cli_digests.txt
+    python3 tools/cli_digest.py --write   # rewrite tools/cli_digests.txt
+
+Without an option, run it on two checkouts (say, a change and its parent)
+and diff the outputs: every command whose stdout changed shows up as a
+differing line.  ``tools/cli_digests.txt`` is the committed output, so a
+change that moves stdout shows as a diff of that file.  Its lines ending in
+``[blas]`` are the commands that load numpy: the eigensolver bits in their
+stdout may differ between BLAS builds, so only ``--check`` compares them;
+the Tier-1 tests hold the other commands to the file in process.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
 import sys
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_digests.txt")
+BLAS_MARK = "  [blas]"
+HEADER = ("# SHA-256 of the stdout of each command of tools/cli_digest.py; rewrite with --write.\n"
+          f"# Lines ending in '{BLAS_MARK.strip()}' load numpy; their digests may differ "
+          "between BLAS builds.\n")
 
 COMMANDS = (
     "moments --nmax 170",
@@ -58,16 +73,44 @@ COMMANDS = (
     "verify moments --nmax 300 --points 9 --seed 5",
 )
 
+# the commands that load numpy: Gram matrices, Gauss rules and the suites
+# that build them
+_BLAS_PREFIXES = ("gram ", "lerch --audit ", "verify all ", "verify dbar ",
+                  "verify numerics ", "verify lerch ")
 
-def main() -> int:
+
+def _digest_lines(marked: bool):
     env = dict(os.environ, PYTHONPATH=os.path.abspath("src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for command in COMMANDS:
-        argv = command.split()
-        proc = subprocess.run([sys.executable, "-m", "hfock.cli", *argv],
+        proc = subprocess.run([sys.executable, "-m", "hfock.cli", *command.split()],
                               env=env, stdout=subprocess.PIPE, check=False)
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        print(f"{digest}  {command}", flush=True)
+        line = f"{hashlib.sha256(proc.stdout).hexdigest()}  {command}"
+        yield line + BLAS_MARK if marked and command.startswith(_BLAS_PREFIXES) else line
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="print the lines that differ from tools/cli_digests.txt "
+                           "(- committed, + now); exit 1 if any do")
+    mode.add_argument("--write", action="store_true", help="rewrite tools/cli_digests.txt")
+    args = parser.parse_args(argv)
+    if args.write:
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            fh.write(HEADER + "".join(line + "\n" for line in _digest_lines(marked=True)))
+    elif args.check:
+        with open(DIGESTS, encoding="utf-8") as fh:
+            old = [line for line in fh.read().splitlines() if not line.startswith("#")]
+        new = list(_digest_lines(marked=True))
+        differ = [f"-{line}" for line in old if line not in new] + \
+                 [f"+{line}" for line in new if line not in old]
+        print("\n".join(differ) if differ else f"all {len(new)} digests match", flush=True)
+        return 1 if differ else 0
+    else:
+        for line in _digest_lines(marked=False):
+            print(line, flush=True)
     return 0
 
 
