@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from . import moments
 from .errors import AccuracyError, ConfigurationError, DomainError
@@ -40,6 +41,7 @@ def hermite_psi(n_max: int, x: float) -> list[float]:
     if not abs(x) <= 40.0:
         raise ConfigurationError(f"hermite_psi: |x| capped at 40, got {x}")
     x = float(x)
+    up, down = _hermite_steps()
     ln0 = -0.25 * math.log(math.pi) - 0.5 * x * x
     exp0 = int(math.floor(ln0 / _LN2))
     v_prev = 0.0
@@ -47,7 +49,7 @@ def hermite_psi(n_max: int, x: float) -> list[float]:
     scale = exp0
     out = [_ldexp_safe(v_cur, scale)]
     for n in range(n_max):
-        v_next = x * math.sqrt(2.0 / (n + 1)) * v_cur - math.sqrt(n / (n + 1)) * v_prev
+        v_next = x * up[n] * v_cur - down[n] * v_prev
         v_prev, v_cur = v_cur, v_next
         m = max(abs(v_prev), abs(v_cur))
         if m > 2.0 ** 400:
@@ -62,6 +64,13 @@ def hermite_psi(n_max: int, x: float) -> list[float]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _hermite_steps() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The recurrence's step factors sqrt(2/(n+1)) and sqrt(n/(n+1)), n < _N_MAX."""
+    return (tuple(math.sqrt(2.0 / (n + 1)) for n in range(_N_MAX)),
+            tuple(math.sqrt(n / (n + 1)) for n in range(_N_MAX)))
+
+
 def _ldexp_safe(m, e):
     try:
         return math.ldexp(m, e)
@@ -69,12 +78,12 @@ def _ldexp_safe(m, e):
         return math.copysign(math.inf, m)
 
 
-def _weighted_powers(z: complex, log_c) -> list[complex]:
-    """z^n exp(log_c[n]) for each n, with z^n by the running product."""
+def _weighted_powers(z: complex, coeffs) -> list[complex]:
+    """z^n coeffs[n] for each n, with z^n by the running product."""
     out = []
     zp = 1.0 + 0j
-    for lc in log_c:
-        out.append(zp * math.exp(lc))
+    for c in coeffs:
+        out.append(zp * c)
         zp *= z
     return out
 
@@ -83,13 +92,24 @@ def _psi_scaled_matrix(n_max: int, xs: np.ndarray) -> np.ndarray:
     """Rows psi_n(x) * exp(x^2/2) on a node vector; safe for |x| <~ 25, n <~ 300."""
     import numpy as np
 
+    up, down = _hermite_steps()
     out = np.empty((n_max + 1, xs.size))
     out[0] = PI_QUARTER_INV
     if n_max >= 1:
         out[1] = PI_QUARTER_INV * math.sqrt(2.0) * xs
     for n in range(1, n_max):
-        out[n + 1] = xs * math.sqrt(2.0 / (n + 1)) * out[n] - math.sqrt(n / (n + 1)) * out[n - 1]
+        out[n + 1] = xs * up[n] * out[n] - down[n] * out[n - 1]
     return out
+
+
+@lru_cache(maxsize=1)
+def _l2_rule_and_psi():
+    """kernel_l2_norm_sq's 200-point Gauss-Hermite weights, and its scaled
+    psi_0 .. psi_60 on the nodes, read-only."""
+    rule = gauss_hermite(200)
+    psi_mat = _psi_scaled_matrix(60, rule.nodes)
+    psi_mat.flags.writeable = False
+    return rule.weights, psi_mat
 
 
 def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
@@ -105,20 +125,21 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
         raise ConfigurationError(f"bargmann_kernel: |z| capped at 10, got {abs(z)}")
     if tol <= 0.0:
         raise ConfigurationError("bargmann_kernel: tol must be > 0")
-    a = math.sqrt(2.0) * abs(z)
     n_trunc = 0
     ln_tail = 0.5 * math.log(8.0) + math.log(2.0)
     target = math.log(tol)
     if z != 0:
+        log_a = math.log(math.sqrt(2.0) * abs(z))
+        geometric_from = 8.0 * abs(z) ** 2
         for n in range(_N_MAX):
-            bound = ln_tail + (n + 1) * math.log(a) - 0.5 * math.lgamma(n + 2)
-            if n + 2 > 8.0 * abs(z) ** 2 and bound < target:
+            if (n + 2 > geometric_from
+                    and ln_tail + (n + 1) * log_a - 0.5 * math.lgamma(n + 2) < target):
                 n_trunc = n
                 break
         else:
             raise ConfigurationError("bargmann_kernel: truncation bound not reached")
     psi = hermite_psi(n_trunc, x)
-    coeff = _weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(n_trunc)])
+    coeff = _weighted_powers(z, moments._table(n_trunc)[5][:n_trunc + 1])
     total = csum([c * p for c, p in zip(coeff, psi)])
     if not cmath.isfinite(total):
         raise AccuracyError(f"bargmann_kernel: the series at z = {z}, x = {x} is not finite")
@@ -139,11 +160,10 @@ def kernel_l2_norm_sq(z: complex) -> float:
     z = complex(z)
     if abs(z) > 2.0:
         raise ConfigurationError(f"kernel_l2_norm_sq: |z| capped at 2, got {abs(z)}")
-    rule = gauss_hermite(200)
-    psi_mat = _psi_scaled_matrix(60, rule.nodes)
-    coeff = np.array(_weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(60)]))
+    weights, psi_mat = _l2_rule_and_psi()
+    coeff = np.array(_weighted_powers(z, moments._table(60)[5][:61]))
     amp = coeff @ psi_mat
-    return float(np.dot(rule.weights, np.abs(amp) ** 2))
+    return float(np.dot(weights, np.abs(amp) ** 2))
 
 
 def hermite_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
@@ -155,7 +175,7 @@ def hermite_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     z = complex(z)
     if abs(z) > 3.0 or abs(x) > 5.0:
         raise ConfigurationError("hermite_generating_pair: validated for |z| <= 3, |x| <= 5")
-    coeff = _weighted_powers(z, [-0.5 * math.lgamma(n + 1) for n in range(121)])
+    coeff = _weighted_powers(z, [math.exp(-0.5 * math.lgamma(n + 1)) for n in range(121)])
     lhs = csum([c * p for c, p in zip(coeff, hermite_psi(120, x))])
     rhs = PI_QUARTER_INV * cmath.exp(-0.5 * (z * z + x * x) + math.sqrt(2.0) * z * x)
     return complex(lhs), rhs
@@ -181,7 +201,7 @@ def weighted_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     if z != 0 and (z * z).real <= 0.0:
         raise DomainError("weighted_generating_pair: integral side requires Re(z^2) > 0")
 
-    coeff = _weighted_powers(z, [v - 0.5 * math.lgamma(n + 1)
+    coeff = _weighted_powers(z, [math.exp(v - 0.5 * math.lgamma(n + 1))
                                  for n, v in enumerate(moments.log_eta_sequence(60))])
     terms = [c * p for c, p in zip(coeff, hermite_psi(60, x))]
     # truncate at the smallest nonzero term (odd-order terms vanish at x=0)

@@ -30,8 +30,10 @@ N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
 _CROSS_CHECK_UP_TO = 60  # eta_table checks orders up to here by quadrature
 _FIRST_ORDER = 256  # order of the first table; each larger one doubles it, capped at N_MAX
-# (eta_0, (r_1 .. r_N), (log eta_0 .. log eta_N), (1/eta_0, eta_0/eta_1 .. eta_{N-1}/eta_N))
-_TABLE = (math.nan, (), (), ())
+# (eta_0, (r_1 .. r_N), (log eta_0 .. log eta_N), (1/eta_0, eta_0/eta_1 .. eta_{N-1}/eta_N),
+#  (eta_0/0! .. eta_N/N!), (eta_0^(-1/2) .. eta_N^(-1/2)))
+_EMPTY_TABLE = (math.nan, (), (), (), (), ())
+_TABLE = _EMPTY_TABLE
 
 
 def _table(n: int):
@@ -49,18 +51,23 @@ def _table(n: int):
     size = _FIRST_ORDER
     while size < n:
         size *= 2
-    eta0, r, logs, ratios = table
+    eta0, r, logs, ratios, over_fact, inv_sqrt = table
     if not logs:
         e1_at_1 = expint.e1(1.0)
         eta0, r = 1.0 - math.e * e1_at_1, (2.0 * math.e * e1_at_1 - 1.0,)
         logs, ratios = (math.log(eta0),), (math.exp(-math.log(eta0)),)
     r, logs, ratios = list(r), list(logs), list(ratios)
+    over_fact, inv_sqrt = list(over_fact), list(inv_sqrt)
     for k in range(len(r), min(size, N_MAX)):
         r.append(1.0 / (k + 1) - (k + 2) * r[-1] / (k * (k + 1)))
     for k in range(len(logs), len(r) + 1):
         logs.append(math.log(r[k - 1]) + math.lgamma(k))
         ratios.append(math.exp(logs[k - 1] - logs[k]))
-    table = _TABLE = (eta0, tuple(r), tuple(logs), tuple(ratios))
+    for k in range(len(over_fact), len(logs)):
+        over_fact.append(math.exp(logs[k] - math.lgamma(k + 1)))
+        inv_sqrt.append(math.exp(-0.5 * logs[k]))
+    table = _TABLE = (eta0, tuple(r), tuple(logs), tuple(ratios),
+                      tuple(over_fact), tuple(inv_sqrt))
     return table
 
 
@@ -78,7 +85,7 @@ def eta_closed_form(n: int) -> float:
         raise ConfigurationError(
             f"eta_closed_form: linear values require 0 <= n <= {LINEAR_LIMIT}, got {n}; "
             "use log_eta for larger orders")
-    eta0, r, _, _ = _table(n)
+    eta0, r = _table(n)[:2]
     return eta0 if n == 0 else r[n - 1] * math.gamma(n)
 
 
@@ -233,8 +240,7 @@ def eta_factorial_sum(n_terms: int) -> float:
     """
     if not 0 <= n_terms <= N_MAX:
         raise ConfigurationError(f"eta_factorial_sum: N must be in [0, {N_MAX}], got {n_terms}")
-    logs = log_eta_sequence(n_terms)
-    return math.fsum(math.exp(logs[n] - math.lgamma(n + 1)) for n in range(n_terms + 1))
+    return math.fsum(_table(n_terms)[4][:n_terms + 1])
 
 
 # --- alternating generating function -------------------------------------
@@ -251,6 +257,7 @@ def eta_factorial_sum(n_terms: int) -> float:
 # quadratures, keeping the route independent of the E1-based closed form.
 
 _ACCEL_K_MAX = 320
+_DIRECT_N_MAX = 2000
 _DIRECT_RADIUS = 0.92
 _ACCEL_RATIO = 0.90
 
@@ -268,11 +275,11 @@ def _laguerre_projection() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _series_direct(z: complex) -> complex:
-    logs = log_eta_sequence(2000)
+    over_fact = _table(_DIRECT_N_MAX)[4]
     terms = []
     zp = 1.0 + 0j
-    for n in range(len(logs)):
-        t = zp * math.exp(logs[n] - math.lgamma(n + 1))
+    for n in range(_DIRECT_N_MAX + 1):
+        t = zp * over_fact[n]
         if n % 2 == 1:
             t = -t
         terms.append(t)
@@ -289,12 +296,13 @@ def _series_accelerated(z: complex) -> complex:
             f"generating_series: z={z} has |z/(1+z)| = {abs(w):.4f} beyond the "
             f"validated acceleration region {_ACCEL_RATIO}")
     g, _ = _laguerre_projection()
+    stop = 1e-18 * max(1.0, abs(g[0]))  # |terms[0]| = |g_0 * (1 + 0j)| = |g_0|
     terms = []
     wp = 1.0 + 0j
     for k in range(_ACCEL_K_MAX):
         t = g[k] * wp
         terms.append(t)
-        if k > 8 and abs(t) < 1e-18 * max(1.0, abs(terms[0])):
+        if k > 8 and abs(t) < stop:
             break
         wp *= w
     return csum(terms) / (1.0 + z)

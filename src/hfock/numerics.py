@@ -317,6 +317,6 @@ def csum(terms) -> float | complex:
     """Compensated sum of an iterable of floats or complex numbers."""
     terms = list(terms)
     if any(isinstance(t, complex) for t in terms):
-        return complex(math.fsum(t.real for t in terms),
-                       math.fsum(t.imag for t in terms))
+        return complex(math.fsum([t.real for t in terms]),
+                       math.fsum([t.imag for t in terms]))
     return math.fsum(terms)

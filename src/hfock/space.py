@@ -21,7 +21,7 @@ _LOG8 = math.log(8.0)
 _MIN_NORMAL = 2.0 ** -1022
 _E700 = math.exp(700.0)
 _TRUNC_CAP = 4000
-_LGAMMA_N2 = tuple(math.lgamma(n + 2) for n in range(_TRUNC_CAP))  # lgamma(n + 2), n < _TRUNC_CAP
+_LGAMMA_N2 = ()  # lgamma(n + 2) for n < len(_LGAMMA_N2), grown by _lgamma_n2
 _MAX_GRAM_POINTS = 200
 
 
@@ -67,6 +67,25 @@ class EntireSeries(namedtuple("EntireSeries", "coeffs")):
         return EntireSeries(tuple(coeffs))
 
 
+def _lgamma_n2(n: int) -> tuple[float, ...]:
+    """lgamma(k + 2) for k = 0 .. n at least, n < _TRUNC_CAP.
+
+    Grown like the moment table: 256, 512, ... entries capped at
+    _TRUNC_CAP, extended from the current table and published in one
+    assignment.
+    """
+    global _LGAMMA_N2
+    table = _LGAMMA_N2
+    if n < len(table):
+        return table
+    size = 256
+    while size <= n:
+        size *= 2
+    table = _LGAMMA_N2 = table + tuple(math.lgamma(k + 2)
+                                       for k in range(len(table), min(size, _TRUNC_CAP)))
+    return table
+
+
 def _trunc_index(abs_z: float, tol: float) -> int:
     # tail of sum z^n/eta_n after N is below 8 (2|z|)^{N+1}/(N+1)! e^{2|z|}
     if tol <= 0.0:
@@ -75,10 +94,14 @@ def _trunc_index(abs_z: float, tol: float) -> int:
         return 0
     target = math.log(tol)
     l2z = math.log(2.0 * abs_z)
-    for n, lgamma_n2 in enumerate(_LGAMMA_N2):
-        if _LOG8 + (n + 1) * l2z - lgamma_n2 + 2.0 * abs_z < target:
-            return n
-    raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
+    start, table = 0, _LGAMMA_N2
+    while True:
+        for n in range(start, len(table)):
+            if _LOG8 + (n + 1) * l2z - table[n] + 2.0 * abs_z < target:
+                return n
+        if len(table) == _TRUNC_CAP:
+            raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
+        start, table = len(table), _lgamma_n2(len(table))
 
 
 def _kernel_terms(q: complex, n_max: int) -> list[complex]:

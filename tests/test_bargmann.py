@@ -9,6 +9,70 @@ from hfock import bargmann, moments, space
 from hfock.errors import AccuracyError, ConfigurationError, DomainError, PrecisionLossError
 from hfock.numerics import csum, gauss_hermite
 
+# The routines below are the Bargmann evaluators as first written, with every
+# coefficient computed per term; the tables that replaced them keep each bit.
+
+
+def _fsum_complex(terms):
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _ref_hermite_psi(n_max, x):
+    ln0 = -0.25 * math.log(math.pi) - 0.5 * x * x
+    exp0 = int(math.floor(ln0 / math.log(2.0)))
+    v_prev, v_cur, scale = 0.0, math.exp(ln0 - exp0 * math.log(2.0)), exp0
+    out = [bargmann._ldexp_safe(v_cur, scale)]
+    for n in range(n_max):
+        v_next = x * math.sqrt(2.0 / (n + 1)) * v_cur - math.sqrt(n / (n + 1)) * v_prev
+        v_prev, v_cur = v_cur, v_next
+        m = max(abs(v_prev), abs(v_cur))
+        if m > 2.0 ** 400:
+            v_prev, v_cur, scale = v_prev * 2.0 ** -800, v_cur * 2.0 ** -800, scale + 800
+        elif 0.0 < m < 2.0 ** -400:
+            v_prev, v_cur, scale = v_prev * 2.0 ** 800, v_cur * 2.0 ** 800, scale - 800
+        out.append(bargmann._ldexp_safe(v_cur, scale))
+    return out
+
+
+def _ref_weighted_powers(z, log_c):
+    out, zp = [], 1.0 + 0j
+    for lc in log_c:
+        out.append(zp * math.exp(lc))
+        zp *= z
+    return out
+
+
+def _ref_bargmann_kernel(z, x, tol=1e-12):
+    a = math.sqrt(2.0) * abs(z)
+    n_trunc = 0
+    if z != 0:
+        for n in range(1000):
+            bound = 0.5 * math.log(8.0) + math.log(2.0) + (n + 1) * math.log(a) \
+                - 0.5 * math.lgamma(n + 2)
+            if n + 2 > 8.0 * abs(z) ** 2 and bound < math.log(tol):
+                n_trunc = n
+                break
+    coeff = _ref_weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(n_trunc)])
+    return _fsum_complex([c * p for c, p in zip(coeff, _ref_hermite_psi(n_trunc, x))])
+
+
+def _ref_kernel_l2_norm_sq(z):
+    rule = gauss_hermite(200)
+    xs = rule.nodes
+    psi = np.empty((61, xs.size))
+    psi[0] = bargmann.PI_QUARTER_INV
+    psi[1] = bargmann.PI_QUARTER_INV * math.sqrt(2.0) * xs
+    for n in range(1, 60):
+        psi[n + 1] = xs * math.sqrt(2.0 / (n + 1)) * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    coeff = np.array(_ref_weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(60)]))
+    return float(np.dot(rule.weights, np.abs(coeff @ psi) ** 2))
+
+
+_rng = random.Random(3141)
+# |z|, |x| <= 3, and the point whose sum cancels 4e7-fold
+_KERNEL_DRAWS = [(cmath.rect(3.0 * math.sqrt(_rng.random()), _rng.uniform(-math.pi, math.pi)),
+                  _rng.uniform(-3.0, 3.0)) for _ in range(12)] + [(2.75, -2.65), (3.0, 3.0)]
+
 
 class TestHermitePsi:
     def test_ground_state_at_origin(self):
@@ -46,6 +110,13 @@ class TestHermitePsi:
                 + math.sqrt(n / (n + 1)) * psi[n - 1]
             assert abs(resid) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("x", [0.0, 5.0, 23.57, 27.5, 40.0, -33.0])
+    def test_bit_identical_to_per_step_square_roots(self, x):
+        # from x of about 23.5 on, psi_0 is below 2^-400 and the mantissa pair
+        # is scaled by 2^-800 as it grows; at 23.57 it is also scaled back up
+        # by 2^800, each four times
+        assert bargmann.hermite_psi(1000, x) == _ref_hermite_psi(1000, x)
+
     def test_order_cap(self):
         with pytest.raises(ConfigurationError):
             bargmann.hermite_psi(1001, 0.0)
@@ -74,6 +145,10 @@ class TestBargmannKernel:
         logs = moments.log_eta_sequence(80)
         brute = csum([z ** n * math.exp(-0.5 * logs[n]) * psi[n] for n in range(81)])
         assert bargmann.bargmann_kernel(z, x) == pytest.approx(brute, abs=1e-10)
+
+    @pytest.mark.parametrize("z, x", _KERNEL_DRAWS)
+    def test_bit_identical_to_per_term_coefficients(self, z, x):
+        assert bargmann.bargmann_kernel(z, x) == _ref_bargmann_kernel(complex(z), x)
 
     @pytest.mark.parametrize("z, x", [(0.5 + 0.2j, 0.3), (1 - 1j, 1.5), (2.9j, -3.0)])
     def test_against_mpmath(self, mp_oracle, z, x):
@@ -120,6 +195,12 @@ class TestL2Identity:
         for k in range(1, 8):
             v = bargmann.kernel_l2_norm_sq(cmath.rect(1.2, k * math.pi / 4))
             assert abs(v - base) <= 1e-10 * base
+
+    @pytest.mark.parametrize("z", [0.0, 0.7 - 0.2j, 1.5j, cmath.rect(2.0, 2.5)])
+    def test_bit_identical_to_per_call_matrix(self, z):
+        # twice: the second call reads the matrix the first one built
+        for _ in range(2):
+            assert bargmann.kernel_l2_norm_sq(z) == _ref_kernel_l2_norm_sq(complex(z))
 
     def test_argument_caps(self):
         with pytest.raises(ConfigurationError):

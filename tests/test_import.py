@@ -54,6 +54,18 @@ def test_import_and_moment_table_skip_numpy():
     assert _run(_IMPORT) == (False, [])
 
 
+def test_import_builds_no_coefficient_table():
+    # the moment table, the lgamma table of efun's cut, the Hermite step
+    # factors and kernel_l2_norm_sq's matrix are built on first use
+    code = ("import hfock; from hfock import bargmann, moments, space; "
+            "print([len(moments._TABLE[2]), len(space._LGAMMA_N2), "
+            "bargmann._hermite_steps.cache_info().currsize, "
+            "bargmann._l2_rule_and_psi.cache_info().currsize])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out == "[0, 0, 0, 0]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["moments", "--nmax", "170"],
     ["efun", "--z", "-3"],

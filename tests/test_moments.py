@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -134,15 +135,18 @@ class TestMomentTable:
 
 
 def _rebuilt_for_one_size(n_max):
-    """eta_0, r_1 .. r_{n_max}, log eta_0 .. log eta_{n_max} and the ratios
-    1/eta_0, eta_0/eta_1 .. eta_{n_max-1}/eta_{n_max}, recomputed from scratch."""
+    """eta_0, r_1 .. r_{n_max}, log eta_0 .. log eta_{n_max}, the ratios
+    1/eta_0, eta_0/eta_1 .. eta_{n_max-1}/eta_{n_max}, eta_n/n! and
+    eta_n^(-1/2), recomputed from scratch."""
     r = [2.0 * math.e * expint.e1(1.0) - 1.0]
     for n in range(1, n_max):
         r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
     eta0 = 1.0 - math.e * expint.e1(1.0)
     logs = [math.log(eta0)] + [math.log(r[n - 1]) + math.lgamma(n) for n in range(1, n_max + 1)]
     ratios = [math.exp(-logs[0])] + [math.exp(logs[n - 1] - logs[n]) for n in range(1, n_max + 1)]
-    return eta0, r[:n_max], logs, ratios
+    over_fact = [math.exp(logs[n] - math.lgamma(n + 1)) for n in range(n_max + 1)]
+    inv_sqrt = [math.exp(-0.5 * v) for v in logs]
+    return eta0, r[:n_max], logs, ratios, over_fact, inv_sqrt
 
 
 _SIZES = [0, 1, 63, 64, 65, 170, 1000, 4097, moments.N_MAX]
@@ -154,7 +158,7 @@ _DOUBLING_ORDERS = sorted({min(moments._FIRST_ORDER * 2 ** k, moments.N_MAX)
 @pytest.fixture
 def empty_table(monkeypatch):
     """No moment table yet, and no accessor results cached from an earlier one."""
-    monkeypatch.setattr(moments, "_TABLE", (math.nan, (), (), ()))
+    monkeypatch.setattr(moments, "_TABLE", moments._EMPTY_TABLE)
     moments.residual_sequence.cache_clear()
     moments.log_eta_sequence.cache_clear()
 
@@ -163,13 +167,14 @@ class TestSharedTable:
     @pytest.mark.parametrize("n_max", _SIZES)
     def test_accessors_bit_identical_to_rebuild(self, empty_table, n_max):
         # grown from no table through each smaller size of the list to n_max
-        eta0, r, logs, ratios = _rebuilt_for_one_size(n_max)
+        eta0, r, logs, *columns = _rebuilt_for_one_size(n_max)
         for size in [s for s in _SIZES if s <= n_max]:
             if size >= 1:
                 assert moments.residual_sequence(size) == tuple(r[:size])
             assert moments.log_eta_sequence(size) == tuple(logs[:size + 1])
             assert moments.log_eta(size) == logs[size]
-            assert moments._table(size)[3][:size + 1] == tuple(ratios[:size + 1])
+            for got, want in zip(moments._table(size)[3:], columns):
+                assert got[:size + 1] == tuple(want[:size + 1])
             if size <= moments.LINEAR_LIMIT:
                 expected = eta0 if size == 0 else r[size - 1] * math.gamma(size)
                 assert moments.eta_closed_form(size) == expected
@@ -177,14 +182,14 @@ class TestSharedTable:
     def test_threads_growing_at_once_publish_correct_tables(self, empty_table):
         # four threads on two cores, switching often, each grow the table
         # through the sizes in their own order
-        _, r, logs, ratios = _rebuilt_for_one_size(moments.N_MAX)
+        _, r, *columns = _rebuilt_for_one_size(moments.N_MAX)
         wrong = []
 
         def grow(sizes):
             for n in sizes:
                 t = moments._table(n)
-                if (t[1][:n], t[2][:n + 1], t[3][:n + 1]) != (
-                        tuple(r[:n]), tuple(logs[:n + 1]), tuple(ratios[:n + 1])):
+                if t[1][:n] != tuple(r[:n]) or any(
+                        got[:n + 1] != tuple(want[:n + 1]) for got, want in zip(t[2:], columns)):
                     wrong.append(n)
 
         orders = [_SIZES, _SIZES[::-1], _SIZES[1::2] + _SIZES[::2], _SIZES[::2] + _SIZES[1::2]]
@@ -239,6 +244,44 @@ class TestFactorialSum:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+_rng = random.Random(2718)
+_SERIES_DRAWS = [(_rng.random(), _rng.uniform(-math.pi, math.pi)) for _ in range(6)]
+# |z| > 0.92 with |z/(1+z)| <= 0.9: the accelerated route
+_WIDE_DRAWS = [(1.2, 0.3), (-0.2, 1.0), (4.0, -4.0), (0.1, -1.5), (6.5, 0.0)]
+
+
+def _fsum_complex(terms):
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _series_by_term_loop(z):
+    """generating_series as it was first written: one exp and lgamma per term."""
+    if abs(z) <= 0.92:
+        logs = moments.log_eta_sequence(2000)
+        terms = []
+        zp = 1.0 + 0j
+        for n in range(len(logs)):
+            t = zp * math.exp(logs[n] - math.lgamma(n + 1))
+            if n % 2 == 1:
+                t = -t
+            terms.append(t)
+            if n > 8 and abs(t) < 1e-18:
+                break
+            zp *= z
+        return _fsum_complex(terms)
+    w = z / (1.0 + z)
+    g, _ = moments._laguerre_projection()
+    terms = []
+    wp = 1.0 + 0j
+    for k in range(320):
+        t = g[k] * wp
+        terms.append(t)
+        if k > 8 and abs(t) < 1e-18 * max(1.0, abs(terms[0])):
+            break
+        wp *= w
+    return _fsum_complex(terms) / (1.0 + z)
+
+
 class TestGeneratingFunction:
     def test_at_zero(self, gold):
         assert moments.generating_series(0.0) == pytest.approx(gold["eta0"], abs=1e-14)
@@ -267,6 +310,15 @@ class TestGeneratingFunction:
             z = cmath.rect(r, th)
             assert abs(moments._series_direct(z)
                        - moments._series_accelerated(z)) <= 1e-10
+
+    @pytest.mark.parametrize("z", [0.92, -0.92, cmath.rect(0.92, 2.0), 9.0,
+                                   cmath.rect(0.9, 1.0) / (1.0 - cmath.rect(0.9, 1.0))]
+                             + [cmath.rect(0.92 * math.sqrt(u), th) for u, th in _SERIES_DRAWS]
+                             + [complex(re, im) for re, im in _WIDE_DRAWS])
+    def test_bit_identical_to_term_loop(self, z):
+        # the direct route reads eta_n/n! from the moment table and the
+        # accelerated one sets its stop once; every value keeps its bits
+        assert moments.generating_series(z) == _series_by_term_loop(complex(z))
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -572,3 +572,13 @@ def test_csum_matches_fsum():
     assert csum(vals) == math.fsum(vals)
     assert csum([1 + 1j, 1e-17 + 0j]).real == math.fsum([1.0, 1e-17])
 
+
+def test_csum_bit_identical_to_fsum_of_generators():
+    rng = random.Random(11)
+    floats = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(200)]
+    complexes = [complex(a, b) for a, b in zip(floats, reversed(floats))] + [3.0]
+    assert csum(floats) == math.fsum(t for t in floats)
+    assert csum(complexes) == complex(math.fsum(t.real for t in complexes),
+                                      math.fsum(t.imag for t in complexes))
+    assert csum(iter(complexes)) == csum(complexes)
+

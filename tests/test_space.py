@@ -36,6 +36,30 @@ class TestEfun:
         rough = space.efun(1.0, tol=1e-6).real
         assert rough == pytest.approx(gold["efun_at_1"], abs=1e-5)
 
+    def test_truncation_order_from_a_table_grown_on_demand(self, monkeypatch):
+        # the order each radius gets from lgamma(n + 2) tabulated in full at once
+        full = [math.lgamma(n + 2) for n in range(4000)]
+
+        def first_passing(r, tol):
+            for n, lg in enumerate(full):
+                if math.log(8.0) + (n + 1) * math.log(2.0 * r) - lg + 2.0 * r < math.log(tol):
+                    return n
+            return None
+
+        monkeypatch.setattr(space, "_LGAMMA_N2", ())
+        sizes = []
+        for r in (0.3, 5.0, 30.0, 100.0, 300.0, 520.0, 560.0):
+            for tol in (1e-12, 1e-3):
+                want = first_passing(r, tol)
+                if want is None:
+                    with pytest.raises(AccuracyError):
+                        space._trunc_index(r, tol)
+                else:
+                    assert space._trunc_index(r, tol) == want
+                sizes.append(len(space._LGAMMA_N2))
+        # orders 235, 737 and 2174 grow it by doubling, capped at 4000 entries
+        assert sorted(set(sizes)) == [256, 1024, 4000] and list(space._LGAMMA_N2) == full
+
 
 class TestKernel:
     def test_zero_section_is_constant(self, gold):

@@ -46,6 +46,7 @@ COMMANDS = (
     "expint --x 1 --n 3 --laplace 0.5",
     "bargmann --z 0.5,0.2",
     "bargmann --z 2.5,-1 --xmin -2 --xmax 2 --nx 9",
+    "bargmann --z 3,0 --xmin -30 --xmax 30 --nx 5",
     "lerch --phi 1 0",
     "lerch --phi 2 0.3,0.4",
     "lerch --phi 2 0.3,0.4 --tol 1e-6",
