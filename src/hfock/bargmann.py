@@ -117,29 +117,20 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
 
     Since 1/sqrt(eta_n) <= sqrt(8) (sqrt(2))^n / sqrt(n!) and |psi_n| <= 1,
     the tail after N is below sqrt(8) (sqrt(2)|z|)^{N+1}/sqrt((N+1)!) times a
-    geometric factor 2 once N + 2 > 8 |z|^2.  Past |z| of about 6.6, z^N
+    geometric factor 2 once N + 2 > 8 |z|^2.  Past |z| of about 6.81, z^N
     overflows before the cut, and the non-finite sum raises AccuracyError.
     """
     z = complex(z)
-    if abs(z) > 10.0:
+    if not abs(z) <= 10.0:
         raise ConfigurationError(f"bargmann_kernel: |z| capped at 10, got {abs(z)}")
-    if tol <= 0.0:
-        raise ConfigurationError("bargmann_kernel: tol must be > 0")
-    n_trunc = 0
-    ln_tail = 0.5 * math.log(8.0) + math.log(2.0)
-    target = math.log(tol)
-    if z != 0:
-        log_a = math.log(math.sqrt(2.0) * abs(z))
-        geometric_from = 8.0 * abs(z) ** 2
-        for n in range(_N_MAX):
-            if (n + 2 > geometric_from
-                    and ln_tail + (n + 1) * log_a - 0.5 * math.lgamma(n + 2) < target):
-                n_trunc = n
-                break
-        else:
-            raise ConfigurationError("bargmann_kernel: truncation bound not reached")
+    # N + 2 > 8 |z|^2 holds from N = floor(8 |z|^2) - 1 on
+    n_trunc = moments._factorial_tail_order(
+        "bargmann_kernel", 0.5 * math.log(8.0) + math.log(2.0), math.sqrt(2.0) * abs(z), 0.5,
+        0.0, tol, max(0, math.floor(8.0 * abs(z) ** 2) - 1), _N_MAX)
+    if n_trunc is None:
+        raise ConfigurationError("bargmann_kernel: truncation bound not reached")
     psi = hermite_psi(n_trunc, x)
-    coeff = _weighted_powers(z, moments._table(n_trunc)[5][:n_trunc + 1])
+    coeff = _weighted_powers(z, moments._table(n_trunc).inv_sqrt_eta[:n_trunc + 1])
     total = csum([c * p for c, p in zip(coeff, psi)])
     if not cmath.isfinite(total):
         raise AccuracyError(f"bargmann_kernel: the series at z = {z}, x = {x} is not finite")
@@ -158,10 +149,10 @@ def kernel_l2_norm_sq(z: complex) -> float:
     import numpy as np
 
     z = complex(z)
-    if abs(z) > 2.0:
+    if not abs(z) <= 2.0:
         raise ConfigurationError(f"kernel_l2_norm_sq: |z| capped at 2, got {abs(z)}")
     weights, psi_mat = _l2_rule_and_psi()
-    coeff = np.array(_weighted_powers(z, moments._table(60)[5][:61]))
+    coeff = np.array(_weighted_powers(z, moments._table(60).inv_sqrt_eta[:61]))
     amp = coeff @ psi_mat
     return float(np.dot(weights, np.abs(amp) ** 2))
 
@@ -173,9 +164,10 @@ def hermite_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     pi^{-1/4} exp(-(z^2 + x^2)/2 + sqrt(2) z x).
     """
     z = complex(z)
-    if abs(z) > 3.0 or abs(x) > 5.0:
+    if not (abs(z) <= 3.0 and abs(x) <= 5.0):
         raise ConfigurationError("hermite_generating_pair: validated for |z| <= 3, |x| <= 5")
-    coeff = _weighted_powers(z, [math.exp(-0.5 * math.lgamma(n + 1)) for n in range(121)])
+    log_fact = moments._table(120).log_factorial
+    coeff = _weighted_powers(z, [math.exp(-0.5 * v) for v in log_fact[:121]])
     lhs = csum([c * p for c, p in zip(coeff, hermite_psi(120, x))])
     rhs = PI_QUARTER_INV * cmath.exp(-0.5 * (z * z + x * x) + math.sqrt(2.0) * z * x)
     return complex(lhs), rhs
@@ -201,8 +193,9 @@ def weighted_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     if z != 0 and (z * z).real <= 0.0:
         raise DomainError("weighted_generating_pair: integral side requires Re(z^2) > 0")
 
-    coeff = _weighted_powers(z, [math.exp(v - 0.5 * math.lgamma(n + 1))
-                                 for n, v in enumerate(moments.log_eta_sequence(60))])
+    table = moments._table(60)
+    coeff = _weighted_powers(z, [math.exp(v - 0.5 * f)
+                                 for v, f in zip(table.log_eta[:61], table.log_factorial)])
     terms = [c * p for c, p in zip(coeff, hermite_psi(60, x))]
     # truncate at the smallest nonzero term (odd-order terms vanish at x=0)
     nonzero = [i for i, t in enumerate(terms) if t != 0]

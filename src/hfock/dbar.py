@@ -13,7 +13,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from . import space
+from . import moments, space
 from .errors import ConfigurationError
 from .numerics import wirtinger_fd
 
@@ -156,7 +156,7 @@ def weight_mass(f: space.EntireSeries, include_pi: bool = True) -> float:
     :func:`space.fock_norm`: 169! is returned, and a mass past the double
     range raises :class:`AccuracyError`.
     """
-    m, k = space._weighted_sum(space._log_factorials(f.degree), f.coeffs, f.coeffs)
+    m, k = space._weighted_sum(moments._table(f.degree).log_factorial, f.coeffs, f.coeffs)
     val = space._times_exp(m.real, k, "weight_mass")
     return PI * val if include_pi else val
 

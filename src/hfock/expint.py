@@ -70,7 +70,7 @@ def e1(x):
     complex arguments with |x| <= 20.
     """
     re = x.real if isinstance(x, complex) else x
-    if re <= 0.0:
+    if not re > 0.0:
         raise DomainError(f"e1: requires Re(x) > 0, got {x}")
     if abs(x) <= E1_SERIES_RADIUS:
         return _e1_series(x)
@@ -79,7 +79,7 @@ def e1(x):
 
 
 def en_family_scaled(n_max: int, x: float):
-    """e^x E_0(x) .. e^x E_{n_max}(x) for real x > 0 in one pass.
+    """e^x E_0(x) .. e^x E_{n_max}(x) for finite real x > 0 in one pass.
 
     The scaled family never under- or overflows (values sit in
     (1/(x+n), 1/(x+n-1)] for n >= 1).  One continued-fraction anchor is
@@ -88,8 +88,8 @@ def en_family_scaled(n_max: int, x: float):
     (s_k = (1 - x s_{k-1})/(k-1), contraction x/(k-1) <= 1), so adjacent
     orders stay recurrence-consistent to rounding level everywhere.
     """
-    if x <= 0.0:
-        raise DomainError(f"en_family_scaled: requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"en_family_scaled: requires 0 < x < inf, got {x}")
     if not 0 <= n_max <= _MAX_ORDER:
         raise ConfigurationError(
             f"en_family_scaled: n_max must be in [0, {_MAX_ORDER}], got {n_max}")
@@ -121,7 +121,7 @@ def en_scaled(n: int, x: float) -> float:
 
 
 def en_family(n_max: int, x: float):
-    """E_0(x) .. E_{n_max}(x) for real x > 0 in one pass."""
+    """E_0(x) .. E_{n_max}(x) for finite real x > 0 in one pass."""
     emx = math.exp(-x) if x < 745.0 else 0.0
     return [emx * s for s in en_family_scaled(n_max, x)]
 
@@ -139,7 +139,7 @@ def incomplete_gamma_int(m: int, x: float) -> float:
     """
     if not 1 <= m <= 170:
         raise ConfigurationError(f"incomplete_gamma_int: m must be in [1, 170], got {m}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"incomplete_gamma_int: requires x > 0, got {x}")
     logx = math.log(x)
     terms = [math.exp(j * logx - x - math.lgamma(j + 1)) for j in range(m)]

@@ -30,13 +30,14 @@ N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
 _CROSS_CHECK_UP_TO = 60  # eta_table checks orders up to here by quadrature
 _FIRST_ORDER = 256  # order of the first table; each larger one doubles it, capped at N_MAX
-# (eta_0, (r_1 .. r_N), (log eta_0 .. log eta_N), (1/eta_0, eta_0/eta_1 .. eta_{N-1}/eta_N),
-#  (eta_0/0! .. eta_N/N!), (eta_0^(-1/2) .. eta_N^(-1/2)))
-_EMPTY_TABLE = (math.nan, (), (), (), (), ())
+# eta_0, r_1 .. r_N, then over n = 0 .. N: log eta_n, the ratios 1/eta_0 and
+# eta_{n-1}/eta_n, eta_n/n!, eta_n^(-1/2) and log n! = lgamma(n + 1)
+_Columns = namedtuple("_Columns", "eta0 r log_eta ratios over_fact inv_sqrt_eta log_factorial")
+_EMPTY_TABLE = _Columns(math.nan, (), (), (), (), (), ())
 _TABLE = _EMPTY_TABLE
 
 
-def _table(n: int):
+def _table(n: int) -> _Columns:
     """The moment table through order n at least, n <= N_MAX.
 
     A larger table runs the same recurrence and expressions on from a
@@ -46,29 +47,58 @@ def _table(n: int):
     """
     global _TABLE
     table = _TABLE
-    if n < len(table[2]):
+    if n < len(table.log_eta):
         return table
     size = _FIRST_ORDER
     while size < n:
         size *= 2
-    eta0, r, logs, ratios, over_fact, inv_sqrt = table
+    eta0, r, logs, ratios, over_fact, inv_sqrt, log_fact = table
     if not logs:
         e1_at_1 = expint.e1(1.0)
         eta0, r = 1.0 - math.e * e1_at_1, (2.0 * math.e * e1_at_1 - 1.0,)
         logs, ratios = (math.log(eta0),), (math.exp(-math.log(eta0)),)
     r, logs, ratios = list(r), list(logs), list(ratios)
-    over_fact, inv_sqrt = list(over_fact), list(inv_sqrt)
+    over_fact, inv_sqrt, log_fact = list(over_fact), list(inv_sqrt), list(log_fact)
     for k in range(len(r), min(size, N_MAX)):
         r.append(1.0 / (k + 1) - (k + 2) * r[-1] / (k * (k + 1)))
+    for k in range(len(log_fact), len(r) + 1):
+        log_fact.append(math.lgamma(k + 1))
     for k in range(len(logs), len(r) + 1):
-        logs.append(math.log(r[k - 1]) + math.lgamma(k))
+        logs.append(math.log(r[k - 1]) + log_fact[k - 1])
         ratios.append(math.exp(logs[k - 1] - logs[k]))
     for k in range(len(over_fact), len(logs)):
-        over_fact.append(math.exp(logs[k] - math.lgamma(k + 1)))
+        over_fact.append(math.exp(logs[k] - log_fact[k]))
         inv_sqrt.append(math.exp(-0.5 * logs[k]))
-    table = _TABLE = (eta0, tuple(r), tuple(logs), tuple(ratios),
-                      tuple(over_fact), tuple(inv_sqrt))
+    table = _TABLE = _Columns(eta0, tuple(r), tuple(logs), tuple(ratios),
+                              tuple(over_fact), tuple(inv_sqrt), tuple(log_fact))
     return table
+
+
+def _factorial_tail_order(name: str, c: float, x: float, w: float, d: float, tol: float,
+                          start: int, stop: int) -> int | None:
+    """The first n in [start, stop) with c + (n+1) log x - w log (n+1)! + d < log tol.
+
+    0 where x = 0, and None where no n qualifies; a tol that is not > 0
+    raises :class:`ConfigurationError` under ``name``.  The scan reads the
+    table's ``log_factorial`` column as it stands and grows the table only
+    where the column runs out.
+    """
+    if not tol > 0.0:
+        raise ConfigurationError(f"{name}: tol must be > 0, got {tol}")
+    if x == 0.0:
+        return 0
+    target = math.log(tol)
+    log_x = math.log(x)
+    log_fact = _TABLE.log_factorial
+    first = start + 1  # the scan runs over m = n + 1
+    while True:
+        for m in range(first, min(len(log_fact), stop + 1)):
+            if c + m * log_x - w * log_fact[m] + d < target:
+                return m - 1
+        if len(log_fact) > stop:
+            return None
+        first = max(first, len(log_fact))
+        log_fact = _table(len(log_fact)).log_factorial
 
 
 @lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
@@ -76,7 +106,7 @@ def residual_sequence(n_max: int) -> tuple[float, ...]:
     """Residuals r_1 .. r_{n_max}, r_n = e (1+n) E_n(1) - 1, in (0, 1/n]."""
     if not 1 <= n_max <= N_MAX:
         raise ConfigurationError(f"residual_sequence: n_max must be in [1, {N_MAX}]")
-    return _table(n_max)[1][:n_max]
+    return _table(n_max).r[:n_max]
 
 
 def eta_closed_form(n: int) -> float:
@@ -85,15 +115,15 @@ def eta_closed_form(n: int) -> float:
         raise ConfigurationError(
             f"eta_closed_form: linear values require 0 <= n <= {LINEAR_LIMIT}, got {n}; "
             "use log_eta for larger orders")
-    eta0, r = _table(n)[:2]
-    return eta0 if n == 0 else r[n - 1] * math.gamma(n)
+    table = _table(n)
+    return table.eta0 if n == 0 else table.r[n - 1] * math.gamma(n)
 
 
 def log_eta(n: int) -> float:
     """log(eta_n), valid for 0 <= n <= 10^4."""
     if not 0 <= n <= N_MAX:
         raise ConfigurationError(f"log_eta: n must be in [0, {N_MAX}], got {n}")
-    return _table(n)[2][n]
+    return _table(n).log_eta[n]
 
 
 @lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
@@ -101,7 +131,7 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     """log(eta_0) .. log(eta_{n_max}) as an immutable, shareable table."""
     if not 0 <= n_max <= N_MAX:
         raise ConfigurationError(f"log_eta_sequence: n_max must be in [0, {N_MAX}]")
-    return _table(n_max)[2][:n_max + 1]
+    return _table(n_max).log_eta[:n_max + 1]
 
 
 def _eta_integrand(n):
@@ -240,7 +270,7 @@ def eta_factorial_sum(n_terms: int) -> float:
     """
     if not 0 <= n_terms <= N_MAX:
         raise ConfigurationError(f"eta_factorial_sum: N must be in [0, {N_MAX}], got {n_terms}")
-    return math.fsum(_table(n_terms)[4][:n_terms + 1])
+    return math.fsum(_table(n_terms).over_fact[:n_terms + 1])
 
 
 # --- alternating generating function -------------------------------------
@@ -275,7 +305,7 @@ def _laguerre_projection() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _series_direct(z: complex) -> complex:
-    over_fact = _table(_DIRECT_N_MAX)[4]
+    over_fact = _table(_DIRECT_N_MAX).over_fact
     terms = []
     zp = 1.0 + 0j
     for n in range(_DIRECT_N_MAX + 1):
@@ -317,8 +347,8 @@ def generating_series(z: complex) -> complex:
     both validated regions raise :class:`AccuracyError`.
     """
     z = complex(z)
-    if z.real <= -1.0:
-        raise DomainError(f"generating_series: requires Re(z) > -1, got {z}")
+    if not (z.real > -1.0 and cmath.isfinite(z)):
+        raise DomainError(f"generating_series: requires a finite z with Re(z) > -1, got {z}")
     if abs(z) <= _DIRECT_RADIUS:
         return _series_direct(z)
     return _series_accelerated(z)
@@ -327,8 +357,8 @@ def generating_series(z: complex) -> complex:
 def generating_closed_form(z: complex) -> complex:
     """1 - (z+1) e^(z+1) E1(z+1), the closed form of the generating function."""
     z = complex(z)
-    if z.real <= -1.0:
-        raise DomainError(f"generating_closed_form: requires Re(z) > -1, got {z}")
+    if not (z.real > -1.0 and cmath.isfinite(z)):
+        raise DomainError(f"generating_closed_form: requires a finite z with Re(z) > -1, got {z}")
     s = z + 1.0
     val = 1.0 - s * cmath.exp(s) * expint.e1(s)
     return val

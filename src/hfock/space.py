@@ -21,7 +21,6 @@ _LOG8 = math.log(8.0)
 _MIN_NORMAL = 2.0 ** -1022
 _E700 = math.exp(700.0)
 _TRUNC_CAP = 4000
-_LGAMMA_N2 = ()  # lgamma(n + 2) for n < len(_LGAMMA_N2), grown by _lgamma_n2
 _MAX_GRAM_POINTS = 200
 
 
@@ -67,46 +66,18 @@ class EntireSeries(namedtuple("EntireSeries", "coeffs")):
         return EntireSeries(tuple(coeffs))
 
 
-def _lgamma_n2(n: int) -> tuple[float, ...]:
-    """lgamma(k + 2) for k = 0 .. n at least, n < _TRUNC_CAP.
-
-    Grown like the moment table: 256, 512, ... entries capped at
-    _TRUNC_CAP, extended from the current table and published in one
-    assignment.
-    """
-    global _LGAMMA_N2
-    table = _LGAMMA_N2
-    if n < len(table):
-        return table
-    size = 256
-    while size <= n:
-        size *= 2
-    table = _LGAMMA_N2 = table + tuple(math.lgamma(k + 2)
-                                       for k in range(len(table), min(size, _TRUNC_CAP)))
-    return table
-
-
 def _trunc_index(abs_z: float, tol: float) -> int:
     # tail of sum z^n/eta_n after N is below 8 (2|z|)^{N+1}/(N+1)! e^{2|z|}
-    if tol <= 0.0:
-        raise ConfigurationError(f"efun: tol must be > 0, got {tol}")
-    if abs_z == 0.0:
-        return 0
-    target = math.log(tol)
-    l2z = math.log(2.0 * abs_z)
-    start, table = 0, _LGAMMA_N2
-    while True:
-        for n in range(start, len(table)):
-            if _LOG8 + (n + 1) * l2z - table[n] + 2.0 * abs_z < target:
-                return n
-        if len(table) == _TRUNC_CAP:
-            raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
-        start, table = len(table), _lgamma_n2(len(table))
+    n = moments._factorial_tail_order("efun", _LOG8, 2.0 * abs_z, 1.0, 2.0 * abs_z, tol,
+                                      0, _TRUNC_CAP)
+    if n is None:
+        raise AccuracyError(f"efun: truncation bound not reached for |z|={abs_z}")
+    return n
 
 
 def _kernel_terms(q: complex, n_max: int) -> list[complex]:
     """q^n / eta_n for n = 0..n_max, built by stable ratio updates."""
-    ratios = moments._table(n_max)[3]
+    ratios = moments._table(n_max).ratios
     term = ratios[0] + 0j
     terms = [term]
     for ratio in ratios[1:n_max + 1]:
@@ -176,10 +147,6 @@ def _times_exp(x, e: float, name: str):
     return y
 
 
-def _log_factorials(n: int) -> list[float]:
-    return [math.lgamma(j + 1) for j in range(n + 1)]
-
-
 def _norm(log_w, f: EntireSeries, name: str) -> float:
     # rooted before the rescaling: ||z^180|| ~ 2.5e162, though its square overflows
     m, k = _weighted_sum(log_w, f.coeffs, f.coeffs)
@@ -200,7 +167,7 @@ def h_norm(f: EntireSeries) -> float:
 def fock_norm(f: EntireSeries) -> float:
     """Norm with weights n! instead of eta_n (the containing Gaussian space),
     summed and range-checked as :func:`h_inner`: sqrt(200!) ~ 2.8e187 is returned."""
-    return _norm(_log_factorials(f.degree), f, "fock_norm")
+    return _norm(moments._table(f.degree).log_factorial, f, "fock_norm")
 
 
 def norm_sq_by_quadrature(f: EntireSeries) -> float:

@@ -42,16 +42,20 @@ def _ref_weighted_powers(z, log_c):
     return out
 
 
-def _ref_bargmann_kernel(z, x, tol=1e-12):
+def _ref_bargmann_cut(z, tol):
+    if z == 0:
+        return 0
     a = math.sqrt(2.0) * abs(z)
-    n_trunc = 0
-    if z != 0:
-        for n in range(1000):
-            bound = 0.5 * math.log(8.0) + math.log(2.0) + (n + 1) * math.log(a) \
-                - 0.5 * math.lgamma(n + 2)
-            if n + 2 > 8.0 * abs(z) ** 2 and bound < math.log(tol):
-                n_trunc = n
-                break
+    for n in range(1000):
+        bound = 0.5 * math.log(8.0) + math.log(2.0) + (n + 1) * math.log(a) \
+            - 0.5 * math.lgamma(n + 2)
+        if n + 2 > 8.0 * abs(z) ** 2 and bound < math.log(tol):
+            return n
+    raise ConfigurationError("truncation bound not reached")
+
+
+def _ref_bargmann_kernel(z, x, tol=1e-12):
+    n_trunc = _ref_bargmann_cut(z, tol)
     coeff = _ref_weighted_powers(z, [-0.5 * v for v in moments.log_eta_sequence(n_trunc)])
     return _fsum_complex([c * p for c, p in zip(coeff, _ref_hermite_psi(n_trunc, x))])
 
@@ -149,6 +153,35 @@ class TestBargmannKernel:
     @pytest.mark.parametrize("z, x", _KERNEL_DRAWS)
     def test_bit_identical_to_per_term_coefficients(self, z, x):
         assert bargmann.bargmann_kernel(z, x) == _ref_bargmann_kernel(complex(z), x)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-300])
+    def test_cut_bit_identical_to_per_order_lgamma_search(self, monkeypatch, tol):
+        # |z| up to 6.8, the largest real z whose powers stay finite to the
+        # cut at tol 1e-12; at 1e-300 the cuts reach order 999, and from
+        # |z| = 4 on the powers overflow before them.  Each search starts
+        # from no table, so from |z| = 6 on it grows the table past order
+        # 256 before its first order, floor(8 |z|^2) - 1
+        cuts = []
+        psi = bargmann.hermite_psi
+        monkeypatch.setattr(bargmann, "hermite_psi", lambda n, x: cuts.append(n) or psi(n, x))
+        for r in (0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.5, 6.7, 6.8):
+            for angle, x in ((0.0, 0.3), (0.7, -5.0), (math.pi / 2, 3.0), (2.5, 0.0),
+                             (math.pi, 1.1)):
+                z = cmath.rect(r, angle)
+                want = _ref_bargmann_kernel(z, x, tol)
+                monkeypatch.setattr(moments, "_TABLE", moments._EMPTY_TABLE)
+                if cmath.isfinite(want):
+                    assert bargmann.bargmann_kernel(z, x, tol) == want
+                else:
+                    with pytest.raises(AccuracyError):
+                        bargmann.bargmann_kernel(z, x, tol)
+                assert cuts.pop() == _ref_bargmann_cut(z, tol)
+
+    def test_cut_past_order_1000_raises(self):
+        with pytest.raises(ConfigurationError, match="truncation bound not reached"):
+            _ref_bargmann_cut(9.9, 1e-300)
+        with pytest.raises(ConfigurationError, match="truncation bound not reached"):
+            bargmann.bargmann_kernel(9.9, 0.0, 1e-300)
 
     @pytest.mark.parametrize("z, x", [(0.5 + 0.2j, 0.3), (1 - 1j, 1.5), (2.9j, -3.0)])
     def test_against_mpmath(self, mp_oracle, z, x):

@@ -55,10 +55,10 @@ def test_import_and_moment_table_skip_numpy():
 
 
 def test_import_builds_no_coefficient_table():
-    # the moment table, the lgamma table of efun's cut, the Hermite step
-    # factors and kernel_l2_norm_sq's matrix are built on first use
-    code = ("import hfock; from hfock import bargmann, moments, space; "
-            "print([len(moments._TABLE[2]), len(space._LGAMMA_N2), "
+    # the moment table, with the log n! column of efun's cut, the Hermite
+    # step factors and kernel_l2_norm_sq's matrix are built on first use
+    code = ("import hfock; from hfock import bargmann, moments; "
+            "print([len(moments._TABLE.log_eta), len(moments._TABLE.log_factorial), "
             "bargmann._hermite_steps.cache_info().currsize, "
             "bargmann._l2_rule_and_psi.cache_info().currsize])")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),

@@ -135,9 +135,10 @@ class TestMomentTable:
 
 
 def _rebuilt_for_one_size(n_max):
-    """eta_0, r_1 .. r_{n_max}, log eta_0 .. log eta_{n_max}, the ratios
-    1/eta_0, eta_0/eta_1 .. eta_{n_max-1}/eta_{n_max}, eta_n/n! and
-    eta_n^(-1/2), recomputed from scratch."""
+    """The table's columns through order n_max, recomputed from scratch:
+    eta_0, r_1 .. r_{n_max}, log eta_0 .. log eta_{n_max}, the ratios
+    1/eta_0, eta_0/eta_1 .. eta_{n_max-1}/eta_{n_max}, eta_n/n!,
+    eta_n^(-1/2) and log n!."""
     r = [2.0 * math.e * expint.e1(1.0) - 1.0]
     for n in range(1, n_max):
         r.append(1.0 / (n + 1) - (n + 2) * r[-1] / (n * (n + 1)))
@@ -146,7 +147,12 @@ def _rebuilt_for_one_size(n_max):
     ratios = [math.exp(-logs[0])] + [math.exp(logs[n - 1] - logs[n]) for n in range(1, n_max + 1)]
     over_fact = [math.exp(logs[n] - math.lgamma(n + 1)) for n in range(n_max + 1)]
     inv_sqrt = [math.exp(-0.5 * v) for v in logs]
-    return eta0, r[:n_max], logs, ratios, over_fact, inv_sqrt
+    log_fact = [math.lgamma(n + 1) for n in range(n_max + 1)]
+    return moments._Columns(eta0, r[:n_max], logs, ratios, over_fact, inv_sqrt, log_fact)
+
+
+# the columns over n = 0 .. N, compared through each size read
+_ORDER_COLUMNS = ("log_eta", "ratios", "over_fact", "inv_sqrt_eta", "log_factorial")
 
 
 _SIZES = [0, 1, 63, 64, 65, 170, 1000, 4097, moments.N_MAX]
@@ -167,29 +173,31 @@ class TestSharedTable:
     @pytest.mark.parametrize("n_max", _SIZES)
     def test_accessors_bit_identical_to_rebuild(self, empty_table, n_max):
         # grown from no table through each smaller size of the list to n_max
-        eta0, r, logs, *columns = _rebuilt_for_one_size(n_max)
+        want = _rebuilt_for_one_size(n_max)
         for size in [s for s in _SIZES if s <= n_max]:
             if size >= 1:
-                assert moments.residual_sequence(size) == tuple(r[:size])
-            assert moments.log_eta_sequence(size) == tuple(logs[:size + 1])
-            assert moments.log_eta(size) == logs[size]
-            for got, want in zip(moments._table(size)[3:], columns):
-                assert got[:size + 1] == tuple(want[:size + 1])
+                assert moments.residual_sequence(size) == tuple(want.r[:size])
+            assert moments.log_eta_sequence(size) == tuple(want.log_eta[:size + 1])
+            assert moments.log_eta(size) == want.log_eta[size]
+            table = moments._table(size)
+            for name in _ORDER_COLUMNS:
+                assert getattr(table, name)[:size + 1] == tuple(getattr(want, name)[:size + 1])
             if size <= moments.LINEAR_LIMIT:
-                expected = eta0 if size == 0 else r[size - 1] * math.gamma(size)
+                expected = want.eta0 if size == 0 else want.r[size - 1] * math.gamma(size)
                 assert moments.eta_closed_form(size) == expected
 
     def test_threads_growing_at_once_publish_correct_tables(self, empty_table):
         # four threads on two cores, switching often, each grow the table
         # through the sizes in their own order
-        _, r, *columns = _rebuilt_for_one_size(moments.N_MAX)
+        want = _rebuilt_for_one_size(moments.N_MAX)
         wrong = []
 
         def grow(sizes):
             for n in sizes:
                 t = moments._table(n)
-                if t[1][:n] != tuple(r[:n]) or any(
-                        got[:n + 1] != tuple(want[:n + 1]) for got, want in zip(t[2:], columns)):
+                if t.r[:n] != tuple(want.r[:n]) or any(
+                        getattr(t, name)[:n + 1] != tuple(getattr(want, name)[:n + 1])
+                        for name in _ORDER_COLUMNS):
                     wrong.append(n)
 
         orders = [_SIZES, _SIZES[::-1], _SIZES[1::2] + _SIZES[::2], _SIZES[::2] + _SIZES[1::2]]
@@ -224,7 +232,7 @@ class TestSharedTable:
         for z in (100.0, 300.0):  # efun reads orders 737 and 2174
             space.efun(z)
         moments.eta_factorial_sum(moments.N_MAX)
-        orders = [len(t[2]) - 1 for t in published]
+        orders = [len(t.log_eta) - 1 for t in published]
         assert orders == sorted(set(orders)) and set(orders) <= set(_DOUBLING_ORDERS)
         assert orders[-1] == moments.N_MAX and len(orders) <= len(_DOUBLING_ORDERS)
 

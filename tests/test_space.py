@@ -46,7 +46,7 @@ class TestEfun:
                     return n
             return None
 
-        monkeypatch.setattr(space, "_LGAMMA_N2", ())
+        monkeypatch.setattr(moments, "_TABLE", moments._EMPTY_TABLE)
         sizes = []
         for r in (0.3, 5.0, 30.0, 100.0, 300.0, 520.0, 560.0):
             for tol in (1e-12, 1e-3):
@@ -56,9 +56,11 @@ class TestEfun:
                         space._trunc_index(r, tol)
                 else:
                     assert space._trunc_index(r, tol) == want
-                sizes.append(len(space._LGAMMA_N2))
-        # orders 235, 737 and 2174 grow it by doubling, capped at 4000 entries
-        assert sorted(set(sizes)) == [256, 1024, 4000] and list(space._LGAMMA_N2) == full
+                sizes.append(len(moments._TABLE.log_factorial) - 1)
+        # orders 235, 737 and 2174 grow the moment table by doubling; the cut
+        # at 560 fails at order 4000, which the table of order 4096 holds
+        assert sorted(set(sizes)) == [256, 1024, 4096]
+        assert moments._TABLE.log_factorial[1:4001] == tuple(full)
 
 
 class TestKernel:

@@ -40,6 +40,7 @@ COMMANDS = (
     "moments --nmax 60 --tol 1e-9",
     "moments --nmax 40 --tol 1e-13 --format json",
     "efun --z 0 --z 1 --z 0,1 --z -3 --z 2.5,-1.5 --z 20 --z 200",
+    "efun --z 520 --z 0.001 --tol 1e-3",
     "kernel --z 1,0.5 --w=-0.3,2",
     "kernel --z 1,0.5 --w=-0.3,2 --ml-normalized",
     "expint --x 1.5 --family 50",
@@ -47,6 +48,7 @@ COMMANDS = (
     "bargmann --z 0.5,0.2",
     "bargmann --z 2.5,-1 --xmin -2 --xmax 2 --nx 9",
     "bargmann --z 3,0 --xmin -30 --xmax 30 --nx 5",
+    "bargmann --z 6.8 --xmin -1 --xmax 1 --nx 3",
     "lerch --phi 1 0",
     "lerch --phi 2 0.3,0.4",
     "lerch --phi 2 0.3,0.4 --tol 1e-6",
