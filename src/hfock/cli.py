@@ -183,9 +183,9 @@ def _cmd_bargmann(args) -> int:
 
 
 def _cmd_lerch(args) -> int:
+    if args.tol is not None and args.phi is None and args.lerch is None:
+        raise ConfigurationError("--tol applies to --phi and --lerch; --zeta and --audit take none")
     if args.audit is not None:
-        if args.tol is not None:
-            raise ConfigurationError("--tol does not apply to --audit, which takes no tolerance")
         if args.audit == "eta0_K":
             obj = lerch.ml_audit("eta0_K", seed=args.seed)
         elif args.audit.startswith("phi_tilde:"):
@@ -196,14 +196,14 @@ def _cmd_lerch(args) -> int:
                 f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
         _emit_json(obj, args.out)
         return 0
-    tol = 1e-12 if args.tol is None else args.tol
     if args.zeta is not None:
         s, a = args.zeta
-        _emit_json({"s": s, "a": a, "value": lerch.hurwitz_zeta(s, a, tol)}, args.out)
+        _emit_json({"s": s, "a": a, "value": lerch.hurwitz_zeta(s, a)}, args.out)
         return 0
     if args.lerch is not None:
         z = _parse_complex(args.lerch[0])
         s, a = _parse_number(args.lerch[1]), _parse_number(args.lerch[2])
+        tol = 1e-12 if args.tol is None else args.tol
         _emit_json({"z": _pair(z), "s": s, "a": a,
                     "value": _pair(lerch.lerch_phi(z, s, a, tol))}, args.out)
         return 0
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
     common(p, seed=True)
     p.add_argument("--tol", type=float, default=None,
-                   help="default 1e-12; 1e-13 for --phi; --audit takes none")
+                   help="1e-12 for --lerch, 1e-13 for --phi; --zeta and --audit take none")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
     what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)

@@ -63,15 +63,15 @@ def _en_lentz_scaled(n, x):
 
 
 def e1(x):
-    """E_1 for real x > 0 or complex x with Re(x) > 0.
+    """E_1 for finite real x > 0 or finite complex x with Re(x) > 0.
 
     Power series inside |x| <= 1.5, modified Lentz continued fraction
     outside; relative error <= 1e-14 on the real line and <= 1e-12 for
     complex arguments with |x| <= 20.
     """
     re = x.real if isinstance(x, complex) else x
-    if not re > 0.0:
-        raise DomainError(f"e1: requires Re(x) > 0, got {x}")
+    if not (re > 0.0 and cmath.isfinite(x)):
+        raise DomainError(f"e1: requires finite x with Re(x) > 0, got {x}")
     if abs(x) <= E1_SERIES_RADIUS:
         return _e1_series(x)
     exp = cmath.exp if isinstance(x, complex) else math.exp
@@ -139,8 +139,8 @@ def incomplete_gamma_int(m: int, x: float) -> float:
     """
     if not 1 <= m <= 170:
         raise ConfigurationError(f"incomplete_gamma_int: m must be in [1, 170], got {m}")
-    if not x > 0.0:
-        raise DomainError(f"incomplete_gamma_int: requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"incomplete_gamma_int: requires 0 < x < inf, got {x}")
     logx = math.log(x)
     terms = [math.exp(j * logx - x - math.lgamma(j + 1)) for j in range(m)]
     return math.gamma(m) * math.fsum(terms)

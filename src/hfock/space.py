@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from . import moments
-from .errors import AccuracyError, ConfigurationError, ValidationError
+from .errors import AccuracyError, ConfigurationError, DomainError, ValidationError
 from .numerics import csum
 
 _LOG8 = math.log(8.0)
@@ -68,6 +68,8 @@ class EntireSeries(namedtuple("EntireSeries", "coeffs")):
 
 def _trunc_index(abs_z: float, tol: float) -> int:
     # tail of sum z^n/eta_n after N is below 8 (2|z|)^{N+1}/(N+1)! e^{2|z|}
+    if not abs_z < math.inf:
+        raise DomainError(f"efun: requires a finite argument, got |z|={abs_z}")
     n = moments._factorial_tail_order("efun", _LOG8, 2.0 * abs_z, 1.0, 2.0 * abs_z, tol,
                                       0, _TRUNC_CAP)
     if n is None:

@@ -73,7 +73,7 @@ class TestValueCommands:
         assert json.loads(out)["value"] == pytest.approx(gold["zeta_2_1"], abs=1e-10)
 
     def test_lerch_phi_reads_tol(self, capsys):
-        # without --tol, --phi sums to phi's own default 1e-13, not the 1e-12 of --zeta and --lerch
+        # without --tol, --phi sums to phi's own default 1e-13, not the 1e-12 of --lerch
         default = json.loads(_run(capsys, ["lerch", "--phi", "1", "0.5"])[1])["value"]
         loose = json.loads(_run(capsys, ["lerch", "--phi", "1", "0.5", "--tol", "1e-3"])[1])["value"]
         assert default == [lerch.phi(1, 0.5).real, 0.0]
@@ -307,6 +307,7 @@ class TestVerify:
         ["dbar", "--problem", "p.json", "--tol", "1e-10"],
         ["verify", "all", "--tol", "1e-3"],
         ["lerch", "--audit", "phi_tilde:1", "--tol", "1e-3"],
+        ["lerch", "--zeta", "2", "1", "--tol", "1e-3"],
     ], ids=" ".join)
     def test_ignored_flags_rejected(self, capsys, argv):
         # argparse refuses a flag that the subcommand does not define; one

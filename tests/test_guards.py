@@ -1,4 +1,4 @@
-"""NaN fails every argument guard: no call returns nan or reports a failure
+"""NaN and infinity fail every argument guard: no call returns nan or reports a failure
 of the numerics in place of the guard's own error."""
 import math
 
@@ -37,10 +37,17 @@ def test_nan_tol_raises(call):
     (lambda: expint.e1(NAN), DomainError),
     (lambda: expint.en_family(3, NAN), DomainError),
     (lambda: expint.en_family(3, math.inf), DomainError),
+    (lambda: expint.e1(math.inf), DomainError),
+    (lambda: expint.e1(complex(2.0, NAN)), DomainError),
+    (lambda: expint.incomplete_gamma_int(3, math.inf), DomainError),
+    (lambda: space.efun(NAN), DomainError),
+    (lambda: space.efun(math.inf), DomainError),
+    (lambda: space.kernel(math.inf, 1.0), DomainError),
 ], ids=["kernel_l2_norm_sq", "bargmann_kernel", "hermite_generating_pair-z",
         "hermite_generating_pair-x", "generating_series", "generating_series-imag",
         "generating_closed_form", "generating_closed_form-imag", "incomplete_gamma_int",
-        "e1", "en_family", "en_family-inf"])
+        "e1", "en_family", "en_family-inf", "e1-inf", "e1-imag", "incomplete_gamma_int-inf",
+        "efun", "efun-inf", "kernel-inf"])
 def test_nan_argument_fails_the_guard(call, error):
     with pytest.raises(error):
         call()

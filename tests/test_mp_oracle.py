@@ -37,6 +37,16 @@ def test_bargmann_kernel_keeps_40_digits(mp_oracle, z, x):
     assert abs(a - b) <= ctx.mpf(10) ** -40 * abs(b)
 
 
+# mp.zeta at 40 digits is 3.5e-10 off at (20, 100), 80 digits 5.5e-13 off at
+# (50, 1e4) and 160 digits 5.2e-12 off at (55.7, 1956)
+@pytest.mark.parametrize("s, a", [(20, 100), (50, 1e4), (55.7, 1956), (1.01, 0.5)])
+def test_hurwitz_zeta_keeps_40_digits(mp_oracle, s, a):
+    ctx = mp_oracle.ctx
+    with ctx.workdps(500):
+        ref = ctx.zeta(ctx.mpf(s), ctx.mpf(a))
+    assert abs(mp_oracle.hurwitz_zeta(s, a) - ref) <= ctx.mpf(10) ** -40 * abs(ref)
+
+
 def test_bargmann_kernel_hermite_normalisation(mp_oracle):
     # with every eta_n = n!, the series is the classical generating function
     # pi^(-1/4) exp(-(z^2 + x^2)/2 + sqrt(2) z x)
@@ -63,7 +73,7 @@ _CHEAP_ROUTES = {
     "e2_of_1": lambda o: o.ctx.expint(2, 1),
     "efun_at_1": lambda o: o.efun(1).real,
     "efun_at_minus_1": lambda o: o.efun(-1).real,
-    "zeta_2_1": lambda o: o.ctx.zeta(2),
+    "zeta_2_1": lambda o: o.hurwitz_zeta(2, 1),
     "phi1_at_half": lambda o: o.phi(1, 0.5).real,
     **{f"eta{n}": lambda o, n=n: o.eta(n) for n in (0, 1, 2, 3, 5, 10)},
 }

@@ -278,7 +278,7 @@ _INTEGRAND_FAMILIES = {
         patch, moments, lambda: moments.en_integral_identity(n))],
     "laguerre_projection": lambda patch: _integrands(
         patch, moments, moments._laguerre_projection.__wrapped__),
-    "hurwitz": lambda patch: [args for s, a in ((2.5, 1.3), (1.6, 1.0)) for args in _integrands(
+    "hurwitz": lambda patch: [args for s, a in ((2.5, 1.3), (1.6, 1.0), (1.2, 1.0)) for args in _integrands(
         patch, lerch, lambda: lerch.hurwitz_zeta_integral(s, a))],
     # factorial moments; incomplete gamma and the Laplace-E_n integrals
     "verify": lambda patch: (_integrands(patch, verify, verify.suite_numerics)

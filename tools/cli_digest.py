@@ -54,6 +54,8 @@ COMMANDS = (
     "lerch --phi 2 0.3,0.4 --tol 1e-6",
     "lerch --phi 3 -0.7",
     "lerch --zeta 2 1",
+    "lerch --zeta 1.01 0.5",
+    "lerch --zeta 55.7 1956",
     "lerch --lerch 0.5,0.3 1.5 2",
     "lerch --lerch 0 1.5 2",
     "lerch --phi 1 0.9,0.4",
