@@ -183,8 +183,8 @@ def _cmd_bargmann(args) -> int:
 
 
 def _cmd_lerch(args) -> int:
-    if args.tol is not None and args.phi is None and args.lerch is None:
-        raise ConfigurationError("--tol applies to --phi and --lerch; --zeta and --audit take none")
+    if args.tol is not None and args.lerch is None:
+        raise ConfigurationError("--tol applies to --lerch; --phi, --zeta and --audit take none")
     if args.audit is not None:
         if args.audit == "eta0_K":
             obj = lerch.ml_audit("eta0_K", seed=args.seed)
@@ -209,8 +209,7 @@ def _cmd_lerch(args) -> int:
         return 0
     n = _parse_number(args.phi[0], int)
     z = _parse_complex(args.phi[1])
-    value = lerch.phi(n, z) if args.tol is None else lerch.phi(n, z, args.tol)
-    _emit_json({"n": n, "z": _pair(z), "value": _pair(value)}, args.out)
+    _emit_json({"n": n, "z": _pair(z), "value": _pair(lerch.phi(n, z))}, args.out)
     return 0
 
 
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
     common(p, seed=True)
     p.add_argument("--tol", type=float, default=None,
-                   help="1e-12 for --lerch, 1e-13 for --phi; --zeta and --audit take none")
+                   help="1e-12 for --lerch; --phi, --zeta and --audit take none")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
     what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)

@@ -1,12 +1,12 @@
 """Disk kernels phi_n(z) = sum_k z^k/(k+n), their Lerch and Hurwitz-zeta
 relatives, and numerical evidence for the moment-generating kernel class.
 
-phi_n extends to the real interval (-1, inf) through its Laplace
-representation phi_n(-a) = integral of exp(-a t) E_n(t), which also makes
-a -> phi_n(-a) completely monotone; the finite-difference checks here probe
-that property to bounded order on a = 0.1, 0.2, ..., 5.0, as evidence, not
-proof.  Every Lerch-series route sums through one guard,
-``_lerch_denominators``.
+``phi`` is ``expint.laplace_en(n, -z)`` on the disk |z| <= 1 - 1e-6.  That
+Laplace representation phi_n(-a) = integral of exp(-a t) E_n(t) makes a ->
+phi_n(-a) completely monotone; the finite-difference checks here probe that
+property to bounded order on a = 0.1, 0.2, ..., 5.0, as evidence, not proof.
+Every Lerch-series route (``lerch_phi``, the Grams of ``gram_phi`` and
+``ml_audit``) sums through one guard, ``_lerch_denominators``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 _MIN_NORMAL = 2.0 ** -1022  # a smaller a^s is refused: the first term 1/a^s nears overflow
-# B_2j / (2j)! for j = 1..10, each a correctly rounded quotient of integers
+# B_2j / (2j)! for j = 1..10, each a correctly rounded quotient of integers.  j = 8..10 add
+# at most 2e-18 of the value; without them 15 of 90 671 seeded (s, a) moved by 1 ulp, 3
+# away from the 40-digit oracle and 12 toward it: no gain worth a larger truncation
 _EM_COEFFS = tuple(num / (den * math.factorial(2 * j)) for j, (num, den) in enumerate((
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
     (43867, 798), (-174611, 330)), 1))
@@ -56,24 +58,16 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
         raise DomainError(f"Lerch series: (k+a)^s overflows at s={s}, a={a}") from None
 
 
-def phi(n: int, z: complex, tol: float = 1e-13) -> complex:
-    """phi_n(z) = sum_k z^k / (k+n) on the disk |z| <= 1 - 1e-6.
-
-    Real z in (-1, -0.5] goes to ``expint.laplace_en(n, -z)``, which sums the
-    same series in real arithmetic with ``math.fsum`` down to terms below
-    1e-18: within a few ulps there, where ``lerch_phi`` at its absolute
-    default tolerance 1e-13 misses by up to some thousand.  Elsewhere it is
-    the Lerch series ``lerch_phi(z, 1, n, tol)``, whose guard rejects any
-    other z off the disk and any tol that is not positive.
-    """
+def phi(n: int, z: complex) -> complex:
+    """phi_n(z) = sum_k z^k / (k+n) on the disk |z| <= 1 - 1e-6, as
+    ``expint.laplace_en(n, -z)``: its closed form where |z|^n >= 1/2, its
+    series elsewhere, within the relative error bound it documents."""
     if n < 1:
         raise ConfigurationError(f"phi: order must be >= 1, got {n}")
     z = complex(z)
-    if z.imag == 0.0 and -1.0 < z.real <= -0.5:
-        return complex(expint.laplace_en(n, -z.real))
-    if z == 0:
-        return complex(1.0 / n)
-    return lerch_phi(z, 1.0, n, tol)
+    if not abs(z) <= 1.0 - DISK_MARGIN:
+        raise DomainError(f"phi: |z| = {abs(z):.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
+    return complex(expint.laplace_en(n, -z))
 
 
 def phi_tilde(n: int, z: complex) -> complex:
@@ -164,15 +158,15 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
 
 
 def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:
-    """(series, closed form) of k_1(z, w) = phi_1(z conj(w)).
+    """(Lerch series, closed form) of k_1(z, w) = phi_1(z conj(w)).
 
     Closed form: -log(1 - q)/q at q = z conj(w), the kernel of the classical
-    Dirichlet space on the disk.
-    """
+    Dirichlet space on the disk.  The series is ``lerch_phi``: ``phi`` is this
+    closed form wherever |q| >= 1/2."""
     q = complex(z) * complex(w).conjugate()
     if q == 0:
         return complex(1.0), complex(1.0)
-    series = phi(1, q)
+    series = lerch_phi(q, 1.0, 1.0)
     closed = -cmath.log(1.0 - q) / q
     return series, closed
 
@@ -216,7 +210,7 @@ def gram_phi(n: int, points) -> space.GramMatrix:
 
 def _scaled_phi_gram(n: int, points, log_scale: float) -> space.GramMatrix:
     """Factored Gram matrix of exp(log_scale) phi_n(z conj w): c_k = exp(log_scale)/(k+n),
-    truncated by phi's own tail rule and default tolerance."""
+    truncated by lerch_phi's tail rule at its default tolerance."""
     import numpy as np
 
     return space._diagonal_gram(

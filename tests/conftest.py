@@ -16,3 +16,10 @@ def mp_oracle():
     pytest.importorskip("mpmath")
     import mp_oracle
     return mp_oracle
+
+
+@pytest.fixture(scope="session")
+def laplace_bound():
+    """n -> the relative error bound that ``expint.laplace_en`` documents at
+    order n, (10 n + n^2/25) 2^-53; ``lerch.phi`` inherits it."""
+    return lambda n: (10 * n + n * n / 25) * 2.0 ** -53

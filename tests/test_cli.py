@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hfock import cli, lerch, verify
+from hfock import cli, verify
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = str(_ROOT / "src")
@@ -71,14 +71,6 @@ class TestValueCommands:
         code, out, _ = _run(capsys, ["lerch", "--zeta", "2", "1"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(gold["zeta_2_1"], abs=1e-10)
-
-    def test_lerch_phi_reads_tol(self, capsys):
-        # without --tol, --phi sums to phi's own default 1e-13, not the 1e-12 of --lerch
-        default = json.loads(_run(capsys, ["lerch", "--phi", "1", "0.5"])[1])["value"]
-        loose = json.loads(_run(capsys, ["lerch", "--phi", "1", "0.5", "--tol", "1e-3"])[1])["value"]
-        assert default == [lerch.phi(1, 0.5).real, 0.0]
-        assert loose == [lerch.phi(1, 0.5, 1e-3).real, 0.0]
-        assert default != loose
 
     def test_lerch_audit(self, capsys):
         code, out, _ = _run(capsys, ["lerch", "--audit", "phi_tilde:2"])
@@ -277,10 +269,11 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
-    def test_laplace_past_the_term_cap_exit_code(self, capsys):
-        code, _, err = _run(capsys, ["expint", "--x", "1", "--laplace", "-0.999999"])
-        assert code == 2
-        assert "series terms" in err
+    def test_laplace_near_minus_one_matches_the_oracle(self, capsys, mp_oracle, laplace_bound):
+        code, out, _ = _run(capsys, ["expint", "--x", "1", "--laplace", "-0.999999"])
+        assert code == 0
+        ref = float(mp_oracle.phi(1, 0.999999).real)
+        assert abs(json.loads(out)["laplace_value"] - ref) <= laplace_bound(1) * abs(ref)
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -308,6 +301,7 @@ class TestVerify:
         ["verify", "all", "--tol", "1e-3"],
         ["lerch", "--audit", "phi_tilde:1", "--tol", "1e-3"],
         ["lerch", "--zeta", "2", "1", "--tol", "1e-3"],
+        ["lerch", "--phi", "2", "0.3,0.4", "--tol", "1e-3"],
     ], ids=" ".join)
     def test_ignored_flags_rejected(self, capsys, argv):
         # argparse refuses a flag that the subcommand does not define; one

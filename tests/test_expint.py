@@ -142,15 +142,17 @@ class TestLaplaceEn:
                          + math.fsum((-a) ** k / k for k in range(1, n))) / a ** n
         assert abs(series - closed) <= 1e-11
 
-    def test_series_near_the_term_cap(self):
-        # about 410 000 terms, inside the 2 000 000-term cap
-        assert expint.laplace_en(1, -0.9999) == pytest.approx(
-            math.log1p(-0.9999) / -0.9999, rel=1e-12)
+    @pytest.mark.parametrize("n,a", [(1, -0.9999), (1, -0.999999), (2, 1.0 - 1e-7)])
+    def test_near_minus_and_plus_one_matches_the_oracle(self, mp_oracle, laplace_bound, n, a):
+        # the closed form, where the series would need 4e5 to 4e8 terms
+        ref = float(mp_oracle.phi(n, -a).real)
+        assert abs(expint.laplace_en(n, a) - ref) <= laplace_bound(n) * abs(ref)
 
-    @pytest.mark.parametrize("n,a", [(1, -0.999999), (2, 1.0 - 1e-7)])
-    def test_series_past_the_term_cap_raises(self, n, a):
-        with pytest.raises(AccuracyError):
-            expint.laplace_en(n, a)
+    def test_complex_argument(self, mp_oracle, laplace_bound):
+        # one point on each side of the split |a|^n = 1/2, and one off the disk
+        for n, a in ((3, 0.5 + 0.5j), (3, -0.7 + 0.6j), (2, 3.0 - 4.0j)):
+            ref = complex(mp_oracle.phi(n, -a))
+            assert abs(expint.laplace_en(n, a) - ref) <= laplace_bound(n) * abs(ref), a
 
     @pytest.mark.parametrize("n,a", [(20, 1e20), (3, 1e200)])
     def test_closed_form_past_double_range_raises(self, n, a):
@@ -169,5 +171,11 @@ class TestLaplaceEn:
     def test_domain(self):
         with pytest.raises(DomainError):
             expint.laplace_en(2, -1.0)
+        with pytest.raises(DomainError):
+            expint.laplace_en(2, -1.0 + 1j)
+        with pytest.raises(DomainError):
+            expint.laplace_en(2, complex(0.5, math.nan))
         with pytest.raises(ConfigurationError):
             expint.laplace_en(0, 1.0)
+        with pytest.raises(ConfigurationError):
+            expint.laplace_en(10_001, 0.5)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from hfock import expint, lerch, space
-from hfock.errors import AccuracyError, ConfigurationError, DomainError
+from hfock.errors import ConfigurationError, DomainError
 from hfock.numerics import disk_point, integrate_semi_infinite
 
 
@@ -19,7 +19,9 @@ class TestPhi:
         assert lerch.phi(1, 0.5).real == pytest.approx(gold["phi1_at_half"], abs=1e-13)
 
     def test_negative_branch_matches_laplace(self):
-        assert lerch.phi(2, -0.9).real == pytest.approx(expint.laplace_en(2, 0.9), rel=1e-14)
+        # phi is laplace_en at -z, bit for bit, on and off the real axis
+        assert lerch.phi(2, -0.9) == complex(expint.laplace_en(2, 0.9))
+        assert lerch.phi(3, 0.3 + 0.4j) == expint.laplace_en(3, -0.3 - 0.4j)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.9, 2.0])
@@ -33,9 +35,14 @@ class TestPhi:
             1e-10).value
         assert abs(val - quad) <= 1e-8
 
-    def test_negative_axis_past_the_laplace_term_cap_raises(self):
-        with pytest.raises(AccuracyError):
+    def test_negative_axis_edge_matches_the_oracle(self, mp_oracle, laplace_bound):
+        # -0.9999999 is off phi's disk; laplace_en takes it, at the same bound
+        with pytest.raises(DomainError):
             lerch.phi(1, -0.9999999)
+        for value, z in ((lerch.phi(1, -0.999999), -0.999999),
+                         (expint.laplace_en(1, 0.9999999), -0.9999999)):
+            ref = float(mp_oracle.phi(1, z).real)
+            assert abs(value - ref) <= laplace_bound(1) * abs(ref), z
 
     def test_boundary_rejection(self):
         with pytest.raises(DomainError):
@@ -55,12 +62,33 @@ class TestPhi:
             assert abs(lerch.phi(n, x).real - ref) <= 16 * 2.0 ** -53 * abs(ref), x
 
     def test_log_identity_on_interval(self):
+        # the Lerch series against -log(1 - x); phi is that closed form for |x| >= 1/2
         for i in range(37):
             x = -0.9 + 1.8 * i / 36.0
             if abs(x) < 1e-9:
                 continue
-            assert abs((lerch.phi(1, x) * x).real + math.log1p(-x)) <= 1e-11
+            assert abs((lerch.lerch_phi(x, 1.0, 1.0) * x).real + math.log1p(-x)) <= 1e-11
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 35, 50])
+    def test_matches_the_oracle(self, mp_oracle, laplace_bound, n):
+        # phi on the disk up to radius 1 - 1e-6 in every direction, denser near the
+        # split |z|^n = 1/2 where the closed form cancels most; laplace_en on real
+        # a from -0.999999 to 1e100 (or where a^n overflows, below that)
+        rng = random.Random(f"phi-oracle:{n}")
+        split = 2.0 ** (-1.0 / n)
+        radii = [1.0 - 10.0 ** (-6.0 * rng.random()) for _ in range(12)]
+        radii += [math.sqrt(rng.random()) for _ in range(12)]
+        radii += [min(split * (1.0 + 0.02 * (rng.random() - 0.3)), 1.0 - 1e-6) for _ in range(16)]
+        for r in radii:
+            z = cmath.rect(r, math.pi * (2.0 * rng.random() - 1.0))
+            ref = complex(mp_oracle.phi(n, z))
+            assert abs(lerch.phi(n, z) - ref) <= laplace_bound(n) * abs(ref), z
+        top = min(100.0, 300.0 / n)
+        alphas = [-(1.0 - 10.0 ** (-6.0 * rng.random())) for _ in range(8)]
+        alphas += [10.0 ** (top * rng.random()) for _ in range(8)] + [-split, split, 1.0]
+        for a in alphas:
+            ref = float(mp_oracle.phi(n, -a).real)
+            assert abs(expint.laplace_en(n, a) - ref) <= laplace_bound(n) * abs(ref), a
 
 class TestPhiTilde:
     def test_unit_at_origin(self):
@@ -85,13 +113,15 @@ class TestLerchPhi:
     def test_at_zero(self):
         assert lerch.lerch_phi(0.0, 2.5, 3.0) == complex(3.0 ** -2.5)
 
-    def test_reduces_to_phi_at_s_one(self):
-        # off the Laplace interval phi is this series, bit for bit
+    def test_reduces_to_phi_at_s_one(self, laplace_bound):
+        # within lerch_phi's tail tolerance and rounding, plus phi's own bound
         rng = random.Random(8)
         for _ in range(50):
             z = cmath.rect(0.9 * math.sqrt(rng.random()), 2 * math.pi * rng.random())
             n = rng.randrange(1, 6)
-            assert lerch.lerch_phi(z, 1.0, float(n)) == lerch.phi(n, z)
+            value = lerch.phi(n, z)
+            assert abs(lerch.lerch_phi(z, 1.0, float(n)) - value) <= (
+                _mp_bound(1e-13, value) + laplace_bound(n) * abs(value)), (z, n)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
     def test_against_mpmath(self, mp_oracle, s):
@@ -103,11 +133,11 @@ class TestLerchPhi:
                     assert abs(got - ref) <= _mp_bound(tol, ref), (z, a, tol)
 
     def test_phi_against_mpmath(self, mp_oracle):
+        # the bound of the tightest tolerance phi used to take
         for z in _MP_POINTS + [-0.7, -0.999]:
             for n in (1, 2, 5):
                 ref = complex(mp_oracle.lerch_phi(z, 1, n))
-                for tol in _MP_TOLS:
-                    assert abs(lerch.phi(n, z, tol) - ref) <= _mp_bound(tol, ref), (z, n, tol)
+                assert abs(lerch.phi(n, z) - ref) <= _mp_bound(1e-16, ref), (z, n)
 
     def test_integral_against_mpmath_off_the_real_axis(self, mp_oracle):
         # at the route's own tolerance; its integrand divides a real by a

@@ -51,7 +51,8 @@ COMMANDS = (
     "bargmann --z 6.8 --xmin -1 --xmax 1 --nx 3",
     "lerch --phi 1 0",
     "lerch --phi 2 0.3,0.4",
-    "lerch --phi 2 0.3,0.4 --tol 1e-6",
+    "lerch --phi 1 0.99999",
+    "expint --x 1 --laplace -0.999999",
     "lerch --phi 3 -0.7",
     "lerch --zeta 2 1",
     "lerch --zeta 1.01 0.5",
