@@ -47,20 +47,25 @@ def hermite_psi(n_max: int, x: float) -> list[float]:
     v_prev = 0.0
     v_cur = math.exp(ln0 - exp0 * _LN2)
     scale = exp0
-    out = [_ldexp_safe(v_cur, scale)]
+    out = [math.ldexp(v_cur, scale)]  # scale <= 0 here
     for n in range(n_max):
         v_next = x * up[n] * v_cur - down[n] * v_prev
         v_prev, v_cur = v_cur, v_next
-        m = max(abs(v_prev), abs(v_cur))
-        if m > 2.0 ** 400:
-            v_prev *= 2.0 ** -800
-            v_cur *= 2.0 ** -800
-            scale += 800
-        elif 0.0 < m < 2.0 ** -400:
-            v_prev *= 2.0 ** 800
-            v_cur *= 2.0 ** 800
-            scale -= 800
-        out.append(_ldexp_safe(v_cur, scale))
+        # max(|v_prev|, |v_cur|) <= 2^400 after every step: no rescale is due while v_cur is in band
+        if not 2.0 ** -400 <= abs(v_cur) <= 2.0 ** 400:
+            m = max(abs(v_prev), abs(v_cur))
+            if m > 2.0 ** 400:
+                v_prev *= 2.0 ** -800
+                v_cur *= 2.0 ** -800
+                scale += 800
+            elif 0.0 < m < 2.0 ** -400:
+                v_prev *= 2.0 ** 800
+                v_cur *= 2.0 ** 800
+                scale -= 800
+        try:
+            out.append(math.ldexp(v_cur, scale))
+        except OverflowError:
+            out.append(math.copysign(math.inf, v_cur))
     return out
 
 
@@ -69,13 +74,6 @@ def _hermite_steps() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The recurrence's step factors sqrt(2/(n+1)) and sqrt(n/(n+1)), n < _N_MAX."""
     return (tuple(math.sqrt(2.0 / (n + 1)) for n in range(_N_MAX)),
             tuple(math.sqrt(n / (n + 1)) for n in range(_N_MAX)))
-
-
-def _ldexp_safe(m, e):
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.copysign(math.inf, m)
 
 
 def _weighted_powers(z: complex, coeffs) -> list[complex]:

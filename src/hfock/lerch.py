@@ -38,24 +38,45 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
 
     The one guard of every Lerch-series route: it raises unless
     0 <= r <= 1 - DISK_MARGIN, tol > 0, a^s is a normal double and no
-    (k+a)^s overflows, NaN included, so the loop ends and every term is finite.
+    (k+a)^s with k <= K overflows, NaN included, so every term is finite.
+
+    K is found by doubling and then bisection on the predicate "(k+a)^s
+    overflows, or r^k / ((k+a)^s (1-r)) < tol".  The predicate is monotone
+    in k >= 1: (k+a)^s grows with k, and the exact bound falls by a factor
+    (k+a)^s/(k+1+a)^s r <= r <= 1 - 1e-6 per order, far more than the few
+    ulps by which each computed bound can stray.  So the search stops at
+    the order where a scan from k = 1 would stop, with the same values.
     """
     if not 0.0 <= r <= 1.0 - DISK_MARGIN:
         raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
     if not tol > 0.0:
         raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
+
+    def stops(k: int) -> bool:
+        try:
+            return r ** k / ((k + a) ** s * (1.0 - r)) < tol
+        except OverflowError:
+            return True
+
     try:
-        dens = [a ** s]
-        if not dens[0] >= _MIN_NORMAL:
-            raise DomainError(f"Lerch series: a^s = {dens[0]} at s={s}, a={a} is below 2^-1022")
-        while True:
-            k = len(dens)
-            den = (k + a) ** s
-            if r ** k / (den * (1.0 - r)) < tol:
-                return dens
-            dens.append(den)
+        first = a ** s
+        if not first >= _MIN_NORMAL:
+            raise DomainError(f"Lerch series: a^s = {first} at s={s}, a={a} is below 2^-1022")
+        below, cut = 0, 1  # stops(k) is false for 1 <= k <= below and true at cut
+        while not stops(cut):
+            below, cut = cut, 2 * cut
+        while cut - below > 1:
+            mid = (below + cut) // 2
+            if stops(mid):
+                cut = mid
+            else:
+                below = mid
+        # (cut+a)^s raises here where the search stopped on an overflow
+        dens = [(k + a) ** s for k in range(cut + 1)]
     except OverflowError:
         raise DomainError(f"Lerch series: (k+a)^s overflows at s={s}, a={a}") from None
+    dens.pop()
+    return dens
 
 
 def phi(n: int, z: complex) -> complex:

@@ -29,6 +29,7 @@ import heapq
 import math
 from collections import namedtuple
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import AccuracyError, ConfigurationError
 
@@ -313,10 +314,12 @@ def disk_point(rng, radius: float) -> complex:
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
 def csum(terms) -> float | complex:
     """Compensated sum of an iterable of floats or complex numbers."""
     terms = list(terms)
     if any(isinstance(t, complex) for t in terms):
-        return complex(math.fsum([t.real for t in terms]),
-                       math.fsum([t.imag for t in terms]))
+        return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
     return math.fsum(terms)

@@ -300,9 +300,12 @@ def _diagonal_gram(points, log_coeffs) -> GramMatrix:
     B[:, 0] = math.exp(0.5 * log_c[0])
     B[:, 1:] = np.outer(z, np.exp(0.5 * np.diff(log_c)))
     np.cumprod(B, axis=1, out=B)
-    upper = np.triu(B @ B.conj().T, 1)
+    # assembled in place; += 0.0 turns each -0.0 part to +0.0, as in upper + upper^H + diag(d)
+    M = np.triu(B @ B.conj().T, 1)
+    M += M.conj().T
+    M += 0.0
     diag = np.sum(B.real ** 2 + B.imag ** 2, axis=1)
-    M = upper + upper.conj().T + np.diag(diag)
+    np.fill_diagonal(M, diag)
     # the singular values of B are those of the triangle R of B^T = QR
     min_eig = 0.0 if B.shape[0] > B.shape[1] else \
         float(np.linalg.svd(np.linalg.qr(B.T, mode="r"), compute_uv=False)[-1]) ** 2

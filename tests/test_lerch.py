@@ -183,6 +183,69 @@ class TestLerchPhi:
             lerch.lerch_phi(z, s, a)
 
 
+def _scan_denominators(r, s, a, tol):
+    # _lerch_denominators as first written: its tail test at every order up to the cut
+    if not 0.0 <= r <= 1.0 - lerch.DISK_MARGIN:
+        raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {lerch.DISK_MARGIN}")
+    if not tol > 0.0:
+        raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
+    try:
+        dens = [a ** s]
+        if not dens[0] >= 2.0 ** -1022:
+            raise DomainError(f"Lerch series: a^s = {dens[0]} at s={s}, a={a} is below 2^-1022")
+        while True:
+            k = len(dens)
+            den = (k + a) ** s
+            if r ** k / (den * (1.0 - r)) < tol:
+                return dens
+            dens.append(den)
+    except OverflowError:
+        raise DomainError(f"Lerch series: (k+a)^s overflows at s={s}, a={a}") from None
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ConfigurationError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLerchDenominators:
+    def test_search_matches_the_linear_scan(self):
+        # r from 0 to 1 - 1e-6, s in (1e-3, 300], a in (1e-3, 1e3]; draws whose
+        # cut may pass 20 000 orders are skipped, to keep the scan short
+        rng = random.Random(33)
+        seen = set()
+        for _ in range(1500):
+            r = rng.choice([0.0, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6, rng.uniform(0.0, 1.0 - 1e-6)])
+            s = math.exp(rng.uniform(math.log(1e-3), math.log(300.0)))
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            tol = rng.choice([1e-300, 1e-13, 1e-3, 10.0])
+            # the tail test passes once r^k < tol (1-r) (1+a)^s; (k+a)^s overflows past e^(709.8/s)
+            need = math.log(tol) + math.log1p(-r) + s * math.log1p(a)
+            if r > 0.0 and need < 0.0 and min(need / math.log(r), math.exp(min(709.8 / s, 20.0))) > 2e4:
+                continue
+            expected = _outcome(_scan_denominators, r, s, a, tol)
+            assert _outcome(lerch._lerch_denominators, r, s, a, tol) == expected, (r, s, a, tol)
+            if isinstance(expected, list):
+                seen.add("K = 1" if len(expected) == 1 else "K > 1000" if len(expected) > 1000 else "K")
+            elif "below" in expected[1]:
+                seen.add("a^s below 2^-1022")
+            else:
+                seen.add("a^s overflows")
+        assert seen == {"K = 1", "K", "K > 1000", "a^s below 2^-1022", "a^s overflows"}
+
+    @pytest.mark.parametrize("r, s, a, tol", [
+        (1.0 - 1e-6 + 1e-12, 1.0, 1.0, 1e-13), (math.nan, 1.0, 1.0, 1e-13), (0.5, 1.0, 1.0, 0.0),
+        (0.5, 1.0, 1.0, math.nan), (0.5, math.nan, 2.0, 1e-13), (0.5, 200.0, 0.01, 1e-13),
+        # (k+a)^s overflows before the tail test passes: at k = 1, and at k = 10
+        (0.5, 300.0, 10.5, 1e-300), (1.0 - 1e-6, 300.0, 1.0, 1e-300)])
+    def test_refusals_match_the_linear_scan(self, r, s, a, tol):
+        expected = _outcome(_scan_denominators, r, s, a, tol)
+        assert isinstance(expected, tuple)
+        assert _outcome(lerch._lerch_denominators, r, s, a, tol) == expected
+
+
 # s from just above 1 + 1e-6 to 300 and a from 1e-3 to 1e4; test_matches_the_oracle
 # keeps the pairs whose value is a normal double
 _ZETA_S = [1.0 + 2e-6, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 7.0, 20.0, 55.7, 100.0, 300.0]

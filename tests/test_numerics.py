@@ -582,3 +582,16 @@ def test_csum_bit_identical_to_fsum_of_generators():
                                       math.fsum(t.imag for t in complexes))
     assert csum(iter(complexes)) == csum(complexes)
 
+
+@pytest.mark.parametrize("terms", [
+    [-0.0, -0.0], [complex(-0.0, -0.0)], [complex(0.0, -0.0), -0.0], [-0.0, complex(-0.0, -0.0)],
+    [complex(-0.0, 0.0), complex(0.0, -0.0)], [2, 0.5, complex(1.5, -0.0)], [-1e308, 1e308, 1j],
+    [1e16, 1 + 1e-8j, -1e16, -0.0], []])
+def test_csum_signed_zeros_and_mixed_input(terms):
+    # the formula csum used first: a list comprehension per part
+    if any(isinstance(t, complex) for t in terms):
+        expected = complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    else:
+        expected = math.fsum(terms)
+    got = csum(terms)
+    assert type(got) is type(expected) and repr(got) == repr(expected)

@@ -59,6 +59,8 @@ COMMANDS = (
     "lerch --zeta 55.7 1956",
     "lerch --lerch 0.5,0.3 1.5 2",
     "lerch --lerch 0 1.5 2",
+    "lerch --lerch 0.999,0 1 1",
+    "lerch --lerch 0.99,0.1 0.5 0.5",
     "lerch --phi 1 0.9,0.4",
     "lerch --audit phi_tilde:1",
     "lerch --audit phi_tilde:2",
