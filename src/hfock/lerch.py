@@ -37,7 +37,7 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
     sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``.
 
     The one guard of every Lerch-series route: it raises unless
-    0 <= r <= 1 - DISK_MARGIN, tol > 0, a^s is a normal double and no
+    0 <= r <= 1 - DISK_MARGIN, tol > 0, s > 0, a^s is a normal double and no
     (k+a)^s with k <= K overflows, NaN included, so every term is finite.
 
     K is found by doubling and then bisection on the predicate "(k+a)^s
@@ -51,6 +51,8 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
         raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
     if not tol > 0.0:
         raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
+    if not s > 0.0:  # s = NaN with a = 1 would pass the a^s test: 1.0 ** nan is 1.0
+        raise DomainError(f"Lerch series: s must be > 0, got {s}")
 
     def stops(k: int) -> bool:
         try:

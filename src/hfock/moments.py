@@ -2,7 +2,10 @@
 
 Three independent routes are provided and cross-checked:
 
-* quadrature of the defining integral,
+* quadrature of the defining integral, on panels of the adaptive integrator
+  that read the weight's node factors (exp(-t) and (1+t)^2, or log t and
+  2 log1p(t)) from a per-panel LRU table, with the same bits as the scalar
+  integrand through ``integrate_semi_infinite``,
 * the closed form eta_0 = 1 - e E1(1), eta_n = r_n Gamma(n) with the
   residual r_n = e (1+n) E_n(1) - 1 carried by its own cancellation-free
   recurrence r_{n+1} = 1/(n+1) - (n+2) r_n / (n (n+1)),
@@ -24,7 +27,8 @@ from functools import lru_cache
 
 from . import expint
 from .errors import AccuracyError, ConfigurationError, DomainError, PrecisionLossError
-from .numerics import csum, integrate_semi_infinite
+from .numerics import (_G7_CENTER_W, _K15_CENTER_W, IntegralResult, _integrate_panels, _panel_nodes,
+                       csum, integrate_semi_infinite)
 
 N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
@@ -134,13 +138,72 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     return _table(n_max).log_eta[:n_max + 1]
 
 
-def _eta_integrand(n):
-    if n <= 65:
-        # exp(-t) is 0.0 from t = 745.2 on, so 0.0 there keeps the bits and
-        # spares t ** n its overflow at the integrator's farthest nodes
-        return lambda t: t ** n * math.exp(-t) / ((1.0 + t) * (1.0 + t)) if t < 746.0 else 0.0
-    # from n = 66, assemble in log scale, where t ** n cannot overflow
-    return lambda t: math.exp(n * math.log(t) - t - 2.0 * math.log1p(t)) if t > 0 else 0.0
+# The moment weight's node factors on a panel (a, b) of the unit interval,
+# laid out as numerics._panel_nodes lays out t and (1-u)^2: the centre's,
+# then (lower node's, upper node's, Kronrod weight, Gauss weight) per pair.
+# Linear scale: t, exp(-t), (1+t)^2, (1-u)^2, with 1, 0, 1, (1-u)^2 from
+# t = 746 on, where exp(-t) is 0.0 and t ** n could overflow.  Log scale:
+# log t, t, 2 log1p(t), (1-u)^2.  Each scale builds only its own factors.
+@lru_cache(maxsize=256)
+def _linear_factors(a, b):
+    (t, j), pairs = _panel_nodes(a, b)
+    exp = math.exp
+
+    def node(t, j):
+        return (t, exp(-t), (1.0 + t) * (1.0 + t), j) if t < 746.0 else (1.0, 0.0, 1.0, j)
+
+    return node(t, j), tuple(node(tl, jl) + node(th, jh) + (wk, wg)
+                             for tl, jl, th, jh, wk, wg in pairs)
+
+
+@lru_cache(maxsize=256)
+def _log_factors(a, b):
+    (t, j), pairs = _panel_nodes(a, b)
+    log, log1p = math.log, math.log1p
+    return (log(t), t, 2.0 * log1p(t), j), tuple(
+        (log(tl), tl, 2.0 * log1p(tl), jl, log(th), th, 2.0 * log1p(th), jh, wk, wg)
+        for tl, jl, th, jh, wk, wg in pairs)
+
+
+def _moment_integral(n, tol, shift=None) -> IntegralResult:
+    """The integral of t^n exp(-t)/(1+t)^2 over (0, inf) to relative ``tol``.
+
+    Linear scale, t ** n * exp(-t) / (1+t)^2, where ``shift`` is None; else
+    log scale, exp(n log t - t - 2 log1p(t) - shift), which cannot overflow
+    at the orders and shifts used here.  Each panel is summed as
+    ``numerics._panel_estimates`` sums it, and every node value is the one
+    the scalar integrand gives, in the same order of operations, so the
+    result or error is that of ``integrate_semi_infinite`` on that
+    integrand, bit for bit.
+    """
+    p = float(n)  # t ** n and n * log(t) convert an int n to this float
+    if shift is None:
+        def panel(a, b):
+            (t, e, d, j), pairs = _linear_factors(a, b)
+            centre = t ** p * e / d / j
+            kronrod = _K15_CENTER_W * centre
+            gauss = _G7_CENTER_W * centre
+            for t, e, d, j, tp, ep, dp, jp, wk, wg in pairs:
+                pair = t ** p * e / d / j + tp ** p * ep / dp / jp
+                kronrod += wk * pair
+                gauss += wg * pair
+            half = 0.5 * (b - a)
+            return half * kronrod, abs(half * (kronrod - gauss))
+    else:
+        exp = math.exp
+
+        def panel(a, b):
+            (lt, t, m, j), pairs = _log_factors(a, b)
+            centre = exp(p * lt - t - m - shift) / j
+            kronrod = _K15_CENTER_W * centre
+            gauss = _G7_CENTER_W * centre
+            for lt, t, m, j, ltp, tp, mp, jp, wk, wg in pairs:
+                pair = exp(p * lt - t - m - shift) / j + exp(p * ltp - tp - mp - shift) / jp
+                kronrod += wk * pair
+                gauss += wg * pair
+            half = 0.5 * (b - a)
+            return half * kronrod, abs(half * (kronrod - gauss))
+    return _integrate_panels(panel, tol)
 
 
 def eta_quadrature(n: int, tol: float = 1e-12) -> float:
@@ -150,7 +213,8 @@ def eta_quadrature(n: int, tol: float = 1e-12) -> float:
         raise ConfigurationError(
             f"eta_quadrature: n must be in [0, {LINEAR_LIMIT}], got {n}; "
             "use log_eta_quadrature for larger orders")
-    return integrate_semi_infinite(_eta_integrand(n), tol).value
+    # from n = 66 in log scale, where t ** n cannot overflow
+    return _moment_integral(n, tol, None if n <= 65 else 0.0).value
 
 
 def log_eta_quadrature(n: int, tol: float = 1e-12) -> float:
@@ -158,14 +222,7 @@ def log_eta_quadrature(n: int, tol: float = 1e-12) -> float:
     if not 0 <= n <= 400:
         raise ConfigurationError(f"log_eta_quadrature: n must be in [0, 400], got {n}")
     shift = math.lgamma(n + 1)
-
-    def scaled(t):
-        if t <= 0.0:
-            return 0.0
-        return math.exp(n * math.log(t) - t - 2.0 * math.log1p(t) - shift)
-
-    res = integrate_semi_infinite(scaled, tol)
-    return shift + math.log(res.value)
+    return shift + math.log(_moment_integral(n, tol, shift).value)
 
 
 def eta_binomial(n: int) -> float:
@@ -294,7 +351,7 @@ _ACCEL_RATIO = 0.90
 
 @lru_cache(maxsize=1)
 def _laguerre_projection() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    g0 = integrate_semi_infinite(_eta_integrand(0), 1e-14).value
+    g0 = _moment_integral(0, 1e-14).value
     h0 = integrate_semi_infinite(lambda t: math.exp(-t) / (1.0 + t), 1e-14).value
     g = [g0, 2.0 * g0 - h0]
     h = [h0, 2.0 * h0 - 1.0]

@@ -3,14 +3,18 @@
 Gauss-Laguerre and Gauss-Hermite rules (Golub-Welsch on the Jacobi matrix;
 the Christoffel recurrence for the weights runs over all nodes at once, at
 orders where every weight is normal), an adaptive integrator for absolutely
-convergent integrals on (0, inf) on Gauss-Kronrod G7/K15 panels that calls
-its integrand on Python floats, sums each panel in Python floats or
-complexes, and raises AccuracyError at once when the integrand overflows or
-returns a non-finite value, central finite differences for the Wirtinger
-derivative d/d(conj z), and a seeded uniform sampler of the disk.
+convergent integrals on (0, inf) on Gauss-Kronrod G7/K15 panels, central
+finite differences for the Wirtinger derivative d/d(conj z), and a seeded
+uniform sampler of the disk.
 
-The integrator keeps the nodes of each dyadic panel it has built (t and
-(1-u)^2 at the 15 nodes, in an LRU cache of 512 panels shared by all
+The integrator is one adaptive loop over panel functions (a, b) ->
+(value, error estimate) of the unit interval.  ``integrate_semi_infinite``
+hands it the generic panel, which calls its integrand on Python floats,
+sums each panel in Python floats or complexes, and raises AccuracyError at
+once when the integrand overflows or returns a non-finite value;
+``moments`` hands it panels of the moment weight built from cached node
+factors.  The loop keeps the nodes of each dyadic panel it has built (t
+and (1-u)^2 at the 15 nodes, in an LRU cache of 512 panels shared by all
 calls), and re-sums its panels exactly only on steps where running totals,
 widened by their rounding bound, could pass the stopping test; every value,
 error estimate, node count and error message is the one that re-summing on
@@ -28,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .errors import AccuracyError, ConfigurationError
@@ -220,6 +224,13 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     budget of 100 000 integrand evaluations, raise :class:`AccuracyError`
     carrying the best estimate, with every panel's error counted.
     """
+    return _integrate_panels(partial(_panel_estimates, f), tol)
+
+
+def _integrate_panels(panel, tol):
+    # integrate_semi_infinite's adaptive loop on any panel function
+    # panel(a, b) -> (value, error estimate) on the panel (a, b) of the unit
+    # interval; the moment integrals keep its messages, so they name it
     if not tol > 0.0:
         raise ConfigurationError(f"integrate_semi_infinite: tol must be > 0, got {tol}")
 
@@ -235,7 +246,7 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     ops = 0
     for i in range(n_init):
         a, b = i / n_init, (i + 1) / n_init
-        val, err = _panel_estimates(f, a, b)
+        val, err = panel(a, b)
         evals += _PANEL_EVALS
         heapq.heappush(panels, (-err, seq, a, b, val))
         seq += 1
@@ -268,17 +279,17 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
             # restart the running sums from the re-sums, which err by at
             # most (P - 1) u times abs_val and total_err respectively
             run_val, run_err, abs_err, ops = total, total_err, total_err, 0
-        panel = heapq.heappop(panels)
-        neg_err, _, a, b, val = panel
+        popped = heapq.heappop(panels)
+        neg_err, _, a, b, val = popped
         mid = 0.5 * (a + b)
         if b - a < 1e-15 or _panel_nodes(mid, b) is None:
-            frozen.append(panel)
+            frozen.append(popped)
             continue
         run_val -= val
         run_err += neg_err
         ops += 1
         for lo, hi in ((a, mid), (mid, b)):
-            val, err = _panel_estimates(f, lo, hi)
+            val, err = panel(lo, hi)
             evals += _PANEL_EVALS
             heapq.heappush(panels, (-err, seq, lo, hi, val))
             seq += 1

@@ -189,6 +189,8 @@ def _scan_denominators(r, s, a, tol):
         raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {lerch.DISK_MARGIN}")
     if not tol > 0.0:
         raise ConfigurationError(f"Lerch series: tol must be > 0, got {tol}")
+    if not s > 0.0:  # added with the guard's refusal: s = NaN at a = 1 would scan forever
+        raise DomainError(f"Lerch series: s must be > 0, got {s}")
     try:
         dens = [a ** s]
         if not dens[0] >= 2.0 ** -1022:
@@ -244,6 +246,13 @@ class TestLerchDenominators:
         expected = _outcome(_scan_denominators, r, s, a, tol)
         assert isinstance(expected, tuple)
         assert _outcome(lerch._lerch_denominators, r, s, a, tol) == expected
+
+    @pytest.mark.parametrize("s", [math.nan, 0.0, -1.0])
+    def test_refuses_s_not_positive(self, s):
+        # at a = 1, a^s = 1.0 ** nan = 1.0 passes the a^s test; the search
+        # would then double k without end, since every stop test reads NaN
+        with pytest.raises(DomainError, match=r"s must be > 0, got"):
+            lerch._lerch_denominators(0.5, s, 1.0, 1e-13)
 
 
 # s from just above 1 + 1e-6 to 300 and a from 1e-3 to 1e4; test_matches_the_oracle

@@ -246,6 +246,29 @@ def test_floor_raise_reports_the_floor_error(monkeypatch):
     assert result.abs_error_estimate >= frozen_err
 
 
+def _eta_integrand(n):
+    """The scalar eta_n integrand whose node values moments' eta panels
+    compute: t ** n up to n = 65, log scale beyond."""
+    if n <= 65:
+        # exp(-t) is 0.0 from t = 745.2 on, so 0.0 there keeps the bits and
+        # spares t ** n its overflow at the integrator's farthest nodes
+        return lambda t: t ** n * math.exp(-t) / ((1.0 + t) * (1.0 + t)) if t < 746.0 else 0.0
+    return lambda t: math.exp(n * math.log(t) - t - 2.0 * math.log1p(t)) if t > 0 else 0.0
+
+
+def _log_eta_integrand(n):
+    """The scalar integrand of log_eta_quadrature(n): eta_n's, rescaled by
+    exp(-lgamma(n+1))."""
+    shift = math.lgamma(n + 1)
+
+    def scaled(t):
+        if t <= 0.0:
+            return 0.0
+        return math.exp(n * math.log(t) - t - 2.0 * math.log1p(t) - shift)
+
+    return scaled
+
+
 def test_hopeless_call_exhausts_the_budget_quickly():
     # log eta_400 at 1e-14 cannot converge; the 100 000-evaluation budget
     # ends it well inside a second on a 2-vCPU machine
@@ -270,10 +293,13 @@ def _integrands(monkeypatch, module, call):
 
 
 _INTEGRAND_FAMILIES = {
-    # both branches of the eta integrand: t**n up to n = 65, log scale beyond
-    "eta": lambda patch: [(moments._eta_integrand(n),) for n in (0, 30, 65, 66, 100, 170)],
-    "log_eta": lambda patch: [args for n in (200, 400) for args in _integrands(
-        patch, moments, lambda: moments.log_eta_quadrature(n))],
+    # the moment integrals take moments' own panels, held to these scalar
+    # integrands bit for bit by test_moment_route_bit_identical_to_*: both
+    # branches of the eta integrand, t**n up to n = 65, log scale beyond,
+    # and eta_0 at 1e-14, the Laguerre projection's g_0
+    "eta": lambda patch: [(_eta_integrand(n),) for n in (0, 30, 65, 66, 100, 170)] + [
+        (_eta_integrand(0), 1e-14)],
+    "log_eta": lambda patch: [(_log_eta_integrand(n), 1e-12) for n in (200, 400)],
     "en_identity": lambda patch: [args for n in (0, 25, 60) for args in _integrands(
         patch, moments, lambda: moments.en_integral_identity(n))],
     "laguerre_projection": lambda patch: _integrands(
@@ -519,20 +545,74 @@ def test_budget_exhaustion_bit_identical_to_reference(monkeypatch):
     assert want[1].startswith("node budget 150 exhausted")
 
 
-def test_hopeless_call_bit_identical_to_reference(monkeypatch):
+def test_hopeless_call_bit_identical_to_reference():
     # log eta_400 at 1e-14 exhausts the full budget with its error near tol,
     # where the gate re-sums on most steps
-    seen = []
+    want = _assert_identical_to_reference((_log_eta_integrand(400), 1e-14), warm=False)
+    assert want[1].startswith(f"node budget {numerics._MAX_EVALS} exhausted")
+
+
+def _route_outcome(monkeypatch, call):
+    """What ``call`` returns, or its error's text, cause and attached result,
+    with every IntegralResult moments' quadrature returned, as reprs."""
+    results = []
 
     def record(*args):
-        seen.append(args)
-        raise AccuracyError("recorded")
+        results.append(numerics._integrate_panels(*args))
+        return results[-1]
 
-    monkeypatch.setattr(moments, "integrate_semi_infinite", record)
-    with pytest.raises(AccuracyError, match="recorded"):
-        moments.log_eta_quadrature(400, 1e-14)
-    want = _assert_identical_to_reference(seen[0], warm=False)
-    assert want[1].startswith(f"node budget {numerics._MAX_EVALS} exhausted")
+    with monkeypatch.context() as m:
+        m.setattr(moments, "_integrate_panels", record)
+        try:
+            value = call()
+        except (AccuracyError, ConfigurationError) as exc:
+            return str(exc), repr(exc.__cause__), repr(getattr(exc, "result", None))
+    return repr(value), repr(results)
+
+
+def _scalar_outcome(f, tol, finish):
+    try:
+        res = integrate_semi_infinite(f, tol)
+    except (AccuracyError, ConfigurationError) as exc:
+        return str(exc), repr(exc.__cause__), repr(getattr(exc, "result", None))
+    return repr(finish(res.value)), repr([res])
+
+
+def _clear_panel_caches():
+    for cache in (numerics._panel_nodes, moments._linear_factors, moments._log_factors):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-13, 1e-14, math.nan])
+def test_moment_route_bit_identical_to_eta_integrand(monkeypatch, tol):
+    # eta_quadrature's panels give the value, error estimate and node count,
+    # or the error, of the scalar integrand through integrate_semi_infinite
+    _clear_panel_caches()
+    kinds = set()  # 2 for a value, 3 for an error
+    for n in range(171):
+        want = _scalar_outcome(_eta_integrand(n), tol, lambda v: v)
+        assert _route_outcome(monkeypatch, lambda: moments.eta_quadrature(n, tol)) == want, n
+        kinds.add(len(want))
+    assert kinds == ({3} if math.isnan(tol) else {2})
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14, math.nan])
+def test_moment_route_bit_identical_to_log_eta_integrand(monkeypatch, tol):
+    _clear_panel_caches()
+    outcomes = []
+    for n in [*range(0, 400, 7), 400]:
+        shift = math.lgamma(n + 1)
+        want = _scalar_outcome(_log_eta_integrand(n), tol, lambda v: shift + math.log(v))
+        assert _route_outcome(monkeypatch, lambda: moments.log_eta_quadrature(n, tol)) == want, n
+        outcomes.append(want[0])
+    if tol == 1e-14:  # the sweep meets the budget's give-up
+        assert outcomes[-1].startswith(f"node budget {numerics._MAX_EVALS} exhausted")
+
+
+def test_laguerre_projection_takes_the_eta_route(monkeypatch):
+    # g_0 is eta_0 at 1e-14 on the moment route; h_0 stays a scalar integral
+    g0 = integrate_semi_infinite(_eta_integrand(0), 1e-14).value
+    assert repr(moments._laguerre_projection.__wrapped__()[0][0]) == repr(g0)
 
 
 class TestWirtinger:
