@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 
 from . import moments
-from .errors import AccuracyError, ConfigurationError, DomainError
+from .errors import AccuracyError, ConfigurationError, DomainError, check_order
 from .numerics import csum, gauss_hermite, integrate_semi_infinite
 
 PI_QUARTER_INV = math.pi ** -0.25
@@ -36,8 +36,7 @@ def hermite_psi(n_max: int, x: float) -> list[float]:
     traversed without loss; entries whose true value is below the subnormal
     range come out as an honest 0.0.
     """
-    if not 0 <= n_max <= _N_MAX:
-        raise ConfigurationError(f"hermite_psi: n_max must be in [0, {_N_MAX}], got {n_max}")
+    n_max = check_order("hermite_psi", "n_max", n_max, 0, _N_MAX)
     if not abs(x) <= 40.0:
         raise ConfigurationError(f"hermite_psi: |x| capped at 40, got {x}")
     x = float(x)
@@ -182,9 +181,9 @@ def weighted_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     the integral side diverges, a domain error points at the validated region.
     """
     z = complex(z)
-    if abs(x) > 5.0:
+    if not abs(x) <= 5.0:
         raise ConfigurationError("weighted_generating_pair: |x| capped at 5")
-    if abs(z) > WEIGHTED_GF_RADIUS:
+    if not abs(z) <= WEIGHTED_GF_RADIUS:
         raise DomainError(
             f"weighted_generating_pair: validated only for |z| <= {WEIGHTED_GF_RADIUS} "
             f"(asymptotic series floor exceeds the documented gap), got |z|={abs(z):.4g}")

@@ -126,7 +126,7 @@ def _cmd_expint(args) -> int:
         obj["value"] = expint.en(args.n, args.x)
     if args.laplace is not None:
         obj["laplace_a"] = args.laplace
-        obj["laplace_value"] = expint.laplace_en(max(args.n, 1), args.laplace)
+        obj["laplace_value"] = expint.laplace_en(args.n, args.laplace)
     _emit_json(obj, args.out)
     return 0
 

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from . import moments, space
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_order
 from .numerics import wirtinger_fd
 
 PI = math.pi
@@ -66,8 +66,7 @@ def poly_fock_kernel(n: int, z, w):
     OverflowError where the value or |z - w|^2 overflows, and where it would
     return inf or nan.
     """
-    if not 1 <= n <= 20:
-        raise ConfigurationError(f"poly_fock_kernel: order must be in [1, 20], got {n}")
+    n = check_order("poly_fock_kernel", "order", n, 1, 20)
     import numpy as np
 
     # numpy scalars for scalar points, so their arithmetic skips the array overhead
@@ -133,7 +132,7 @@ def dbar_residual(u: PolyanalyticSeries, f: space.EntireSeries,
     pts = [complex(zs) for zs in samples]
     if not pts:
         raise ConfigurationError("dbar_residual: need at least one sample")
-    if any(abs(p) > 3.0 for p in pts):
+    if not all(abs(p) <= 3.0 for p in pts):
         raise ConfigurationError("dbar_residual: samples must satisfy |z| <= 3")
     residuals = tuple(abs(wirtinger_fd(u, zs, h) - f(zs)) for zs in pts)
     symbolic = False

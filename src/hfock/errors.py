@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the argument checks that raise it."""
+
+import operator
 
 
 class ConfigurationError(ValueError):
@@ -26,3 +28,22 @@ class AccuracyError(ArithmeticError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def check_order(where: str, name: str, n, lo: int, hi: float) -> int:
+    """``n`` as an int when it is an integer in [lo, hi]: an int or anything
+    ``operator.index`` accepts (numpy integers), never a float, not even 5.0;
+    hi may be math.inf.  Anything else raises :class:`ConfigurationError` under ``where``."""
+    try:
+        i = operator.index(n)
+    except TypeError:
+        i = None
+    if i is None or not lo <= i <= hi:
+        raise ConfigurationError(f"{where}: {name} must be an integer in [{lo}, {hi}], got {n}")
+    return i
+
+
+def check_tol(where: str, tol: float) -> None:
+    """Raise :class:`ConfigurationError` under ``where`` unless tol > 0; a NaN tol raises."""
+    if not tol > 0.0:
+        raise ConfigurationError(f"{where}: tol must be > 0, got {tol}")

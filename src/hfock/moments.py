@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import expint
-from .errors import AccuracyError, ConfigurationError, DomainError, PrecisionLossError
+from .errors import AccuracyError, DomainError, PrecisionLossError, check_order, check_tol
 from .numerics import (_G7_CENTER_W, _K15_CENTER_W, IntegralResult, _integrate_panels, _panel_nodes,
                        csum, integrate_semi_infinite)
 
@@ -87,8 +87,7 @@ def _factorial_tail_order(name: str, c: float, x: float, w: float, d: float, tol
     table's ``log_factorial`` column as it stands and grows the table only
     where the column runs out.
     """
-    if not tol > 0.0:
-        raise ConfigurationError(f"{name}: tol must be > 0, got {tol}")
+    check_tol(name, tol)
     if x == 0.0:
         return 0
     target = math.log(tol)
@@ -108,33 +107,27 @@ def _factorial_tail_order(name: str, c: float, x: float, w: float, d: float, tol
 @lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
 def residual_sequence(n_max: int) -> tuple[float, ...]:
     """Residuals r_1 .. r_{n_max}, r_n = e (1+n) E_n(1) - 1, in (0, 1/n]."""
-    if not 1 <= n_max <= N_MAX:
-        raise ConfigurationError(f"residual_sequence: n_max must be in [1, {N_MAX}]")
+    n_max = check_order("residual_sequence", "n_max", n_max, 1, N_MAX)
     return _table(n_max).r[:n_max]
 
 
 def eta_closed_form(n: int) -> float:
     """eta_n in linear scale; only defined up to n = 170."""
-    if not 0 <= n <= LINEAR_LIMIT:
-        raise ConfigurationError(
-            f"eta_closed_form: linear values require 0 <= n <= {LINEAR_LIMIT}, got {n}; "
-            "use log_eta for larger orders")
+    n = check_order("eta_closed_form", "n", n, 0, LINEAR_LIMIT)
     table = _table(n)
     return table.eta0 if n == 0 else table.r[n - 1] * math.gamma(n)
 
 
 def log_eta(n: int) -> float:
     """log(eta_n), valid for 0 <= n <= 10^4."""
-    if not 0 <= n <= N_MAX:
-        raise ConfigurationError(f"log_eta: n must be in [0, {N_MAX}], got {n}")
+    n = check_order("log_eta", "n", n, 0, N_MAX)
     return _table(n).log_eta[n]
 
 
 @lru_cache(maxsize=8)  # kept only because perfbench/tracer.py reads cache_info()
 def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     """log(eta_0) .. log(eta_{n_max}) as an immutable, shareable table."""
-    if not 0 <= n_max <= N_MAX:
-        raise ConfigurationError(f"log_eta_sequence: n_max must be in [0, {N_MAX}]")
+    n_max = check_order("log_eta_sequence", "n_max", n_max, 0, N_MAX)
     return _table(n_max).log_eta[:n_max + 1]
 
 
@@ -209,18 +202,14 @@ def _moment_integral(n, tol, shift=None) -> IntegralResult:
 def eta_quadrature(n: int, tol: float = 1e-12) -> float:
     """eta_n by adaptive quadrature of the defining integral; like
     ``eta_closed_form``, only defined up to n = 170."""
-    if not 0 <= n <= LINEAR_LIMIT:
-        raise ConfigurationError(
-            f"eta_quadrature: n must be in [0, {LINEAR_LIMIT}], got {n}; "
-            "use log_eta_quadrature for larger orders")
+    n = check_order("eta_quadrature", "n", n, 0, LINEAR_LIMIT)
     # from n = 66 in log scale, where t ** n cannot overflow
     return _moment_integral(n, tol, None if n <= 65 else 0.0).value
 
 
 def log_eta_quadrature(n: int, tol: float = 1e-12) -> float:
     """log(eta_n) by quadrature of the integrand rescaled by exp(-lgamma(n+1))."""
-    if not 0 <= n <= 400:
-        raise ConfigurationError(f"log_eta_quadrature: n must be in [0, 400], got {n}")
+    n = check_order("log_eta_quadrature", "n", n, 0, 400)
     shift = math.lgamma(n + 1)
     return shift + math.log(_moment_integral(n, tol, shift).value)
 
@@ -232,8 +221,7 @@ def eta_binomial(n: int) -> float:
     at n = 25 where double precision still supports the documented 1e-8
     agreement with the closed form.
     """
-    if n < 0:
-        raise ConfigurationError(f"eta_binomial: n must be >= 0, got {n}")
+    n = check_order("eta_binomial", "n", n, 0, math.inf)
     if n > 25:
         raise PrecisionLossError(
             f"eta_binomial: alternating sum not supported in double precision beyond n=25, got {n}")
@@ -294,8 +282,7 @@ def eta_table(n_max: int, tol: float = 1e-12) -> MomentTable:
     err_{n+1} = (n+2)/(n(n+1)) err_n + eps/(n+1), scaled by Gamma(n), is
     propagated instead.
     """
-    if not 0 <= n_max <= N_MAX:
-        raise ConfigurationError(f"eta_table: n_max must be in [0, {N_MAX}], got {n_max}")
+    n_max = check_order("eta_table", "n_max", n_max, 0, N_MAX)
     logs = log_eta_sequence(n_max)
     eta, abs_err, route, over = [], [], [], []
     eps = 2.2e-16
@@ -325,8 +312,7 @@ def eta_factorial_sum(n_terms: int) -> float:
     Terms are formed in log scale; the tail after N is below 1/N because
     eta_n/n! <= 1/n^2.
     """
-    if not 0 <= n_terms <= N_MAX:
-        raise ConfigurationError(f"eta_factorial_sum: N must be in [0, {N_MAX}], got {n_terms}")
+    n_terms = check_order("eta_factorial_sum", "N", n_terms, 0, N_MAX)
     return math.fsum(_table(n_terms).over_fact[:n_terms + 1])
 
 
@@ -428,8 +414,7 @@ def en_integral_identity(n: int) -> tuple[float, float]:
     relative tolerance 1e-11; the right side uses the E_n family.  Used as a
     consistency witness for the closed-form moment route.
     """
-    if not 0 <= n <= 60:
-        raise ConfigurationError(f"en_integral_identity: n must be in [0, 60], got {n}")
+    n = check_order("en_integral_identity", "n", n, 0, 60)
 
     def integrand(t):
         return t ** n * math.exp(-t - 1.0) / (1.0 + t)

@@ -35,7 +35,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from operator import attrgetter
 
-from .errors import AccuracyError, ConfigurationError
+from .errors import AccuracyError, ConfigurationError, check_order, check_tol
 
 GAUSS_N_MAX = 200
 _MAX_EVALS = 100_000  # integrand evaluations one integrate_semi_infinite call may spend
@@ -126,8 +126,8 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     (diagonal 2k+1, off-diagonal k); weights come from the Christoffel
     function at each node.  Deterministic for fixed ``n``.
     """
-    if not 1 <= n <= 64:  # the largest order of its only callers, verify's checks of the rule
-        raise ConfigurationError(f"gauss_laguerre: n must be in [1, 64], got {n}")
+    # 64: the largest order of its only callers, verify's checks of the rule
+    n = check_order("gauss_laguerre", "n", n, 1, 64)
     diag = [2.0 * k + 1.0 for k in range(n)]
     offdiag = [float(k) for k in range(1, n)]
     return _golub_welsch(diag, offdiag, 1.0)
@@ -136,8 +136,7 @@ def gauss_laguerre(n: int) -> QuadratureRule:
 @lru_cache(maxsize=32)
 def gauss_hermite(n: int) -> QuadratureRule:
     """n-point Gauss-Hermite rule: exact for deg <= 2n-1 against exp(-x^2) on R."""
-    if not 1 <= n <= GAUSS_N_MAX:
-        raise ConfigurationError(f"gauss_hermite: n must be in [1, {GAUSS_N_MAX}], got {n}")
+    n = check_order("gauss_hermite", "n", n, 1, GAUSS_N_MAX)
     diag = [0.0] * n
     offdiag = [math.sqrt(0.5 * k) for k in range(1, n)]
     return _golub_welsch(diag, offdiag, math.sqrt(math.pi))
@@ -231,8 +230,7 @@ def _integrate_panels(panel, tol):
     # integrate_semi_infinite's adaptive loop on any panel function
     # panel(a, b) -> (value, error estimate) on the panel (a, b) of the unit
     # interval; the moment integrals keep its messages, so they name it
-    if not tol > 0.0:
-        raise ConfigurationError(f"integrate_semi_infinite: tol must be > 0, got {tol}")
+    check_tol("integrate_semi_infinite", tol)
 
     n_init = 8
     panels = []  # (-err, seq, a, b, value)

@@ -157,8 +157,9 @@ class TestMalformedInput:
         (["dbar", "--problem"], '{"samples": [[1.0, 0.0]]}'),
         (["dbar", "--problem"], '{"f": [1.0], "u0": [0.0]}'),
         (["gram", "--points-file"], '{"points": [[1, 0], [NaN, 0]]}'),
+        (["dbar", "--problem"], '{"f": [1.0], "samples": [[NaN, 0.0]]}'),
     ], ids=["gram-not-json", "gram-no-points", "dbar-not-json", "dbar-no-f", "dbar-no-samples",
-            "gram-nan-point"])
+            "gram-nan-point", "dbar-nan-sample"])
     def test_input_file_is_a_configuration_error(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -234,7 +235,7 @@ class TestVerify:
         code, out, err = _run(capsys, ["verify", "bounds", "--nmax", nmax])
         assert code == 2
         assert out == ""
-        assert "n_max must be in [0, 10000]" in err
+        assert "n_max must be an integer in [0, 10000]" in err
 
     def test_bounds_reports_the_nmax_it_was_given(self, capsys):
         code, out, _ = _run(capsys, ["verify", "bounds", "--nmax", "0"])
@@ -268,6 +269,12 @@ class TestVerify:
         code, _, err = _run(capsys, ["expint", "--n", "1", "--x", "-3"])
         assert code == 2
         assert "error" in err
+
+    def test_laplace_at_order_zero_is_a_configuration_error(self, capsys):
+        # E_0's transform diverges: no other order's value stands in for it
+        code, out, err = _run(capsys, ["expint", "--x", "1", "--n", "0", "--laplace", "0.5"])
+        assert (code, out) == (2, "")
+        assert err == "hfock: error: laplace_en: n must be an integer in [1, 10000], got 0\n"
 
     def test_laplace_near_minus_one_matches_the_oracle(self, capsys, mp_oracle, laplace_bound):
         code, out, _ = _run(capsys, ["expint", "--x", "1", "--laplace", "-0.999999"])
