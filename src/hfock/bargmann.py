@@ -85,6 +85,11 @@ def _weighted_powers(z: complex, coeffs) -> list[complex]:
     return out
 
 
+def _hermite_terms(z: complex, x: float, coeffs) -> list[complex]:
+    """The terms (z^n coeffs[n]) psi_n(x) of sum_n coeffs[n] z^n psi_n(x), n < len(coeffs)."""
+    return [c * p for c, p in zip(_weighted_powers(z, coeffs), hermite_psi(len(coeffs) - 1, x))]
+
+
 def _psi_scaled_matrix(n_max: int, xs: np.ndarray) -> np.ndarray:
     """Rows psi_n(x) * exp(x^2/2) on a node vector; safe for |x| <~ 25, n <~ 300."""
     import numpy as np
@@ -126,9 +131,7 @@ def bargmann_kernel(z: complex, x: float, tol: float = 1e-12) -> complex:
         0.0, tol, max(0, math.floor(8.0 * abs(z) ** 2) - 1), _N_MAX)
     if n_trunc is None:
         raise ConfigurationError("bargmann_kernel: truncation bound not reached")
-    psi = hermite_psi(n_trunc, x)
-    coeff = _weighted_powers(z, moments._table(n_trunc).inv_sqrt_eta[:n_trunc + 1])
-    total = csum([c * p for c, p in zip(coeff, psi)])
+    total = csum(_hermite_terms(z, x, moments._table(n_trunc).inv_sqrt_eta[:n_trunc + 1]))
     if not cmath.isfinite(total):
         raise AccuracyError(f"bargmann_kernel: the series at z = {z}, x = {x} is not finite")
     return total
@@ -164,8 +167,7 @@ def hermite_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
     if not (abs(z) <= 3.0 and abs(x) <= 5.0):
         raise ConfigurationError("hermite_generating_pair: validated for |z| <= 3, |x| <= 5")
     log_fact = moments._table(120).log_factorial
-    coeff = _weighted_powers(z, [math.exp(-0.5 * v) for v in log_fact[:121]])
-    lhs = csum([c * p for c, p in zip(coeff, hermite_psi(120, x))])
+    lhs = csum(_hermite_terms(z, x, [math.exp(-0.5 * v) for v in log_fact[:121]]))
     rhs = PI_QUARTER_INV * cmath.exp(-0.5 * (z * z + x * x) + math.sqrt(2.0) * z * x)
     return complex(lhs), rhs
 
@@ -191,9 +193,8 @@ def weighted_generating_pair(z: complex, x: float) -> tuple[complex, complex]:
         raise DomainError("weighted_generating_pair: integral side requires Re(z^2) > 0")
 
     table = moments._table(60)
-    coeff = _weighted_powers(z, [math.exp(v - 0.5 * f)
-                                 for v, f in zip(table.log_eta[:61], table.log_factorial)])
-    terms = [c * p for c, p in zip(coeff, hermite_psi(60, x))]
+    terms = _hermite_terms(z, x, [math.exp(v - 0.5 * f)
+                                  for v, f in zip(table.log_eta[:61], table.log_factorial)])
     # truncate at the smallest nonzero term (odd-order terms vanish at x=0)
     nonzero = [i for i, t in enumerate(terms) if t != 0]
     stop = min(nonzero, key=lambda i: abs(terms[i])) if nonzero else 0

@@ -17,7 +17,6 @@ from . import moments, space
 from .errors import ConfigurationError, check_order
 from .numerics import wirtinger_fd
 
-PI = math.pi
 _EXP_CMATH_CUTOFF = 700.0
 
 
@@ -42,10 +41,7 @@ class PolyanalyticSeries(namedtuple("PolyanalyticSeries", "rows")):
         acc = 0j
         zck = 1.0 + 0j
         for row in self.rows:
-            inner = 0j
-            for c in reversed(row):
-                inner = inner * z + c
-            acc += zck * inner
+            acc += zck * space._horner(row, z)
             zck *= zc
         return acc
 
@@ -157,7 +153,7 @@ def weight_mass(f: space.EntireSeries, include_pi: bool = True) -> float:
     """
     m, k = space._weighted_sum(moments._table(f.degree).log_factorial, f.coeffs, f.coeffs)
     val = space._times_exp(m.real, k, "weight_mass")
-    return PI * val if include_pi else val
+    return math.pi * val if include_pi else val
 
 
 class BudgetReport(namedtuple("BudgetReport", "lhs budget ratio ok")):
@@ -172,7 +168,7 @@ def weighted_budget_check(u0: space.EntireSeries, f: space.EntireSeries) -> Budg
     Left side is pi times the squared space norm (both sides un-normalized);
     the ratio is exposed so any other threshold can be applied downstream.
     """
-    lhs = PI * space.h_inner(u0, u0).real
+    lhs = math.pi * space.h_inner(u0, u0).real
     budget = 3.0 * weight_mass(f, include_pi=True)
     ratio = lhs / budget if budget > 0 else math.inf
     return BudgetReport(lhs=lhs, budget=budget, ratio=ratio, ok=lhs <= budget)

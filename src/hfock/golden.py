@@ -9,7 +9,6 @@ pin its test suite.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 from functools import lru_cache
 from importlib import resources
 
@@ -18,8 +17,3 @@ from importlib import resources
 def load() -> dict:
     """Return the bundled golden-values map."""
     return json.loads(resources.files("hfock.data").joinpath("golden_values.json").read_text())
-
-
-def decimal(name: str) -> Decimal:
-    """Golden value as an exact Decimal."""
-    return Decimal(load()[name]["value"])

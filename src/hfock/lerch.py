@@ -6,7 +6,8 @@ Laplace representation phi_n(-a) = integral of exp(-a t) E_n(t) makes a ->
 phi_n(-a) completely monotone; the finite-difference checks here probe that
 property to bounded order on a = 0.1, 0.2, ..., 5.0, as evidence, not proof.
 Every Lerch-series route (``lerch_phi``, the Grams of ``gram_phi`` and
-``ml_audit``) sums through one guard, ``_lerch_denominators``.
+``ml_audit``) sums through one guard, ``_lerch_denominators``, of z, s, a and
+tol; ``phi`` and ``lerch_phi_integral`` share its disk check.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ DISK_MARGIN = 1e-6
 _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
-_MIN_NORMAL = 2.0 ** -1022  # a smaller a^s is refused: the first term 1/a^s nears overflow
+_SERIES_TOL = 1e-13  # lerch_phi's default tolerance, which also cuts the phi_n Grams
 # B_2j / (2j)! for j = 1..10, each a correctly rounded quotient of integers.  j = 8..10 add
 # at most 2e-18 of the value; without them 15 of 90 671 seeded (s, a) moved by 1 ulp, 3
 # away from the 40-digit oracle and 12 toward it: no gain worth a larger truncation
@@ -32,13 +33,18 @@ _EM_COEFFS = tuple(num / (den * math.factorial(2 * j)) for j, (num, den) in enum
     (43867, 798), (-174611, 330)), 1))
 
 
+def _check_disk(where: str, r: float) -> None:  # a NaN r is refused
+    if not 0.0 <= r <= 1.0 - DISK_MARGIN:
+        raise DomainError(f"{where}: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
+
+
 def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]:
     """(k+a)^s for k < K, where K >= 1 is the first order whose tail bound
     sum_{j>=K} r^j/(j+a)^s <= r^K / ((K+a)^s (1-r)) is below ``tol``.
 
     The one guard of every Lerch-series route: it raises unless
-    0 <= r <= 1 - DISK_MARGIN, tol > 0, s > 0, a^s is a normal double and no
-    (k+a)^s with k <= K overflows, NaN included, so every term is finite.
+    0 <= r <= 1 - DISK_MARGIN, tol > 0, s > 0, a > 0, a^s is a normal double
+    and no (k+a)^s with k <= K overflows, NaN included, so every term is finite.
 
     K is found by doubling and then bisection on the predicate "(k+a)^s
     overflows, or r^k / ((k+a)^s (1-r)) < tol".  The predicate is monotone
@@ -47,11 +53,12 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
     ulps by which each computed bound can stray.  So the search stops at
     the order where a scan from k = 1 would stop, with the same values.
     """
-    if not 0.0 <= r <= 1.0 - DISK_MARGIN:
-        raise DomainError(f"Lerch series: |z| = {r:.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
+    _check_disk("Lerch series", r)
     check_tol("Lerch series", tol)
     if not s > 0.0:  # s = NaN with a = 1 would pass the a^s test: 1.0 ** nan is 1.0
         raise DomainError(f"Lerch series: s must be > 0, got {s}")
+    if not a > 0.0:  # a^s of a negative a is complex
+        raise DomainError(f"Lerch series: a must be > 0, got {a}")
 
     def stops(k: int) -> bool:
         try:
@@ -61,7 +68,7 @@ def _lerch_denominators(r: float, s: float, a: float, tol: float) -> list[float]
 
     try:
         first = a ** s
-        if not first >= _MIN_NORMAL:
+        if not first >= space._MIN_NORMAL:
             raise DomainError(f"Lerch series: a^s = {first} at s={s}, a={a} is below 2^-1022")
         below, cut = 0, 1  # stops(k) is false for 1 <= k <= below and true at cut
         while not stops(cut):
@@ -87,8 +94,7 @@ def phi(n: int, z: complex) -> complex:
     documents."""
     n = check_order("phi", "order", n, 1, expint._MAX_ORDER)
     z = complex(z)
-    if not abs(z) <= 1.0 - DISK_MARGIN:
-        raise DomainError(f"phi: |z| = {abs(z):.8f} is off the disk |z| <= 1 - {DISK_MARGIN}")
+    _check_disk("phi", abs(z))
     return complex(expint.laplace_en(n, -z))
 
 
@@ -97,15 +103,11 @@ def phi_tilde(n: int, z: complex) -> complex:
     return n * phi(n, z)
 
 
-def lerch_phi(z: complex, s: float, a: float, tol: float = 1e-13) -> complex:
+def lerch_phi(z: complex, s: float, a: float, tol: float = _SERIES_TOL) -> complex:
     """Lerch transcendent sum_k z^k / (k+a)^s on |z| <= 1 - 1e-6, s > 0, a > 0,
     summed to the first order K whose tail bound |z|^K / ((K+a)^s (1-|z|))
-    is below ``tol`` (which must be positive).  Raises DomainError where a^s
-    is below 2^-1022 or some (k+a)^s overflows."""
-    if not s > 0.0:
-        raise DomainError(f"lerch_phi: requires s > 0, got {s}")
-    if not a > 0.0:
-        raise DomainError(f"lerch_phi: requires a > 0, got {a}")
+    is below ``tol`` (which must be positive).  Its guard raises DomainError
+    where a^s is below 2^-1022 or some (k+a)^s overflows."""
     z = complex(z)
     dens = _lerch_denominators(abs(z), s, a, tol)
     if z == 0:
@@ -130,14 +132,22 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
     if not a > 0.0:
         raise DomainError(f"lerch_phi_integral: requires a > 0, got {a}")
     z = complex(z)
-    if not abs(z) <= 1.0 - DISK_MARGIN:
-        raise DomainError("lerch_phi_integral: |z| too close to 1")
+    _check_disk("lerch_phi_integral", abs(z))
 
     def integrand(t):
         return t ** (s - 1.0) * math.exp(-a * t) / (1.0 - z * math.exp(-t))
 
     res = integrate_semi_infinite(integrand, 1e-10)
     return res.value / math.gamma(s)
+
+
+def _check_hurwitz(where: str, s: float, a: float) -> None:  # both routes' domain
+    if not 1.0 + 1e-6 < s < math.inf:
+        raise DomainError(f"{where}: requires finite s > 1, got {s}")
+    if not a > 0.0:
+        raise DomainError(f"{where}: requires a > 0, got {a}")
+    if a < 1.0 and a ** s < space._MIN_NORMAL:
+        raise DomainError(f"{where}: a^s = {a ** s} at s={s}, a={a} is below 2^-1022")
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -147,12 +157,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
     s(s+1)...(s+2j-2) x^{-s-2j+1}.  Within 2.4e-16 of mpmath, relative, for s
     up to 700 and a from 1e-3 to 1e6 wherever the value is a normal double.
     Raises DomainError where a^s is below 2^-1022."""
-    if not 1.0 + 1e-6 < s < math.inf:
-        raise DomainError(f"hurwitz_zeta: requires finite s > 1, got {s}")
-    if not a > 0.0:
-        raise DomainError(f"hurwitz_zeta: requires a > 0, got {a}")
-    if a < 1.0 and a ** s < _MIN_NORMAL:
-        raise DomainError(f"hurwitz_zeta: a^s = {a ** s} at s={s}, a={a} is below 2^-1022")
+    _check_hurwitz("hurwitz_zeta", s, a)
     x = 12.0 + a
     terms = [(k + a) ** -s for k in range(12)] + [x ** (1.0 - s) / (s - 1.0), 0.5 * x ** -s]
     rising = s * x ** (-s - 1.0)  # s(s+1)...(s+2j-2) x^{-s-2j+1}; left to right, a 0 stays 0
@@ -167,9 +172,8 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     s > 1 + 1e-6, a > 0.  The integrand's singular part t^{s-2} is subtracted
     on t < 1 and its integral, exactly 1/(s-1), added back; the bounded rest
     is integrated to relative tolerance ``tol``.  Its kink at t = 1 falls on
-    a boundary of the integrator's initial panels."""
-    if not (1.0 + 1e-6 < s < math.inf and a > 0.0):
-        raise DomainError(f"hurwitz_zeta_integral: requires finite s > 1 and a > 0, got {s}, {a}")
+    a boundary of the integrator's initial panels; hurwitz_zeta's domain."""
+    _check_hurwitz("hurwitz_zeta_integral", s, a)
 
     def integrand(t):
         value = t ** (s - 1.0) * math.exp(-a * t) / -math.expm1(-t)
@@ -226,16 +230,15 @@ def gram_phi(n: int, points) -> space.GramMatrix:
     pts = [complex(p) for p in points]
     if any(abs(p) > 1.0 - 1e-3 for p in pts):
         raise ConfigurationError("gram_phi: points must satisfy |z| <= 1 - 1e-3")
-    return _scaled_phi_gram(n, pts, 0.0)
+    return space._diagonal_gram(pts, lambda r: _phi_log_coeffs(n, r))
 
 
-def _scaled_phi_gram(n: int, points, log_scale: float) -> space.GramMatrix:
-    """Factored Gram matrix of exp(log_scale) phi_n(z conj w): c_k = exp(log_scale)/(k+n),
-    truncated by lerch_phi's tail rule at its default tolerance."""
+def _phi_log_coeffs(n: int, r: float):
+    """log c_k = -log(k+n) of phi_n for k < K, K the cut of ``lerch_phi``'s
+    tail rule at |z conj w| = r and its default tolerance."""
     import numpy as np
 
-    return space._diagonal_gram(
-        points, lambda r: log_scale - np.log(_lerch_denominators(r, 1.0, n, 1e-13)))
+    return -np.log(_lerch_denominators(r, 1.0, n, _SERIES_TOL))
 
 
 def _audit_condition(name, status, details):
@@ -254,11 +257,12 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
     """
     rng = random.Random(seed)
     conditions = []
+    # n phi_n and eta_0 K: the coefficient rule of phi_n or K, shifted by log n or log eta_0
     if kernel == "phi_tilde":
         value0 = phi_tilde(n, 0.0).real
         slope0 = n * (1.0 / (n + 1))  # first Taylor coefficient of n phi_n
         pts = [disk_point(rng, 0.95) for _ in range(_AUDIT_POINTS)]
-        gram = _scaled_phi_gram(n, pts, math.log(n))
+        log_scale, log_coeffs = math.log(n), lambda r: _phi_log_coeffs(n, r)
         cm = cm_evidence(lambda a: n * expint.laplace_en(n, a))
         label = f"phi_tilde({n})"
     elif kernel == "eta0_K":
@@ -267,14 +271,12 @@ def ml_audit(kernel: str, n: int = 1, seed: int = 0) -> dict:
         value0 = eta0 * space.efun(0.0).real
         slope0 = eta0 / eta1
         pts = [disk_point(rng, 2.0) for _ in range(_AUDIT_POINTS)]
-        # c_k = eta_0 / eta_k, cut where efun's tail meets kernel's default 1e-12
-        gram = space._diagonal_gram(pts, lambda r: [
-            moments.log_eta(0) - v
-            for v in moments.log_eta_sequence(space._trunc_index(r, 1e-12))])
+        log_scale, log_coeffs = moments.log_eta(0), space._kernel_log_coeffs
         cm = cm_evidence(lambda a: eta0 * space.efun(-a).real)
         label = "eta0_K"
     else:
         raise ConfigurationError(f"ml_audit: unknown kernel {kernel!r}")
+    gram = space._diagonal_gram(pts, lambda r: [log_scale + c for c in log_coeffs(r)])
 
     ok_i = abs(value0 - 1.0) <= 1e-12 and slope0 > 0.0
     conditions.append(_audit_condition(

@@ -237,15 +237,14 @@ def eta_binomial(n: int) -> float:
     return math.fsum(terms)
 
 
-class MomentTable(namedtuple("MomentTable", "n_max eta log_eta abs_err route overflow")):
-    """eta_0 .. eta_{n_max} with per-entry provenance.
+class MomentTable(namedtuple("MomentTable", "n_max eta log_eta abs_err")):
+    """eta_0 .. eta_{n_max}, every entry on the closed-form route.
 
-    Fields: ``n_max``, then tuples over n = 0 .. n_max: ``eta``,
-    ``log_eta``, ``abs_err``, ``route`` (strs) and ``overflow`` (bools).  ``eta``
-    entries flagged in ``overflow`` are float('nan'); ``log_eta`` is always
-    populated.  ``abs_err`` is the cross-route discrepancy where the
-    quadrature check ran, otherwise a propagated recurrence bound (NaN once
-    the linear value has overflowed).
+    Fields: ``n_max``, then tuples over n = 0 .. n_max: ``eta`` (float('nan')
+    past LINEAR_LIMIT, printed as None by ``rows()``), ``log_eta`` and
+    ``abs_err``: the cross-route discrepancy where the quadrature check ran,
+    otherwise a propagated recurrence bound (NaN once the linear value has
+    overflowed).
     """
 
     __slots__ = ()
@@ -253,10 +252,10 @@ class MomentTable(namedtuple("MomentTable", "n_max eta log_eta abs_err route ove
     def rows(self):
         for n in range(self.n_max + 1):
             yield {"n": n,
-                   "eta": None if self.overflow[n] else self.eta[n],
+                   "eta": None if n > LINEAR_LIMIT else self.eta[n],
                    "log_eta": self.log_eta[n],
                    "abs_err": None if math.isnan(self.abs_err[n]) else self.abs_err[n],
-                   "route": self.route[n]}
+                   "route": "closed-form"}
 
     def write_csv(self, fileobj) -> None:
         import csv
@@ -284,7 +283,7 @@ def eta_table(n_max: int, tol: float = 1e-12) -> MomentTable:
     """
     n_max = check_order("eta_table", "n_max", n_max, 0, N_MAX)
     logs = log_eta_sequence(n_max)
-    eta, abs_err, route, over = [], [], [], []
+    eta, abs_err = [], []
     eps = 2.2e-16
     r_err = eps  # absolute error bound on the residual r_n
     for n in range(n_max + 1):
@@ -300,10 +299,7 @@ def eta_table(n_max: int, tol: float = 1e-12) -> MomentTable:
             r_err = (n + 2) / (n * (n + 1)) * r_err + eps / (n + 1)
         eta.append(val)
         abs_err.append(err)
-        route.append("closed-form")
-        over.append(is_over)
-    return MomentTable(n_max=n_max, eta=tuple(eta), log_eta=logs,
-                       abs_err=tuple(abs_err), route=tuple(route), overflow=tuple(over))
+    return MomentTable(n_max=n_max, eta=tuple(eta), log_eta=logs, abs_err=tuple(abs_err))
 
 
 def eta_factorial_sum(n_terms: int) -> float:
@@ -336,7 +332,7 @@ _ACCEL_RATIO = 0.90
 
 
 @lru_cache(maxsize=1)
-def _laguerre_projection() -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _laguerre_projection() -> tuple[float, ...]:
     g0 = _moment_integral(0, 1e-14).value
     h0 = integrate_semi_infinite(lambda t: math.exp(-t) / (1.0 + t), 1e-14).value
     g = [g0, 2.0 * g0 - h0]
@@ -344,7 +340,7 @@ def _laguerre_projection() -> tuple[tuple[float, ...], tuple[float, ...]]:
     for k in range(1, _ACCEL_K_MAX - 1):
         h.append(2.0 * h[k] - k / (k + 1) * h[k - 1])
         g.append(2.0 * g[k] - k / (k + 1) * g[k - 1] - h[k] / (k + 1))
-    return tuple(g), tuple(h)
+    return tuple(g)
 
 
 def _series_direct(z: complex) -> complex:
@@ -368,7 +364,7 @@ def _series_accelerated(z: complex) -> complex:
         raise AccuracyError(
             f"generating_series: z={z} has |z/(1+z)| = {abs(w):.4f} beyond the "
             f"validated acceleration region {_ACCEL_RATIO}")
-    g, _ = _laguerre_projection()
+    g = _laguerre_projection()
     stop = 1e-18 * max(1.0, abs(g[0]))  # |terms[0]| = |g_0 * (1 + 0j)| = |g_0|
     terms = []
     wp = 1.0 + 0j

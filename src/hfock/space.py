@@ -14,25 +14,31 @@ import math
 from collections import namedtuple
 
 from . import moments
-from .errors import AccuracyError, ConfigurationError, DomainError, ValidationError
+from .errors import AccuracyError, ConfigurationError, DomainError, ValidationError, check_order
 from .numerics import csum
 
 _LOG8 = math.log(8.0)
-_MIN_NORMAL = 2.0 ** -1022
+_MIN_NORMAL = 2.0 ** -1022  # the smallest normal double
 _E700 = math.exp(700.0)
 _TRUNC_CAP = 4000
 _MAX_GRAM_POINTS = 200
 
 
+def _horner(coeffs, z) -> complex:  # sum_j coeffs[j] z^j
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 class EntireSeries(namedtuple("EntireSeries", "coeffs")):
     """Finitely supported coefficient sequence ``coeffs`` (a tuple of complex)
-    of an entire function."""
+    of an entire function: at least one coefficient, degree at most N_MAX."""
 
     __slots__ = ()
 
     def __new__(cls, coeffs):
-        if len(coeffs) - 1 > moments.N_MAX:
-            raise ConfigurationError(f"EntireSeries: degree capped at {moments.N_MAX}")
+        check_order("EntireSeries", "degree", len(coeffs) - 1, 0, moments.N_MAX)
         return super().__new__(cls, tuple(complex(c) for c in coeffs))
 
     @property
@@ -40,13 +46,11 @@ class EntireSeries(namedtuple("EntireSeries", "coeffs")):
         return len(self.coeffs) - 1
 
     def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
     @staticmethod
     def monomial(n: int, scale: complex = 1.0) -> "EntireSeries":
+        n = check_order("monomial", "n", n, 0, moments.N_MAX)
         return EntireSeries((0j,) * n + (complex(scale),))
 
     @staticmethod
@@ -58,6 +62,7 @@ class EntireSeries(namedtuple("EntireSeries", "coeffs")):
     @staticmethod
     def exponential(w: complex, degree: int) -> "EntireSeries":
         """Truncation of z -> exp(z * conj(w)) at the given degree."""
+        degree = check_order("exponential", "degree", degree, 0, moments.N_MAX)
         wc = complex(w).conjugate()
         coeffs, c = [], 1.0 + 0j
         for j in range(degree + 1):
@@ -312,8 +317,12 @@ def _diagonal_gram(points, log_coeffs) -> GramMatrix:
     return GramMatrix(points=points, entries=M, min_eig=min_eig, trace=float(np.sum(diag)))
 
 
+def _kernel_log_coeffs(r: float, tol: float = 1e-12) -> list[float]:
+    """log c_k = -log eta_k of K, k <= N: efun's cut at |z| = r and kernel's default tol."""
+    return [-v for v in moments.log_eta_sequence(_trunc_index(r, tol))]
+
+
 def gram_kernel(points, tol: float = 1e-12) -> GramMatrix:
     """Gram matrix of the reproducing kernel on a point set, c_k = 1/eta_k."""
-    return _diagonal_gram(
-        points, lambda r: [-v for v in moments.log_eta_sequence(_trunc_index(r, tol))])
+    return _diagonal_gram(points, lambda r: _kernel_log_coeffs(r, tol))
 

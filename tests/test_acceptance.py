@@ -5,7 +5,7 @@ Most exit criteria run as named checks in ``hfock.verify`` (see
 tolerances.  Each prints one [PASS]/[FAIL] line (run with ``pytest -s`` to
 watch them) and asserts the criterion.
 """
-from hfock import expint, golden, moments
+from hfock import expint, moments
 
 
 def _report(num, description, ok, detail=""):
@@ -24,7 +24,7 @@ def test_criterion_03_factorial_sum():
     _report(3, "sum of eta_n/n! reaches 1", ok, f"S(1000) = {s:.12f}")
 
 
-def test_criterion_11_golden_value_pins():
+def test_criterion_11_golden_value_pins(gold):
     pins = [
         ("eta0", moments.eta_closed_form(0)),
         ("eta1", moments.eta_closed_form(1)),
@@ -32,5 +32,5 @@ def test_criterion_11_golden_value_pins():
     ]
     worst = 0.0
     for name, got in pins:
-        worst = max(worst, abs(got - float(golden.decimal(name))))
+        worst = max(worst, abs(got - gold[name]))
     _report(11, "golden-value pins reproduced", worst <= 1e-12, f"max gap {worst:.2e}")

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from hfock import expint, golden
+from hfock import expint
 from hfock.errors import AccuracyError, ConfigurationError, DomainError
 from hfock.numerics import integrate_semi_infinite
 
 
-def test_gamma_constant_pinned_to_golden_file():
-    assert expint.EULER_GAMMA == float(golden.decimal("euler_gamma"))
+def test_gamma_constant_pinned_to_golden_file(gold):
+    assert expint.EULER_GAMMA == gold["euler_gamma"]
 
 
 class TestE1:

@@ -107,7 +107,7 @@ class TestMomentTable:
     def test_single_entry(self, gold):
         t = moments.eta_table(0)
         assert t.eta[0] == pytest.approx(gold["eta0"], abs=1e-14)
-        assert not t.overflow[0]
+        assert [row["eta"] for row in t.rows()] == [t.eta[0]]
 
     def test_bounds_hold_to_30(self):
         assert verify.run("bounds", nmax=30)["n_failed"] == 0
@@ -115,9 +115,12 @@ class TestMomentTable:
     def test_overflow_flag_past_170(self):
         t = moments.eta_table(300)
         assert all(math.isfinite(v) for v in t.log_eta)
-        assert not any(t.overflow[: 171])
-        assert all(t.overflow[171:])
+        rows = list(t.rows())
+        # eta prints null exactly where the linear value overflows, n > 170
+        assert [row["n"] for row in rows if row["eta"] is None] == list(range(171, 301))
+        assert all(math.isfinite(row["eta"]) for row in rows[:171])
         assert all(math.isnan(t.eta[n]) for n in range(171, 301))
+        assert {row["route"] for row in rows} == {"closed-form"}
 
     def test_monotone_log_from_2(self):
         assert verify.run("bounds", nmax=170)["n_failed"] == 0
@@ -278,7 +281,7 @@ def _series_by_term_loop(z):
             zp *= z
         return _fsum_complex(terms)
     w = z / (1.0 + z)
-    g, _ = moments._laguerre_projection()
+    g = moments._laguerre_projection()
     terms = []
     wp = 1.0 + 0j
     for k in range(320):
