@@ -129,6 +129,20 @@ class TestDbar:
         assert budget["budget"] == pytest.approx(1.8934e-10, rel=1e-4)
         assert budget["ok"] is False
 
+    @pytest.mark.parametrize("key", ["f", "u0"])
+    def test_empty_series_is_refused(self, capsys, tmp_path, key):
+        # an empty f used to print a report for a zero datum, and an empty u0
+        # failed inside the moment table under log_eta_sequence's name
+        for name in ("dbar_problem.json", "dbar_problem_tiny_f.json"):
+            payload = json.loads((_ROOT / "tools" / name).read_text())
+            payload[key] = []
+            path = tmp_path / name
+            path.write_text(json.dumps(payload))
+            code, out, err = _run(capsys, ["dbar", "--problem", str(path)])
+            assert (code, out) == (2, ""), name
+            assert err == ("hfock: error: EntireSeries: degree must be an integer in "
+                           "[0, 10000], got -1\n"), name
+
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, ["dbar", "--problem", "/nonexistent.json"])
         assert code == 2

@@ -99,6 +99,8 @@ _ORDERS = [
     ("en_integral_identity", 0, 60, moments.en_integral_identity, ConfigurationError),
     ("gauss_laguerre", 1, 64, numerics.gauss_laguerre, ConfigurationError),
     ("gauss_hermite", 1, 200, numerics.gauss_hermite, ConfigurationError),
+    ("monomial", 0, 10_000, space.EntireSeries.monomial, ConfigurationError),
+    ("exponential", 0, 10_000, lambda n: space.EntireSeries.exponential(1.0, n), ConfigurationError),
 ]
 
 
@@ -141,3 +143,15 @@ def test_numpy_integer_order_is_an_int():
     with pytest.raises(ConfigurationError,
                        match=r"^f: n must be an integer in \[0, 10\], got 7.0$"):
         check_order("f", "n", np.float64(7.0), 0, 10)
+
+
+# an empty coefficient tuple is no series: its degree, -1, is off the order rule
+@pytest.mark.parametrize("call", [
+    lambda: space.EntireSeries(()),
+    lambda: space.EntireSeries([]),
+    lambda: space.EntireSeries.monomial(-1),
+    lambda: space.EntireSeries.exponential(1.0, -1),
+], ids=["EntireSeries(())", "EntireSeries([])", "monomial(-1)", "exponential(1.0, -1)"])
+def test_series_of_no_coefficient_is_refused(call):
+    with pytest.raises(ConfigurationError, match=r"must be an integer in \[0, 10000\], got -1$"):
+        call()

@@ -183,6 +183,46 @@ class TestLerchPhi:
             lerch.lerch_phi(z, s, a)
 
 
+# the one disk check: each route refuses |z| > 1 - 1e-6, and a NaN z, in the same words
+@pytest.mark.parametrize("where, call", [
+    ("phi", lambda z: lerch.phi(1, z)),
+    ("Lerch series", lambda z: lerch.lerch_phi(z, 1.0, 1.0)),
+    ("lerch_phi_integral", lambda z: lerch.lerch_phi_integral(z, 1.0, 1.0)),
+    ("Lerch series", lambda z: lerch._lerch_denominators(abs(z), 1.0, 1.0, 1e-13)),
+], ids=["phi", "lerch_phi", "lerch_phi_integral", "guard"])
+@pytest.mark.parametrize("z", [1.0 - 5e-7, -0.9999995j, 1.5 + 2j, complex(math.nan, 0.0),
+                               complex(0.0, math.nan), complex(math.inf, 0.0)],
+                         ids=["edge", "edge-imag", "far", "nan", "nan-imag", "inf"])
+def test_disk_refusal_is_one_rule(where, call, z):
+    with pytest.raises(DomainError) as exc:
+        call(z)
+    assert str(exc.value) == f"{where}: |z| = {abs(z):.8f} is off the disk |z| <= 1 - 1e-06"
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, -0.5, math.nan])
+def test_lerch_phi_shift_is_refused_by_the_guard(a):
+    # a^s of a negative a would be complex; the guard refuses it before any term
+    for z in (0.5, 0.0):
+        with pytest.raises(DomainError, match=rf"^Lerch series: a must be > 0, got {a}$"):
+            lerch.lerch_phi(z, 1.5, a)
+
+
+# both Hurwitz routes refuse the same (s, a), in the same words under their own names
+@pytest.mark.parametrize("s, a", [
+    (1.0, 1.0), (1.0 + 1e-6, 1.0), (0.5, 2.0), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+    (2.0, 0.0), (2.0, -1.0), (2.0, math.nan), (2.0, -math.inf), (2.0, 1e-300), (700.0, 0.3)])
+def test_hurwitz_routes_share_one_domain(s, a):
+    messages = []
+    for name, route in (("hurwitz_zeta", lerch.hurwitz_zeta),
+                        ("hurwitz_zeta_integral", lerch.hurwitz_zeta_integral)):
+        with pytest.raises(DomainError) as exc:
+            route(s, a)
+        prefix, _, rest = str(exc.value).partition(": ")
+        assert prefix == name
+        messages.append(rest)
+    assert messages[0] == messages[1]
+
+
 def _scan_denominators(r, s, a, tol):
     # _lerch_denominators as first written: its tail test at every order up to the cut
     if not 0.0 <= r <= 1.0 - lerch.DISK_MARGIN:

@@ -15,9 +15,10 @@ Without an option, run it on two checkouts (say, a change and its parent)
 and diff the outputs: every command whose stdout changed shows up as a
 differing line.  ``tools/cli_digests.txt`` is the committed output, so a
 change that moves stdout shows as a diff of that file.  Its lines ending in
-``[blas]`` are the commands that load numpy: the eigensolver bits in their
-stdout may differ between BLAS builds, so only ``--check`` compares them;
-the Tier-1 tests hold the other commands to the file in process.
+``[blas]`` are the commands whose process imports numpy, as ``python -X
+importtime`` reports it: the eigensolver bits in their stdout may differ
+between BLAS builds, so only ``--check`` compares them; the Tier-1 tests
+hold the other commands to the file in process.
 """
 from __future__ import annotations
 
@@ -81,20 +82,21 @@ COMMANDS = (
     "verify moments --nmax 300 --points 9 --seed 5",
 )
 
-# the commands that load numpy: Gram matrices, Gauss rules and the suites
-# that build them
-_BLAS_PREFIXES = ("gram ", "lerch --audit ", "verify all ", "verify dbar ",
-                  "verify numerics ", "verify lerch ")
-
 
 def _digest_lines(marked: bool):
     env = dict(os.environ, PYTHONPATH=os.path.abspath("src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for command in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "hfock.cli", *command.split()],
-                              env=env, stdout=subprocess.PIPE, check=False)
+        # -X importtime writes a stderr line "import time: self | cumulative | name"
+        # for each module the process imports; the others are the command's own
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hfock.cli",
+                               *command.split()],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False)
+        lines = proc.stderr.splitlines(True)
+        sys.stderr.buffer.write(b"".join(x for x in lines if not x.startswith(b"import time:")))
+        imported = {x.rpartition(b"|")[2].strip() for x in lines if x.startswith(b"import time:")}
         line = f"{hashlib.sha256(proc.stdout).hexdigest()}  {command}"
-        yield line + BLAS_MARK if marked and command.startswith(_BLAS_PREFIXES) else line
+        yield line + BLAS_MARK if marked and b"numpy" in imported else line
 
 
 def main(argv=None) -> int:
