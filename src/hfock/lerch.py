@@ -172,7 +172,7 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     s > 1 + 1e-6, a > 0.  The integrand's singular part t^{s-2} is subtracted
     on t < 1 and its integral, exactly 1/(s-1), added back; the bounded rest
     is integrated to relative tolerance ``tol``.  Its kink at t = 1 falls on
-    a boundary of the integrator's initial panels; hurwitz_zeta's domain."""
+    a boundary of the integrator's initial panels.  Its domain is hurwitz_zeta's."""
     _check_hurwitz("hurwitz_zeta_integral", s, a)
 
     def integrand(t):
