@@ -7,7 +7,10 @@ phi_n(-a) completely monotone; the finite-difference checks here probe that
 property to bounded order on a = 0.1, 0.2, ..., 5.0, as evidence, not proof.
 Every Lerch-series route (``lerch_phi``, the Grams of ``gram_phi`` and
 ``ml_audit``) sums through one guard, ``_lerch_denominators``, of z, s, a and
-tol; ``phi`` and ``lerch_phi_integral`` share its disk check.
+tol; ``phi`` and ``lerch_phi_integral`` share its disk check.  The two
+integral routes, ``lerch_phi_integral`` and ``hurwitz_zeta_integral``, sum
+their integrator panels from one per-panel table of t, exp(-t) and
+1 - exp(-t), with the bits of their scalar integrands.
 """
 from __future__ import annotations
 
@@ -15,10 +18,12 @@ import cmath
 import math
 import random
 from collections import namedtuple
+from functools import lru_cache
 
 from . import expint, moments, space
 from .errors import ConfigurationError, DomainError, check_order, check_tol
-from .numerics import csum, disk_point, integrate_semi_infinite
+from .numerics import (_G7_CENTER_W, _K15_CENTER_W, _integrate_panels, _node_factors, _overflowed,
+                       csum, disk_point)
 
 DISK_MARGIN = 1e-6
 _CM_ORDER = 6  # highest finite difference cm_evidence checks
@@ -120,12 +125,23 @@ def lerch_phi(z: complex, s: float, a: float, tol: float = _SERIES_TOL) -> compl
     return csum(terms)
 
 
+# t, exp(-t), -expm1(-t) and (1-u)^2 at the nodes of a panel (a, b) of the
+# unit interval, in numerics._node_factors' layout: the factors of both
+# integral routes below that depend on none of s, a and z
+@lru_cache(maxsize=256)
+def _exp_factors(a, b):
+    exp, expm1 = math.exp, math.expm1
+    return _node_factors(a, b, lambda t, j: (t, exp(-t), -expm1(-t), j))
+
+
 def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
     """Integral route (1/Gamma(s)) integral of t^{s-1} e^{-a t}/(1 - z e^{-t}),
     to relative tolerance 1e-10.
 
     Valid cross-check for s >= 1, where the integrand stays bounded at the
-    origin; the adaptive integrator grades the mesh there on its own.
+    origin; the adaptive integrator grades the mesh there on its own.  Its
+    panels read e^{-t} from a per-panel table and give the value or error
+    of ``integrate_semi_infinite`` on the scalar integrand, bit for bit.
     """
     if not s >= 1.0:
         raise ConfigurationError(f"lerch_phi_integral: cross-check route needs s >= 1, got {s}")
@@ -133,12 +149,25 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
         raise DomainError(f"lerch_phi_integral: requires a > 0, got {a}")
     z = complex(z)
     _check_disk("lerch_phi_integral", abs(z))
+    p, na, exp = s - 1.0, -a, math.exp
 
-    def integrand(t):
-        return t ** (s - 1.0) * math.exp(-a * t) / (1.0 - z * math.exp(-t))
+    def sums(lo, hi):  # t ** (s-1) * exp(-a t) / (1 - z exp(-t)) at each node
+        (t, e, _, j), pairs = _exp_factors(lo, hi)
+        try:
+            centre = t ** p * exp(na * t) / (1.0 - z * e) / j
+            kronrod = _K15_CENTER_W * centre
+            gauss = _G7_CENTER_W * centre
+            for t, e, _, j, tp, ep, _, jp, wk, wg in pairs:
+                pair = t ** p * exp(na * t) / (1.0 - z * e) / j
+                t = tp
+                pair += t ** p * exp(na * t) / (1.0 - z * ep) / jp
+                kronrod += wk * pair
+                gauss += wg * pair
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _overflowed(t) from exc
+        return kronrod, gauss
 
-    res = integrate_semi_infinite(integrand, 1e-10)
-    return res.value / math.gamma(s)
+    return _integrate_panels(sums, 1e-10).value / math.gamma(s)
 
 
 def _check_hurwitz(where: str, s: float, a: float) -> None:  # both routes' domain
@@ -172,15 +201,39 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     s > 1 + 1e-6, a > 0.  The integrand's singular part t^{s-2} is subtracted
     on t < 1 and its integral, exactly 1/(s-1), added back; the bounded rest
     is integrated to relative tolerance ``tol``.  Its kink at t = 1 falls on
-    a boundary of the integrator's initial panels.  Its domain is hurwitz_zeta's."""
+    a boundary of the integrator's initial panels.  Its panels read 1 - e^{-t}
+    from the table ``lerch_phi_integral`` reads, and give the value or error
+    of ``integrate_semi_infinite`` on the scalar integrand, bit for bit.  Its
+    domain is hurwitz_zeta's."""
     _check_hurwitz("hurwitz_zeta_integral", s, a)
+    p, q, na, exp = s - 1.0, s - 2.0, -a, math.exp
 
-    def integrand(t):
-        value = t ** (s - 1.0) * math.exp(-a * t) / -math.expm1(-t)
-        return value - t ** (s - 2.0) if t < 1.0 else value
+    def sums(lo, hi):  # t ** (s-1) * exp(-a t) / (1 - exp(-t)), less t ** (s-2) on t < 1
+        (t, _, d, j), pairs = _exp_factors(lo, hi)
+        try:
+            centre = t ** p * exp(na * t) / d
+            if t < 1.0:
+                centre -= t ** q
+            centre /= j
+            kronrod = _K15_CENTER_W * centre
+            gauss = _G7_CENTER_W * centre
+            for t, _, d, j, tp, _, dp, jp, wk, wg in pairs:
+                pair = t ** p * exp(na * t) / d
+                if t < 1.0:
+                    pair -= t ** q
+                pair /= j
+                t = tp
+                upper = t ** p * exp(na * t) / dp
+                if t < 1.0:
+                    upper -= t ** q
+                pair += upper / jp
+                kronrod += wk * pair
+                gauss += wg * pair
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _overflowed(t) from exc
+        return kronrod, gauss
 
-    res = integrate_semi_infinite(integrand, tol)
-    return (res.value + 1.0 / (s - 1.0)) / math.gamma(s)
+    return (_integrate_panels(sums, tol).value + 1.0 / (s - 1.0)) / math.gamma(s)
 
 
 def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:

@@ -5,7 +5,9 @@ Three independent routes are provided and cross-checked:
 * quadrature of the defining integral, on panels of the adaptive integrator
   that read the weight's node factors (exp(-t) and (1+t)^2, or log t and
   2 log1p(t)) from a per-panel LRU table, with the same bits as the scalar
-  integrand through ``integrate_semi_infinite``,
+  integrand through ``integrate_semi_infinite``; the shifted moment of the
+  E_n identity below runs on the same panels with factors exp(-t - 1) and
+  1+t,
 * the closed form eta_0 = 1 - e E1(1), eta_n = r_n Gamma(n) with the
   residual r_n = e (1+n) E_n(1) - 1 carried by its own cancellation-free
   recurrence r_{n+1} = 1/(n+1) - (n+2) r_n / (n (n+1)),
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 from . import expint
 from .errors import AccuracyError, DomainError, PrecisionLossError, check_order, check_tol
-from .numerics import (_G7_CENTER_W, _K15_CENTER_W, IntegralResult, _integrate_panels, _panel_nodes,
+from .numerics import (_G7_CENTER_W, _K15_CENTER_W, IntegralResult, _integrate_panels, _node_factors,
                        csum, integrate_semi_infinite)
 
 N_MAX = 10_000
@@ -131,48 +133,50 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     return _table(n_max).log_eta[:n_max + 1]
 
 
-# The moment weight's node factors on a panel (a, b) of the unit interval,
-# laid out as numerics._panel_nodes lays out t and (1-u)^2: the centre's,
-# then (lower node's, upper node's, Kronrod weight, Gauss weight) per pair.
-# Linear scale: t, exp(-t), (1+t)^2, (1-u)^2, with 1, 0, 1, (1-u)^2 from
-# t = 746 on, where exp(-t) is 0.0 and t ** n could overflow.  Log scale:
-# log t, t, 2 log1p(t), (1-u)^2.  Each scale builds only its own factors.
+# The node factors of the moment weights on a panel (a, b) of the unit
+# interval, in numerics._node_factors' layout.  Linear scale: t, exp(-t),
+# (1+t)^2, (1-u)^2 for eta_n, and t, exp(-t - 1), 1+t, (1-u)^2 for the shifted
+# moment of en_integral_identity; each is 1, 0, 1, (1-u)^2 from t = 746 on,
+# where its exponential is 0.0 and t ** n could overflow.  Log scale: log t,
+# t, 2 log1p(t), (1-u)^2.  Each table builds only its own factors.
 @lru_cache(maxsize=256)
 def _linear_factors(a, b):
-    (t, j), pairs = _panel_nodes(a, b)
     exp = math.exp
+    return _node_factors(a, b, lambda t, j: (
+        (t, exp(-t), (1.0 + t) * (1.0 + t), j) if t < 746.0 else (1.0, 0.0, 1.0, j)))
 
-    def node(t, j):
-        return (t, exp(-t), (1.0 + t) * (1.0 + t), j) if t < 746.0 else (1.0, 0.0, 1.0, j)
 
-    return node(t, j), tuple(node(tl, jl) + node(th, jh) + (wk, wg)
-                             for tl, jl, th, jh, wk, wg in pairs)
+@lru_cache(maxsize=256)
+def _shifted_factors(a, b):
+    exp = math.exp
+    return _node_factors(a, b, lambda t, j: (
+        (t, exp(-t - 1.0), 1.0 + t, j) if t < 746.0 else (1.0, 0.0, 1.0, j)))
 
 
 @lru_cache(maxsize=256)
 def _log_factors(a, b):
-    (t, j), pairs = _panel_nodes(a, b)
     log, log1p = math.log, math.log1p
-    return (log(t), t, 2.0 * log1p(t), j), tuple(
-        (log(tl), tl, 2.0 * log1p(tl), jl, log(th), th, 2.0 * log1p(th), jh, wk, wg)
-        for tl, jl, th, jh, wk, wg in pairs)
+    return _node_factors(a, b, lambda t, j: (log(t), t, 2.0 * log1p(t), j))
 
 
-def _moment_integral(n, tol, shift=None) -> IntegralResult:
-    """The integral of t^n exp(-t)/(1+t)^2 over (0, inf) to relative ``tol``.
+def _moment_integral(n, tol, shift=None, factors=_linear_factors) -> IntegralResult:
+    """The integral of t^n e(t)/d(t) over (0, inf) to relative ``tol``, with
+    e and d the weight factors of ``factors``: exp(-t) and (1+t)^2 for
+    eta_n (``_linear_factors``), exp(-t - 1) and 1+t for the shifted moment
+    (``_shifted_factors``).
 
-    Linear scale, t ** n * exp(-t) / (1+t)^2, where ``shift`` is None; else
-    log scale, exp(n log t - t - 2 log1p(t) - shift), which cannot overflow
-    at the orders and shifts used here.  Each panel is summed as
-    ``numerics._panel_estimates`` sums it, and every node value is the one
-    the scalar integrand gives, in the same order of operations, so the
-    result or error is that of ``integrate_semi_infinite`` on that
+    Linear scale, t ** n * e / d, where ``shift`` is None; else eta_n's
+    integrand in log scale, exp(n log t - t - 2 log1p(t) - shift), which
+    cannot overflow at the orders and shifts used here.  Each panel is
+    summed as ``numerics._panel_estimates`` sums it, and every node value is
+    the one the scalar integrand gives, in the same order of operations, so
+    the result or error is that of ``integrate_semi_infinite`` on that
     integrand, bit for bit.
     """
     p = float(n)  # t ** n and n * log(t) convert an int n to this float
     if shift is None:
-        def panel(a, b):
-            (t, e, d, j), pairs = _linear_factors(a, b)
+        def sums(a, b):
+            (t, e, d, j), pairs = factors(a, b)
             centre = t ** p * e / d / j
             kronrod = _K15_CENTER_W * centre
             gauss = _G7_CENTER_W * centre
@@ -180,12 +184,11 @@ def _moment_integral(n, tol, shift=None) -> IntegralResult:
                 pair = t ** p * e / d / j + tp ** p * ep / dp / jp
                 kronrod += wk * pair
                 gauss += wg * pair
-            half = 0.5 * (b - a)
-            return half * kronrod, abs(half * (kronrod - gauss))
+            return kronrod, gauss
     else:
         exp = math.exp
 
-        def panel(a, b):
+        def sums(a, b):
             (lt, t, m, j), pairs = _log_factors(a, b)
             centre = exp(p * lt - t - m - shift) / j
             kronrod = _K15_CENTER_W * centre
@@ -194,9 +197,8 @@ def _moment_integral(n, tol, shift=None) -> IntegralResult:
                 pair = exp(p * lt - t - m - shift) / j + exp(p * ltp - tp - mp - shift) / jp
                 kronrod += wk * pair
                 gauss += wg * pair
-            half = 0.5 * (b - a)
-            return half * kronrod, abs(half * (kronrod - gauss))
-    return _integrate_panels(panel, tol)
+            return kronrod, gauss
+    return _integrate_panels(sums, tol)
 
 
 def eta_quadrature(n: int, tol: float = 1e-12) -> float:
@@ -406,15 +408,12 @@ def generating_closed_form(z: complex) -> complex:
 def en_integral_identity(n: int) -> tuple[float, float]:
     """Both sides of: integral over (1, inf) of (u-1)^n e^{-u}/u du = n! E_{n+1}(1).
 
-    The left side is shifted to (0, inf) and integrated adaptively to
-    relative tolerance 1e-11; the right side uses the E_n family.  Used as a
+    The left side is shifted to (0, inf), t = u - 1, and integrated
+    adaptively to relative tolerance 1e-11 on the linear moment panels of
+    t^n exp(-t - 1)/(1+t); the right side uses the E_n family.  Used as a
     consistency witness for the closed-form moment route.
     """
     n = check_order("en_integral_identity", "n", n, 0, 60)
-
-    def integrand(t):
-        return t ** n * math.exp(-t - 1.0) / (1.0 + t)
-
-    lhs = integrate_semi_infinite(integrand, 1e-11).value
+    lhs = _moment_integral(n, 1e-11, factors=_shifted_factors).value
     rhs = math.gamma(n + 1) * expint.en(n + 1, 1.0)
     return lhs, rhs

@@ -7,18 +7,23 @@ convergent integrals on (0, inf) on Gauss-Kronrod G7/K15 panels, central
 finite differences for the Wirtinger derivative d/d(conj z), and a seeded
 uniform sampler of the disk.
 
-The integrator is one adaptive loop over panel functions (a, b) ->
-(value, error estimate) of the unit interval.  ``integrate_semi_infinite``
-hands it the generic panel, which calls its integrand on Python floats,
-sums each panel in Python floats or complexes, and raises AccuracyError at
-once when the integrand overflows or returns a non-finite value;
-``moments`` hands it panels of the moment weight built from cached node
-factors.  The loop keeps the nodes of each dyadic panel it has built (t
-and (1-u)^2 at the 15 nodes, in an LRU cache of 512 panels shared by all
-calls), and re-sums its panels exactly only on steps where running totals,
-widened by their rounding bound, could pass the stopping test; every value,
-error estimate, node count and error message is the one that re-summing on
-every step gives.
+The integrator is one adaptive loop over panel functions (a, b) -> (K15
+sum, G7 sum) of the unit interval; the loop alone turns the two sums into
+a panel's value and error estimate and raises AccuracyError when they are
+not finite.  ``integrate_semi_infinite`` hands it the generic panel, which
+calls its integrand on Python floats, sums each panel in Python floats or
+complexes, and raises AccuracyError at once when the integrand overflows.
+The in-repo integrals of (0, inf) hand it panels of their own, which read
+the argument-free factors of their integrand from a per-panel LRU table
+and compute only the rest at each node, with the bits of their scalar
+integrand through ``integrate_semi_infinite``: the moment and shifted-moment
+integrals of ``moments``, and ``lerch``'s Lerch and Hurwitz integrals.  The
+loop keeps the nodes of each dyadic panel it has built (t and (1-u)^2 at
+the 15 nodes, in an LRU cache of 512 panels shared by all calls), and
+re-sums its panels exactly only on steps where running totals, widened by
+their rounding bound, could pass the stopping test; every value, error
+estimate, node count and error message is the one that re-summing on every
+step gives.
 
 Only the Gauss rules build arrays; they import numpy when first called, so
 the integrator, the finite differences, the sampler and ``csum`` run on the
@@ -164,9 +169,24 @@ def _panel_nodes(a, b):
     return centre, tuple(pairs)
 
 
+def _node_factors(a, b, node):
+    # per-node factors of the panel (a, b) in _panel_nodes' layout: node(t,
+    # (1-u)^2) for the centre, then node(t-, j-) + node(t+, j+) + (wk, wg)
+    # for each _K15_PAIRS entry.  Panel functions that cache such a table
+    # read their integrand's argument-free factors instead of computing them
+    (t, j), pairs = _panel_nodes(a, b)
+    return node(t, j), tuple(node(tl, jl) + node(th, jh) + (wk, wg)
+                             for tl, jl, th, jh, wk, wg in pairs)
+
+
+def _overflowed(t):
+    return AccuracyError(f"integrand overflowed at t={t!r}")
+
+
 def _panel_estimates(f, a, b):
-    # K15 and |K15 - G7| of f on the panel (a, b) of the unit interval,
-    # through t = u/(1-u); the two sums stay Python floats or complexes
+    # the K15 and G7 sums of f on the panel (a, b) of the unit interval,
+    # through t = u/(1-u), in Python floats or complexes; every panel
+    # function sums its nodes in this order
     (t, j), pairs = _panel_nodes(a, b)
     try:
         centre = f(t) / j
@@ -179,12 +199,8 @@ def _panel_estimates(f, a, b):
             kronrod += wk * pair
             gauss += wg * pair
     except (OverflowError, ZeroDivisionError) as exc:
-        raise AccuracyError(f"integrand overflowed at t={t!r}") from exc
-    half = 0.5 * (b - a)
-    err = abs(half * (kronrod - gauss))
-    if not math.isfinite(err):
-        raise AccuracyError("integrand produced non-finite values")
-    return half * kronrod, err
+        raise _overflowed(t) from exc
+    return kronrod, gauss
 
 
 def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
@@ -226,13 +242,15 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     return _integrate_panels(partial(_panel_estimates, f), tol)
 
 
-def _integrate_panels(panel, tol):
+def _integrate_panels(sums, tol):
     # integrate_semi_infinite's adaptive loop on any panel function
-    # panel(a, b) -> (value, error estimate) on the panel (a, b) of the unit
-    # interval; the moment integrals keep its messages, so they name it
+    # sums(a, b) -> (K15 sum, G7 sum) of the panel (a, b) of the unit
+    # interval, summed as _panel_estimates sums them; a panel's value and
+    # error estimate, and the test that they are finite, are made here
+    # only.  Callers with panels of their own keep its messages, so they
+    # name it
     check_tol("integrate_semi_infinite", tol)
 
-    n_init = 8
     panels = []  # (-err, seq, a, b, value)
     frozen = []  # popped panels too narrow to bisect: never bisected, still counted
     seq = 0
@@ -242,19 +260,24 @@ def _integrate_panels(panel, tol):
     # exact re-sum, and ops counts the additions since then
     run_val = run_err = abs_val = abs_err = 0.0
     ops = 0
-    for i in range(n_init):
-        a, b = i / n_init, (i + 1) / n_init
-        val, err = panel(a, b)
-        evals += _PANEL_EVALS
-        heapq.heappush(panels, (-err, seq, a, b, val))
-        seq += 1
-        run_val += val
-        run_err += err
-        abs_val += abs(val)
-        abs_err += err
-        ops += 1
-
+    new = [(i / 8, (i + 1) / 8) for i in range(8)]  # the initial panels
     while True:
+        for a, b in new:
+            kronrod, gauss = sums(a, b)
+            half = 0.5 * (b - a)
+            err = abs(half * (kronrod - gauss))
+            if not math.isfinite(err):
+                raise AccuracyError("integrand produced non-finite values")
+            val = half * kronrod
+            evals += _PANEL_EVALS
+            heapq.heappush(panels, (-err, seq, a, b, val))
+            seq += 1
+            run_val += val
+            run_err += err
+            abs_val += abs(val)
+            abs_err += err
+            ops += 1
+
         # the running sums lie within slack * abs_* of the exact re-sums
         # below, so while they fail the stopping test by more than that, the
         # re-sums would fail it too and are skipped
@@ -282,20 +305,12 @@ def _integrate_panels(panel, tol):
         mid = 0.5 * (a + b)
         if b - a < 1e-15 or _panel_nodes(mid, b) is None:
             frozen.append(popped)
+            new = ()
             continue
         run_val -= val
         run_err += neg_err
         ops += 1
-        for lo, hi in ((a, mid), (mid, b)):
-            val, err = panel(lo, hi)
-            evals += _PANEL_EVALS
-            heapq.heappush(panels, (-err, seq, lo, hi, val))
-            seq += 1
-            run_val += val
-            run_err += err
-            abs_val += abs(val)
-            abs_err += err
-            ops += 1
+        new = ((a, mid), (mid, b))
 
 
 def wirtinger_fd(F, z: complex, h: float = 1e-5) -> complex:

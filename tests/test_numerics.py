@@ -8,7 +8,7 @@ import pytest
 
 from hfock import bargmann, lerch, moments, numerics, verify
 from hfock.errors import AccuracyError, ConfigurationError
-from hfock.numerics import (csum, gauss_hermite, gauss_laguerre,
+from hfock.numerics import (csum, disk_point, gauss_hermite, gauss_laguerre,
                             integrate_semi_infinite, wirtinger_fd)
 
 
@@ -269,6 +269,30 @@ def _log_eta_integrand(n):
     return scaled
 
 
+def _en_identity_integrand(n):
+    """The scalar integrand of en_integral_identity(n)'s left side, the
+    integral of (u-1)^n e^(-u)/u over (1, inf), shifted to t = u - 1."""
+    return lambda t: t ** n * math.exp(-t - 1.0) / (1.0 + t)
+
+
+def _lerch_integrand(z, s, a):
+    """The scalar integrand of lerch_phi_integral(z, s, a), whose integral
+    is Gamma(s) times the Lerch transcendent."""
+    z = complex(z)
+    return lambda t: t ** (s - 1.0) * math.exp(-a * t) / (1.0 - z * math.exp(-t))
+
+
+def _hurwitz_integrand(s, a):
+    """The scalar integrand of hurwitz_zeta_integral(s, a): Gamma(s) zeta(s, a)'s,
+    less its singular part t^(s-2) on t < 1."""
+
+    def integrand(t):
+        value = t ** (s - 1.0) * math.exp(-a * t) / -math.expm1(-t)
+        return value - t ** (s - 2.0) if t < 1.0 else value
+
+    return integrand
+
+
 def test_hopeless_call_exhausts_the_budget_quickly():
     # log eta_400 at 1e-14 cannot converge; the 100 000-evaluation budget
     # ends it well inside a second on a 2-vCPU machine
@@ -293,19 +317,19 @@ def _integrands(monkeypatch, module, call):
 
 
 _INTEGRAND_FAMILIES = {
-    # the moment integrals take moments' own panels, held to these scalar
-    # integrands bit for bit by test_moment_route_bit_identical_to_*: both
-    # branches of the eta integrand, t**n up to n = 65, log scale beyond,
-    # and eta_0 at 1e-14, the Laguerre projection's g_0
+    # the moment, shifted-moment and Hurwitz integrals take panels of their
+    # own, held to these scalar integrands bit for bit by the
+    # test_*_route_bit_identical_to_* tests: both branches of the eta
+    # integrand, t**n up to n = 65, log scale beyond, and eta_0 at 1e-14,
+    # the Laguerre projection's g_0
     "eta": lambda patch: [(_eta_integrand(n),) for n in (0, 30, 65, 66, 100, 170)] + [
         (_eta_integrand(0), 1e-14)],
     "log_eta": lambda patch: [(_log_eta_integrand(n), 1e-12) for n in (200, 400)],
-    "en_identity": lambda patch: [args for n in (0, 25, 60) for args in _integrands(
-        patch, moments, lambda: moments.en_integral_identity(n))],
+    "en_identity": lambda patch: [(_en_identity_integrand(n), 1e-11) for n in (0, 25, 60)],
     "laguerre_projection": lambda patch: _integrands(
         patch, moments, moments._laguerre_projection.__wrapped__),
-    "hurwitz": lambda patch: [args for s, a in ((2.5, 1.3), (1.6, 1.0), (1.2, 1.0)) for args in _integrands(
-        patch, lerch, lambda: lerch.hurwitz_zeta_integral(s, a))],
+    "hurwitz": lambda patch: [(_hurwitz_integrand(s, a), 1e-10)
+                              for s, a in ((2.5, 1.3), (1.6, 1.0), (1.2, 1.0))],
     # factorial moments; incomplete gamma and the Laplace-E_n integrals
     "verify": lambda patch: (_integrands(patch, verify, verify.suite_numerics)
                              + _integrands(patch, verify, verify.suite_expint)),
@@ -552,9 +576,9 @@ def test_hopeless_call_bit_identical_to_reference():
     assert want[1].startswith(f"node budget {numerics._MAX_EVALS} exhausted")
 
 
-def _route_outcome(monkeypatch, call):
+def _route_outcome(monkeypatch, call, module=moments):
     """What ``call`` returns, or its error's text, cause and attached result,
-    with every IntegralResult moments' quadrature returned, as reprs."""
+    with every IntegralResult that ``module``'s quadrature returned, as reprs."""
     results = []
 
     def record(*args):
@@ -562,7 +586,7 @@ def _route_outcome(monkeypatch, call):
         return results[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(moments, "_integrate_panels", record)
+        m.setattr(module, "_integrate_panels", record)
         try:
             value = call()
         except (AccuracyError, ConfigurationError) as exc:
@@ -579,7 +603,8 @@ def _scalar_outcome(f, tol, finish):
 
 
 def _clear_panel_caches():
-    for cache in (numerics._panel_nodes, moments._linear_factors, moments._log_factors):
+    for cache in (numerics._panel_nodes, moments._linear_factors, moments._shifted_factors,
+                  moments._log_factors, lerch._exp_factors):
         cache.cache_clear()
 
 
@@ -607,6 +632,99 @@ def test_moment_route_bit_identical_to_log_eta_integrand(monkeypatch, tol):
         outcomes.append(want[0])
     if tol == 1e-14:  # the sweep meets the budget's give-up
         assert outcomes[-1].startswith(f"node budget {numerics._MAX_EVALS} exhausted")
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13, math.nan])
+def test_moment_route_bit_identical_to_en_identity_integrand(monkeypatch, tol):
+    # the shifted moment runs on eta's linear panels with its own factors;
+    # en_integral_identity itself takes tol 1e-11
+    _clear_panel_caches()
+    for n in range(61):
+        want = _scalar_outcome(_en_identity_integrand(n), tol, lambda v: v)
+        if tol == 1e-11:
+            got = _route_outcome(monkeypatch, lambda: moments.en_integral_identity(n)[0])
+        else:
+            got = _route_outcome(monkeypatch, lambda: moments._moment_integral(
+                n, tol, factors=moments._shifted_factors).value)
+        assert got == want, n
+
+
+_LERCH_EDGES = {
+    # name: (z, s, a), text the outcome holds
+    "overflow": ((0.5, 200.0, 1e-3), "integrand overflowed at t="),
+    "s_one": ((0.5, 1, 1), "+0j)"),
+    "near_minus_one": ((-0.999, 4.0, 1e-3), "(999999999999."),
+    "imaginary_z": ((0.999j, 1.0, 1e-3), "j)"),
+    "huge_a": ((0.5, 2.0, 1e300), "0j"),
+    "infinite_a": ((0.5, 2.0, math.inf), "0j"),
+}
+
+
+def _lerch_cases(count, seed):
+    # |z| <= 0.999, s in [1, 4], a in [1e-3, 100] log-uniform
+    rng = random.Random(seed)
+    return [(disk_point(rng, 0.999), 1.0 + 3.0 * rng.random(), 10.0 ** rng.uniform(-3.0, 2.0))
+            for _ in range(count)]
+
+
+def _assert_lerch_route(monkeypatch, z, s, a):
+    want = _scalar_outcome(_lerch_integrand(z, s, a), 1e-10, lambda v: v / math.gamma(s))
+    assert _route_outcome(monkeypatch, lambda: lerch.lerch_phi_integral(z, s, a), lerch) == want
+    return want
+
+
+def test_lerch_route_bit_identical_to_its_integrand(monkeypatch):
+    # lerch_phi_integral's panels give the value, error estimate and node
+    # count, or the error, of the scalar integrand through integrate_semi_infinite
+    _clear_panel_caches()
+    for z, s, a in _lerch_cases(400, 37):
+        assert len(_assert_lerch_route(monkeypatch, z, s, a)) == 2, (z, s, a)
+    for args, text in _LERCH_EDGES.values():
+        assert text in _assert_lerch_route(monkeypatch, *args)[0], args
+
+
+def _hurwitz_cases(count, seed):
+    # s in (1, 21], a in [1e-3, 1e3] and tol in [1e-13, 1e-8], log-uniform
+    rng = random.Random(seed)
+    return [(1.0 + 1e-5 + 20.0 * rng.random(), 10.0 ** rng.uniform(-3.0, 3.0),
+             10.0 ** rng.uniform(-13.0, -8.0)) for _ in range(count)]
+
+
+_HURWITZ_EDGES = {
+    # name: (s, a, tol), text the outcome holds
+    "floor": ((1.000002, 1.0, 1e-10), "refinement floor reached"),
+    "overflow": ((100.0, 1.0, 1e-10), "integrand overflowed at t="),
+    "nan_tol": ((2.0, 1.0, math.nan), "tol must be > 0, got nan"),
+    "integers": ((2, 1, 1e-10), "1.64493406684"),
+    "s_just_above_one": ((1.000002, 1e-3, 1e-8), "501000.5"),
+}
+
+
+def _assert_hurwitz_route(monkeypatch, s, a, tol):
+    want = _scalar_outcome(_hurwitz_integrand(s, a), tol,
+                           lambda v: (v + 1.0 / (s - 1.0)) / math.gamma(s))
+    assert _route_outcome(
+        monkeypatch, lambda: lerch.hurwitz_zeta_integral(s, a, tol), lerch) == want
+    return want
+
+
+def test_hurwitz_route_bit_identical_to_its_integrand(monkeypatch):
+    _clear_panel_caches()
+    for s, a, tol in _hurwitz_cases(400, 29):
+        assert len(_assert_hurwitz_route(monkeypatch, s, a, tol)) == 2, (s, a, tol)
+    for args, text in _HURWITZ_EDGES.values():
+        assert text in _assert_hurwitz_route(monkeypatch, *args)[0], args
+
+
+def test_budget_raise_bit_identical_on_every_cached_factor_route(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 10 * numerics._PANEL_EVALS)
+    _clear_panel_caches()
+    budget = "node budget 150 exhausted"
+    assert _assert_lerch_route(monkeypatch, 0.5 + 0.3j, 2.0, 1e-3)[0].startswith(budget)
+    assert _assert_hurwitz_route(monkeypatch, 2.5, 1.3, 1e-13)[0].startswith(budget)
+    want = _scalar_outcome(_en_identity_integrand(30), 1e-11, lambda v: v)
+    assert want[0].startswith(budget)
+    assert _route_outcome(monkeypatch, lambda: moments.en_integral_identity(30)) == want
 
 
 def test_laguerre_projection_takes_the_eta_route(monkeypatch):
