@@ -92,6 +92,14 @@ def _float_entry(path: str, payload: dict, key: str, default: float) -> float:
         raise ConfigurationError(f"{path}: {key!r} must be a number, got {raw!r}") from None
 
 
+def _refuse_unread(args, where: str, flags) -> None:
+    """Refuse the ``flags`` given on the command line (not None) that
+    ``where``, one mode of a subcommand, does not read."""
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        raise ConfigurationError(f"{where} reads no {', '.join(given)}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path in (None, "-", "stdout"):
         sys.stdout.write(text)
@@ -117,16 +125,19 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_expint(args) -> int:
+    n = 1 if args.n is None else args.n
     obj = {"x": args.x}
     if args.family is not None:
+        if args.laplace is None:
+            _refuse_unread(args, "expint --family without --laplace", ["--n"])
         obj["n_max"] = args.family
         obj["values"] = expint.en_family(args.family, args.x)
     else:
-        obj["n"] = args.n
-        obj["value"] = expint.en(args.n, args.x)
+        obj["n"] = n
+        obj["value"] = expint.en(n, args.x)
     if args.laplace is not None:
         obj["laplace_a"] = args.laplace
-        obj["laplace_value"] = expint.laplace_en(args.n, args.laplace)
+        obj["laplace_value"] = expint.laplace_en(n, args.laplace)
     _emit_json(obj, args.out)
     return 0
 
@@ -152,12 +163,14 @@ def _cmd_kernel(args) -> int:
 def _cmd_gram(args) -> int:
     tol = args.tol
     if args.points_file:
+        _refuse_unread(args, "gram --points-file", ["--random", "--radius", "--seed"])
         payload = _load_payload(args.points_file, "points")
         pts = _complex_entries(args.points_file, "points", payload["points"])
         tol = _float_entry(args.points_file, payload, "tol", tol)
     else:
-        rng = random.Random(args.seed)
-        pts = [disk_point(rng, args.radius) for _ in range(args.random)]
+        rng = random.Random(0 if args.seed is None else args.seed)
+        radius = 2.0 if args.radius is None else args.radius
+        pts = [disk_point(rng, radius) for _ in range(20 if args.random is None else args.random)]
     g = space.gram_kernel(pts, tol)
     _emit_json(g.as_json_obj(), args.out)
     return 0
@@ -183,14 +196,16 @@ def _cmd_bargmann(args) -> int:
 
 
 def _cmd_lerch(args) -> int:
-    if args.tol is not None and args.lerch is None:
-        raise ConfigurationError("--tol applies to --lerch; --phi, --zeta and --audit take none")
+    mode = next(m for m in ("phi", "zeta", "lerch", "audit") if getattr(args, m) is not None)
+    _refuse_unread(args, f"lerch --{mode}",
+                   [flag for flag, reader in (("--tol", "lerch"), ("--seed", "audit")) if reader != mode])
     if args.audit is not None:
+        seed = 0 if args.seed is None else args.seed
         if args.audit == "eta0_K":
-            obj = lerch.ml_audit("eta0_K", seed=args.seed)
+            obj = lerch.ml_audit("eta0_K", seed=seed)
         elif args.audit.startswith("phi_tilde:"):
             n = _parse_number(args.audit.split(":", 1)[1], int)
-            obj = lerch.ml_audit("phi_tilde", n, seed=args.seed)
+            obj = lerch.ml_audit("phi_tilde", n, seed=seed)
         else:
             raise ConfigurationError(
                 f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
@@ -243,16 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "suites for a weighted Fock-type space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=False, fmt=None, seed=False):
-        # --out on every subcommand; --tol, --format (default ``fmt``) and
-        # --seed only where the subcommand reads them
+    def common(p, tol=False, fmt=None):
+        # --out on every subcommand; --tol and --format (default ``fmt``) only
+        # where the subcommand reads them.  --seed is added by the three
+        # that read it; gram and lerch read it in one mode only
         if tol:
             p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default=fmt)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("moments", help="export the moment table")
     common(p, tol=True, fmt="csv")
@@ -261,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expint", help="evaluate E_n and its Laplace transform")
     common(p)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int, default=None,
+                   help="order of E_n and of the transform (default 1); --family without --laplace takes none")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--family", type=int, default=None, metavar="N_MAX")
     p.add_argument("--laplace", type=float, default=None, metavar="A")
@@ -280,11 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("gram", help="kernel Gram matrix with PSD diagnostics")
-    common(p, tol=True, seed=True)
+    common(p, tol=True)
     p.add_argument("--points-file", default=None,
-                   help='JSON file {"points": [[re,im],...], "tol": ...}')
-    p.add_argument("--random", type=int, default=20, metavar="COUNT")
-    p.add_argument("--radius", type=float, default=2.0)
+                   help='JSON file {"points": [[re,im],...], "tol": ...}; takes no --random, --radius or --seed')
+    p.add_argument("--random", type=int, default=None, metavar="COUNT", help="default 20")
+    p.add_argument("--radius", type=float, default=None, help="default 2.0")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("bargmann", help="sample the Bargmann-type kernel on an x grid")
@@ -296,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bargmann)
 
     p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--tol", type=float, default=None,
                    help="1e-12 for --lerch; --phi, --zeta and --audit take none")
+    p.add_argument("--seed", type=int, default=None,
+                   help="0 for --audit; --phi, --zeta and --lerch take none")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
     what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)
@@ -313,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dbar)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, seed=True)
+    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("suite", choices=sorted(list(verify.SUITES) + list(verify.ALIASES) + ["all"]))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--points", type=int, default=None)

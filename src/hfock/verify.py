@@ -533,7 +533,17 @@ def run(suite: str, seed: int = 0, nmax: int | None = None, points: int | None =
     """Run one suite (or ``all``) and assemble a deterministic report.
 
     ``nmax`` and ``points`` reach only the moments battery (``moments``,
-    ``bounds`` and ``gfs``); ``None`` means 170 and 20."""
+    ``bounds`` and ``gfs``); ``None`` means 170 and 20.  A suite that does
+    not read one of them, ``bounds`` the points and ``gfs`` the order
+    included, refuses it with ConfigurationError."""
+    known = sorted(list(SUITES) + list(ALIASES) + ["all"])
+    if suite not in known:
+        raise ConfigurationError(f"unknown suite {suite!r}; choose from {known}")
+    unread = [name for name, value, readers in (("nmax", nmax, ("all", "moments", "bounds")),
+                                                 ("points", points, ("all", "moments", "gfs")))
+              if value is not None and suite not in readers]
+    if unread:
+        raise ConfigurationError(f"verify: suite {suite!r} reads no {', '.join(unread)}")
     nmax = _NMAX if nmax is None else nmax
     points = _POINTS if points is None else points
 
@@ -548,11 +558,8 @@ def run(suite: str, seed: int = 0, nmax: int | None = None, points: int | None =
         checks = call(suite)
     elif suite == "bounds":
         checks = _bounds_checks(nmax)
-    elif suite == "gfs":
-        checks = _gfs_checks(seed, points)
     else:
-        known = sorted(list(SUITES) + list(ALIASES) + ["all"])
-        raise ConfigurationError(f"unknown suite {suite!r}; choose from {known}")
+        checks = _gfs_checks(seed, points)
     checks = sorted(checks, key=lambda c: c["name"])
     failed = [c["name"] for c in checks if c["status"] != "pass"]
     return {

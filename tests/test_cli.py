@@ -323,6 +323,17 @@ class TestVerify:
         ["lerch", "--audit", "phi_tilde:1", "--tol", "1e-3"],
         ["lerch", "--zeta", "2", "1", "--tol", "1e-3"],
         ["lerch", "--phi", "2", "0.3,0.4", "--tol", "1e-3"],
+        ["lerch", "--phi", "2", "0.3,0.4", "--seed", "5"],
+        ["lerch", "--zeta", "2", "1", "--seed", "4"],
+        ["lerch", "--lerch", "0.5", "1", "1", "--seed", "4"],
+        ["gram", "--points-file", "pts.json", "--random", "5", "--seed", "3", "--radius", "1"],
+        ["gram", "--points-file", "pts.json", "--seed", "0"],
+        ["gram", "--points-file", "pts.json", "--radius", "2"],
+        ["expint", "--x", "2", "--family", "3", "--n", "5"],
+        ["verify", "expint", "--nmax", "50", "--points", "3"],
+        ["verify", "lerch", "--points", "20"],
+        ["verify", "bounds", "--points", "20"],
+        ["verify", "gfs", "--nmax", "170"],
     ], ids=" ".join)
     def test_ignored_flags_rejected(self, capsys, argv):
         # argparse refuses a flag that the subcommand does not define; one
@@ -336,6 +347,22 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("hfock: error: ") and err.count("\n") == 1
         assert code == 2
+
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["lerch", "--audit", "phi_tilde:1"], ["--seed", "0"]),
+        (["gram", "--random", "3"], ["--seed", "0", "--radius", "2"]),
+        (["gram"], ["--random", "20"]),
+        (["expint", "--x", "2", "--laplace", "0.5"], ["--n", "1"]),
+        (["verify", "bounds"], ["--nmax", "170"]),
+        (["verify", "gfs"], ["--points", "20", "--seed", "0"]),
+    ], ids=lambda v: " ".join(v))
+    def test_flags_a_mode_reads_take_their_defaults(self, capsys, argv, defaults):
+        # a flag is refused only where its mode ignores it: spelt out at its
+        # default where the mode reads it, it prints what leaving it out prints
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert _run(capsys, argv + defaults) == (0, out, "")
 
 
 # the commands of tools/cli_digests.txt that do not load numpy, whose
