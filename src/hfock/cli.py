@@ -108,9 +108,13 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(obj: dict, out_path: str | None) -> None:
+def _json_text(obj: dict) -> str:
     obj.setdefault("schema", SCHEMA)
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _emit_json(obj: dict, out_path: str | None) -> None:
+    _emit(_json_text(obj), out_path)
 
 
 def _cmd_moments(args) -> int:
@@ -172,8 +176,31 @@ def _cmd_gram(args) -> int:
         radius = 2.0 if args.radius is None else args.radius
         pts = [disk_point(rng, radius) for _ in range(20 if args.random is None else args.random)]
     g = space.gram_kernel(pts, tol)
-    _emit_json(g.as_json_obj(), args.out)
+    _emit(_gram_json(g), args.out)
     return 0
+
+
+_MATRIX_SLOT = "\0matrix"  # stands for the matrix while json writes the rest
+_PAIR = "      [\n        %r,\n        %r\n      ]"
+
+
+def _gram_json(g) -> str:
+    """``_json_text(g.as_json_obj())``, with the matrix rows written by one
+    format string each: json's indented writer spends most of a large
+    Gram's run on them.  The bytes are json's, NaN and Infinity included."""
+    if not g.entries.size:
+        return _json_text(g.as_json_obj())
+    import numpy as np
+
+    m, n = g.entries.shape
+    obj = g._replace(entries=g.entries[:0]).as_json_obj()
+    obj["matrix"] = _MATRIX_SLOT
+    row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
+    parts = np.stack((g.entries.real, g.entries.imag), axis=-1).reshape(m, 2 * n).tolist()
+    rows = "[\n" + ",\n".join([row % tuple(r) for r in parts]) + "\n  ]"
+    if not np.isfinite(g.entries).all():  # json's names for the non-finite floats
+        rows = rows.replace("inf", "Infinity").replace("nan", "NaN")
+    return _json_text(obj).replace(json.dumps(_MATRIX_SLOT), rows, 1)
 
 
 def _cmd_bargmann(args) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,26 @@ class TestGram:
         _, out1, _ = _run(capsys, ["gram", "--random", "8", "--seed", "5"])
         _, out2, _ = _run(capsys, ["gram", "--random", "8", "--seed", "5"])
         assert out1 == out2
+
+    @pytest.mark.parametrize("values, shape", [
+        ([1.0, complex(math.nan, -0.0), complex(-math.inf, 2.5e-300), complex(0.1, math.inf)], (2, 2)),
+        ([complex(1.0, -0.0), 1e300, -1e-320, complex(3.0, -7.25)], (2, 2)),
+        ([complex(2.0, 1.0)], (1, 1)),
+        ([complex(1.0, 2.0), 3.0, -0.0], (1, 3)),
+        ([], (2, 0)),
+        ([], (0, 0)),
+    ], ids=["non-finite", "finite", "one", "row", "empty-rows", "empty"])
+    def test_writer_prints_what_json_prints(self, values, shape):
+        # the rows written by format string hold json's bytes, NaN, Infinity
+        # and -0.0 included, on hand-built matrices that build_gram refuses
+        import numpy as np
+
+        from hfock.space import GramMatrix
+
+        entries = np.array(values, dtype=complex).reshape(shape)
+        g = GramMatrix(points=(0j, 1 + 0j), entries=entries, min_eig=math.nan, trace=math.inf)
+        want = json.dumps({**g.as_json_obj(), "schema": 1}, sort_keys=True, indent=2) + "\n"
+        assert cli._gram_json(g) == want
 
 
 class TestDbar:
