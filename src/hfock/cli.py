@@ -185,15 +185,14 @@ _PAIR = "      [\n        %r,\n        %r\n      ]"
 
 
 def _gram_json(g) -> str:
-    """``_json_text(g.as_json_obj())``, with the matrix rows written by one
-    format string each: json's indented writer spends most of a large
-    Gram's run on them.  The bytes are json's, NaN and Infinity included."""
-    if not g.entries.size:
-        return _json_text(g.as_json_obj())
+    """``_json_text(g.as_json_obj())`` of a Gram matrix with at least one
+    entry, with the matrix rows written by one format string each: json's
+    indented writer spends most of a large Gram's run on them.  The bytes
+    are json's, NaN and Infinity included."""
     import numpy as np
 
     m, n = g.entries.shape
-    obj = g._replace(entries=g.entries[:0]).as_json_obj()
+    obj = g._replace(entries=g.entries[:0]).as_json_obj()  # every key but the matrix's rows
     obj["matrix"] = _MATRIX_SLOT
     row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
     parts = np.stack((g.entries.real, g.entries.imag), axis=-1).reshape(m, 2 * n).tolist()

@@ -13,11 +13,11 @@ a panel's value and error estimate and raises AccuracyError when they are
 not finite.  ``integrate_semi_infinite`` hands it the generic panel, which
 calls its integrand on Python floats, sums each panel in Python floats or
 complexes, and raises AccuracyError at once when the integrand overflows.
-The in-repo integrals of (0, inf) hand it panels of their own, which read
-the argument-free factors of their integrand from a per-panel LRU table
-and compute only the rest at each node, with the bits of their scalar
-integrand through ``integrate_semi_infinite``: the moment and shifted-moment
-integrals of ``moments``, and ``lerch``'s Lerch and Hurwitz integrals.  The
+The moment and shifted-moment integrals of ``moments`` and the Lerch and
+Hurwitz integrals of ``lerch`` hand it panels of their own, which read the
+argument-free factors of their integrand from a per-panel LRU table and
+compute only the rest at each node, with the bits of their scalar
+integrand through ``integrate_semi_infinite``.  The
 loop keeps the nodes of each dyadic panel it has built (t and (1-u)^2 at
 the 15 nodes, in an LRU cache of 512 panels shared by all calls), and
 re-sums its panels exactly only on steps where running totals, widened by

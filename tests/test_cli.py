@@ -111,9 +111,7 @@ class TestGram:
         ([complex(1.0, -0.0), 1e300, -1e-320, complex(3.0, -7.25)], (2, 2)),
         ([complex(2.0, 1.0)], (1, 1)),
         ([complex(1.0, 2.0), 3.0, -0.0], (1, 3)),
-        ([], (2, 0)),
-        ([], (0, 0)),
-    ], ids=["non-finite", "finite", "one", "row", "empty-rows", "empty"])
+    ], ids=["non-finite", "finite", "one", "row"])
     def test_writer_prints_what_json_prints(self, values, shape):
         # the rows written by format string hold json's bytes, NaN, Infinity
         # and -0.0 included, on hand-built matrices that build_gram refuses
@@ -359,7 +357,7 @@ class TestVerify:
     def test_ignored_flags_rejected(self, capsys, argv):
         # argparse refuses a flag that the subcommand does not define; one
         # that only some of its modes read is refused by the others as one
-        # error line
+        # error line, before any file is opened
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -367,8 +365,8 @@ class TestVerify:
         else:
             err = capsys.readouterr().err
             assert err.startswith("hfock: error: ") and err.count("\n") == 1
+            assert " reads no " in err
         assert code == 2
-
 
     @pytest.mark.parametrize("argv, defaults", [
         (["lerch", "--audit", "phi_tilde:1"], ["--seed", "0"]),

@@ -649,6 +649,23 @@ def test_moment_route_bit_identical_to_en_identity_integrand(monkeypatch, tol):
         assert got == want, n
 
 
+@pytest.mark.parametrize("n", [0, 1, 30, 60])
+def test_shifted_factors_give_the_scalar_node_values(n):
+    # every node value of the shifted moment's panels is its scalar
+    # integrand's, on the dyadic panels (1 - 2^-k, 1 - 2^-(k+1)) out to t of
+    # about 65 000, where the integrator's sweeps seldom go; from t = 746 on
+    # both are 0.0
+    f, p = _en_identity_integrand(n), float(n)
+    for k in range(16):
+        a, b = 1.0 - 2.0 ** -k, 1.0 - 2.0 ** -(k + 1)
+        (t, j), pairs = numerics._panel_nodes(a, b)
+        nodes = [(t, j)] + [node for tl, jl, th, jh, _, _ in pairs for node in ((tl, jl), (th, jh))]
+        (tc, e, d, jc), fpairs = moments._shifted_factors(a, b)
+        factors = [(tc, e, d, jc)] + [row[i:i + 4] for row in fpairs for i in (0, 4)]
+        for (t, j), (tf, e, d, jf) in zip(nodes, factors, strict=True):
+            assert repr(tf ** p * e / d / jf) == repr(f(t) / j), (k, t)
+
+
 _LERCH_EDGES = {
     # name: (z, s, a), text the outcome holds
     "overflow": ((0.5, 200.0, 1e-3), "integrand overflowed at t="),
