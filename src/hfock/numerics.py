@@ -253,24 +253,23 @@ def _integrate_panels(sums, tol):
 
     panels = []  # (-err, seq, a, b, value)
     frozen = []  # popped panels too narrow to bisect: never bisected, still counted
-    seq = 0
-    evals = 0
+    seq = 0  # panels evaluated, each at _PANEL_EVALS nodes
     # running sums over panels + frozen; abs_val sums |value| over every
     # panel they ever held, abs_err the error estimates since the last
     # exact re-sum, and ops counts the additions since then
     run_val = run_err = abs_val = abs_err = 0.0
     ops = 0
+    push, inf = heapq.heappush, math.inf
     new = [(i / 8, (i + 1) / 8) for i in range(8)]  # the initial panels
     while True:
         for a, b in new:
             kronrod, gauss = sums(a, b)
             half = 0.5 * (b - a)
             err = abs(half * (kronrod - gauss))
-            if not math.isfinite(err):
+            if not err < inf:  # err = |...| fails this exactly when inf or nan
                 raise AccuracyError("integrand produced non-finite values")
             val = half * kronrod
-            evals += _PANEL_EVALS
-            heapq.heappush(panels, (-err, seq, a, b, val))
+            push(panels, (-err, seq, a, b, val))
             seq += 1
             run_val += val
             run_err += err
@@ -282,6 +281,7 @@ def _integrate_panels(sums, tol):
         # below, so while they fail the stopping test by more than that, the
         # re-sums would fail it too and are skipped
         slack = _SUM_SLACK * (ops + len(panels))
+        evals = seq * _PANEL_EVALS
         if frozen or evals >= _MAX_EVALS or not (
                 run_err - slack * abs_err > tol * (abs(run_val) + slack * abs_val)):
             counted = panels + frozen
