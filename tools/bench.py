@@ -45,12 +45,13 @@ def _git(*args: str, cwd: str = ".") -> str:
 
 
 def _commit(path: str) -> str:
+    # the commit, and whether what a run executes (src/ and perfbench/) differs from it
     try:
         commit = _git("rev-parse", "HEAD", cwd=path)
-        dirty = _git("status", "--porcelain", "--untracked-files=no", cwd=path)
+        dirty = _git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench", cwd=path)
     except (OSError, subprocess.CalledProcessError):
         return "unknown (not a git checkout)"
-    return commit + (" with uncommitted changes" if dirty else "")
+    return commit + (" with uncommitted changes to src/ or perfbench/" if dirty else "")
 
 
 def _argv(workload: str, seed, seconds: float) -> list[str]:
