@@ -151,7 +151,10 @@ def run(args, argv=None) -> int:
         "parent": {"commit": _commit(parent), "checkout": source},
         "change": {"commit": _commit(change)},
         "pairs": args.pairs, "seed_base": args.seed_base, "seconds": args.seconds,
-        "tool_command": " ".join(["python3 tools/bench.py", *(argv or sys.argv[1:])]),
+        # the parent checkout's path says nothing about the run, so it is not recorded
+        "tool_command": " ".join(["python3 tools/bench.py", *(
+            "PARENT_DIR" if args.parent_dir and a == args.parent_dir else a
+            for a in (argv or sys.argv[1:]))]),
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},
     }
