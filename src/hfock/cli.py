@@ -19,7 +19,7 @@ import sys
 
 from . import bargmann, dbar, expint, lerch, moments, space, verify
 from .errors import (AccuracyError, ConfigurationError, DomainError,
-                     PrecisionLossError, ValidationError)
+                     PrecisionLossError, ValidationError, refuse_unread)
 from .numerics import disk_point
 
 SCHEMA = 1
@@ -95,9 +95,7 @@ def _float_entry(path: str, payload: dict, key: str, default: float) -> float:
 def _refuse_unread(args, where: str, flags) -> None:
     """Refuse the ``flags`` given on the command line (not None) that
     ``where``, one mode of a subcommand, does not read."""
-    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
-    if given:
-        raise ConfigurationError(f"{where} reads no {', '.join(given)}")
+    refuse_unread(where, {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default 0; bounds takes none")
     p.add_argument("suite", choices=sorted(list(verify.SUITES) + list(verify.ALIASES) + ["all"]))
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--points", type=int, default=None)

@@ -47,3 +47,11 @@ def check_tol(where: str, tol: float) -> None:
     """Raise :class:`ConfigurationError` under ``where`` unless tol > 0; a NaN tol raises."""
     if not tol > 0.0:
         raise ConfigurationError(f"{where}: tol must be > 0, got {tol}")
+
+
+def refuse_unread(where: str, given: dict) -> None:
+    """Raise :class:`ConfigurationError` naming each option of ``given``
+    (name -> value) that was set, not None, though ``where`` does not read it."""
+    names = [name for name, value in given.items() if value is not None]
+    if names:
+        raise ConfigurationError(f"{where} reads no {', '.join(names)}")

@@ -21,7 +21,7 @@ import math
 import random
 
 from . import bargmann, dbar, expint, lerch, moments, space
-from .errors import ConfigurationError
+from .errors import ConfigurationError, refuse_unread
 from .numerics import (disk_point, gauss_hermite, gauss_laguerre,
                        integrate_semi_infinite, wirtinger_fd)
 
@@ -528,22 +528,26 @@ SUITES = {
 # narrower entry points into the moments battery
 ALIASES = ("bounds", "gfs")
 
+# the suites that read each option of run(), besides "all", which reads them all
+_READERS = {"seed": (*SUITES, "gfs"), "nmax": ("moments", "bounds"), "points": ("moments", "gfs")}
 
-def run(suite: str, seed: int = 0, nmax: int | None = None, points: int | None = None) -> dict:
+
+def run(suite: str, seed: int | None = None, nmax: int | None = None,
+        points: int | None = None) -> dict:
     """Run one suite (or ``all``) and assemble a deterministic report.
 
-    ``nmax`` and ``points`` reach only the moments battery (``moments``,
-    ``bounds`` and ``gfs``); ``None`` means 170 and 20.  A suite that does
-    not read one of them, ``bounds`` the points and ``gfs`` the order
-    included, refuses it with ConfigurationError."""
+    ``None`` means seed 0, nmax 170 and points 20.  ``nmax`` and ``points``
+    reach only the moments battery (``moments``, ``bounds`` and ``gfs``),
+    and ``bounds`` reads no seed.  A suite that does not read an option it
+    is given, ``bounds`` the points and ``gfs`` the order included, refuses
+    it with ConfigurationError."""
     known = sorted(list(SUITES) + list(ALIASES) + ["all"])
     if suite not in known:
         raise ConfigurationError(f"unknown suite {suite!r}; choose from {known}")
-    unread = [name for name, value, readers in (("nmax", nmax, ("all", "moments", "bounds")),
-                                                 ("points", points, ("all", "moments", "gfs")))
-              if value is not None and suite not in readers]
-    if unread:
-        raise ConfigurationError(f"verify: suite {suite!r} reads no {', '.join(unread)}")
+    given = {"seed": seed, "nmax": nmax, "points": points}
+    refuse_unread(f"verify: suite {suite!r}", {
+        name: value for name, value in given.items() if suite not in ("all", *_READERS[name])})
+    seed = 0 if seed is None else seed
     nmax = _NMAX if nmax is None else nmax
     points = _POINTS if points is None else points
 

@@ -353,6 +353,7 @@ class TestVerify:
         ["verify", "lerch", "--points", "20"],
         ["verify", "bounds", "--points", "20"],
         ["verify", "gfs", "--nmax", "170"],
+        ["verify", "bounds", "--seed", "3"],
     ], ids=" ".join)
     def test_ignored_flags_rejected(self, capsys, argv):
         # argparse refuses a flag that the subcommand does not define; one
@@ -375,6 +376,7 @@ class TestVerify:
         (["expint", "--x", "2", "--laplace", "0.5"], ["--n", "1"]),
         (["verify", "bounds"], ["--nmax", "170"]),
         (["verify", "gfs"], ["--points", "20", "--seed", "0"]),
+        (["verify", "expint"], ["--seed", "0"]),
     ], ids=lambda v: " ".join(v))
     def test_flags_a_mode_reads_take_their_defaults(self, capsys, argv, defaults):
         # a flag is refused only where its mode ignores it: spelt out at its

@@ -1,31 +1,34 @@
 #!/usr/bin/env python3
 """Run perfbench on a change and its parent in alternating pairs, and write one BENCH file.
 
-Run it from the root of a checkout, the change.  The parent is checked out
-with ``git worktree add --detach`` in a temporary directory (removed at the
-end), or read from an existing checkout with ``--parent-dir``.  For each
-workload and each of ``--pairs`` seeds from ``--seed-base``, it runs
+Run it from the root of a checkout, the change.  The committed files of the
+parent, ``--parent REV``, are exported with ``git archive`` into a temporary
+directory, removed at the end; nothing is written into the repository's
+``.git``.  For each workload and each of ``--pairs`` seeds from
+``--seed-base``, it runs
 
-    python3 SIDE/perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-on both sides, with cwd set to that side; the parent runs first in even
-pairs and the change first in odd ones.  The file it writes holds, per
-workload and end-to-end metric of BENCHMARK.json, each side's median,
-quartiles, quartile distance over median and runs, the number of pairs the
-change won, the machine, both commits and the exact commands.
+on both sides, with cwd set to that side and T the ``run_seconds`` of
+BENCHMARK.json; the parent runs first in even pairs and the change first in
+odd ones.  The file it writes holds, per workload and end-to-end metric of
+BENCHMARK.json, each side's median, quartiles, quartile distance over median
+and runs, the number of pairs the change won, the machine, both commits and
+the exact commands.
 
     python3 tools/bench.py --parent HEAD~1 --pairs 10 --seed-base 3701 --out BENCH_37.json
-    python3 tools/bench.py --compare BENCH_34.json --current BENCH_37.json
+    python3 tools/bench.py --compare BENCH_34.json BENCH_37.json
 
-``--compare PREV`` prints, per workload and metric, the change's median in
-the current file over the change's median in PREV.  Files written on other
-machines or days differ by their noise too, so the ratios are a guide,
-not a verdict; the comparison warns where a key is missing and never fails.
-The tool uses only the standard library and judges nothing.
+``--compare PREV CURRENT`` runs nothing: it prints, per workload and metric,
+the change's median in CURRENT over the change's median in PREV.  Files
+written on other machines or days differ by their noise too, so the ratios
+are a guide, not a verdict; the comparison warns where a key is missing and
+never fails.  The tool uses only the standard library and judges nothing.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -33,6 +36,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -44,14 +48,23 @@ def _git(*args: str, cwd: str = ".") -> str:
                           check=True).stdout.strip()
 
 
-def _commit(path: str) -> str:
-    # the commit, and whether what a run executes (src/ and perfbench/) differs from it
+def _change_commit() -> str:
+    # the commit, and whether what a run executes (src/ and perfbench/, new
+    # files included) differs from it
     try:
-        commit = _git("rev-parse", "HEAD", cwd=path)
-        dirty = _git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench", cwd=path)
+        commit = _git("rev-parse", "HEAD")
+        dirty = _git("status", "--porcelain", "--", "src", "perfbench")
     except (OSError, subprocess.CalledProcessError):
         return "unknown (not a git checkout)"
     return commit + (" with uncommitted changes to src/ or perfbench/" if dirty else "")
+
+
+def _export(commit: str, dest: str) -> None:
+    """Write the files committed at ``commit`` into the directory ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", commit],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(dest, filter="data")
 
 
 def _argv(workload: str, seed, seconds: float) -> list[str]:
@@ -132,15 +145,10 @@ def run(args, argv=None) -> int:
         declared = json.load(fh)
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
-    change = os.getcwd()
-    worktree = None
-    if args.parent_dir:
-        parent, source = os.path.abspath(args.parent_dir), "an existing checkout (--parent-dir)"
-    else:
-        worktree = tempfile.mkdtemp(prefix="bench-parent-")
-        _git("worktree", "add", "--detach", worktree, args.parent)
-        parent, source = worktree, f"git worktree add --detach of {args.parent}"
-    roots = {"parent": parent, "change": change}
+    seconds = float(declared["run_seconds"])
+    parent_commit = _git("rev-parse", "--verify", args.parent + "^{commit}")
+    parent = tempfile.mkdtemp(prefix="bench-parent-")
+    roots = {"parent": parent, "change": os.getcwd()}
     doc = {
         "about": ("End-to-end metrics of the parent and of the change, from alternating "
                   "pairs of perfbench/run.py --trace 0 runs, each side run from its own "
@@ -148,18 +156,16 @@ def run(args, argv=None) -> int:
                   "odd ones.  Quartiles are statistics.quantiles(n=4, method='inclusive'); "
                   "change_wins counts the pairs in which the change read better, ties for "
                   "neither.  Written by tools/bench.py."),
-        "parent": {"commit": _commit(parent), "checkout": source},
-        "change": {"commit": _commit(change)},
-        "pairs": args.pairs, "seed_base": args.seed_base, "seconds": args.seconds,
-        # the parent checkout's path says nothing about the run, so it is not recorded
-        "tool_command": " ".join(["python3 tools/bench.py", *(
-            "PARENT_DIR" if args.parent_dir and a == args.parent_dir else a
-            for a in (argv or sys.argv[1:]))]),
+        "parent": {"commit": parent_commit, "checkout": f"git archive of {args.parent}"},
+        "change": {"commit": _change_commit()},
+        "pairs": args.pairs, "seed_base": args.seed_base, "seconds": seconds,
+        "tool_command": " ".join(["python3 tools/bench.py", *(argv or sys.argv[1:])]),
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},
     }
     first_record = {}
     try:
+        _export(parent_commit, parent)
         for workload in workloads:
             runs = []
             for i in range(args.pairs):
@@ -167,7 +173,7 @@ def run(args, argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 entry = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    out = _run_side(roots[side], workload, seed, args.seconds)
+                    out = _run_side(roots[side], workload, seed, seconds)
                     first_record = first_record or out["record"]
                     res = out["result"]
                     entry[side] = {"failed": res["failed"], "correct": res["correct"],
@@ -179,7 +185,7 @@ def run(args, argv=None) -> int:
                     for side in SIDES), flush=True)
             summary = _summary(runs, metrics)
             doc["workloads"][workload] = {
-                "command": "python3 " + " ".join(_argv(workload, "SEED", args.seconds))
+                "command": "python3 " + " ".join(_argv(workload, "SEED", seconds))
                            + ", cwd each side's root, SEED each pair's seed",
                 "summary": summary, "runs": runs}
             _print_summary(workload, summary)
@@ -190,13 +196,8 @@ def run(args, argv=None) -> int:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")
     finally:
-        if worktree:
-            subprocess.run(["git", "worktree", "remove", "--force", worktree], check=False)
-            shutil.rmtree(worktree, ignore_errors=True)
-            subprocess.run(["git", "worktree", "prune"], check=False)
+        shutil.rmtree(parent, ignore_errors=True)
     print(f"wrote {args.out}")
-    if args.compare:
-        compare(args.compare, args.out)
     return 0
 
 
@@ -230,28 +231,21 @@ def compare(prev_path: str, current_path: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent side")
-    parser.add_argument("--parent-dir", default=None,
-                        help="an existing checkout of the parent, used in place of a worktree")
+    parser.add_argument("--parent", default=None, help="git revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=None,
-                        help="seed of the first pair; pair i runs seed-base + i (required to run)")
-    parser.add_argument("--seconds", type=float, default=10.0, help="run.py --seconds")
+                        help="seed of the first pair; pair i runs seed-base + i")
     parser.add_argument("--workload", action="append", default=None,
                         help="a workload of BENCHMARK.json (repeatable; default all)")
     parser.add_argument("--out", default=None, help="the BENCH file to write")
-    parser.add_argument("--compare", default=None, metavar="BENCH_PREV.json",
-                        help="print the change's median ratios against this file")
-    parser.add_argument("--current", default=None, metavar="BENCH.json",
-                        help="with --compare: compare this file and run nothing")
+    parser.add_argument("--compare", nargs=2, default=None, metavar=("PREV", "CURRENT"),
+                        help="print CURRENT's change medians over PREV's and run nothing")
     args = parser.parse_args(argv)
-    if args.current:
-        if not args.compare:
-            parser.error("--current needs --compare")
-        compare(args.compare, args.current)
+    if args.compare:
+        compare(*args.compare)
         return 0
-    if args.out is None or args.seed_base is None:
-        parser.error("a run needs --out and --seed-base")
+    if None in (args.parent, args.out, args.seed_base):
+        parser.error("a run needs --parent, --out and --seed-base")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     return run(args, argv)
