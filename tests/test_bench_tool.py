@@ -91,13 +91,15 @@ def test_run_alternates_sides_over_an_exported_parent(tmp_path, monkeypatch):
     monkeypatch.chdir(_ROOT)
     monkeypatch.setattr(bench, "_run_side", fake_run_side)
     out = tmp_path / "BENCH.json"
-    argv = ["--parent", "HEAD", "--pairs", "3", "--seed-base", "40", "--workload", "gram",
-            "--out", str(out)]
+    argv = ["--parent", "HEAD", "--pairs", "3", "--seed-base", "40", "--out", str(out)]
     assert bench.main(argv) == 0
     doc = json.loads(out.read_text())
     seconds = float(json.loads((_ROOT / "BENCHMARK.json").read_text())["run_seconds"])
-    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
-    assert {c[1:] for c in calls} == {("gram", s, seconds) for s in (40, 41, 42)}
+    workloads = [w["name"] for w in json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent",
+                                     "parent", "change"] * len(workloads)
+    assert {c[1:] for c in calls} == {(w, s, seconds) for w in workloads for s in (40, 41, 42)}
+    assert list(doc["workloads"]) == workloads
     assert doc["parent"]["commit"] == head and doc["seconds"] == seconds
     assert doc["tool_command"] == "python3 tools/bench.py " + " ".join(argv)
     summary = doc["workloads"]["gram"]["summary"]

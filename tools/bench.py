@@ -4,8 +4,8 @@
 Run it from the root of a checkout, the change.  The committed files of the
 parent, ``--parent REV``, are exported with ``git archive`` into a temporary
 directory, removed at the end; nothing is written into the repository's
-``.git``.  For each workload and each of ``--pairs`` seeds from
-``--seed-base``, it runs
+``.git``.  For each workload W of BENCHMARK.json and each of ``--pairs``
+seeds S from ``--seed-base``, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -144,7 +144,7 @@ def run(args, argv=None) -> int:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         declared = json.load(fh)
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
     seconds = float(declared["run_seconds"])
     parent_commit = _git("rev-parse", "--verify", args.parent + "^{commit}")
     parent = tempfile.mkdtemp(prefix="bench-parent-")
@@ -235,8 +235,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=None,
                         help="seed of the first pair; pair i runs seed-base + i")
-    parser.add_argument("--workload", action="append", default=None,
-                        help="a workload of BENCHMARK.json (repeatable; default all)")
     parser.add_argument("--out", default=None, help="the BENCH file to write")
     parser.add_argument("--compare", nargs=2, default=None, metavar=("PREV", "CURRENT"),
                         help="print CURRENT's change medians over PREV's and run nothing")
