@@ -9,8 +9,9 @@ Every Lerch-series route (``lerch_phi``, the Grams of ``gram_phi`` and
 ``ml_audit``) sums through one guard, ``_lerch_denominators``, of z, s, a and
 tol; ``phi`` and ``lerch_phi_integral`` share its disk check.  The two
 integral routes, ``lerch_phi_integral`` and ``hurwitz_zeta_integral``, sum
-their integrator panels from one per-panel table of t, exp(-t) and
-1 - exp(-t), with the bits of their scalar integrands.
+their integrator panels from one node function of t, exp(-t) and
+1 - exp(-t), read through the integrator's one panel cache, with the bits
+of their scalar integrands.
 """
 from __future__ import annotations
 
@@ -18,18 +19,17 @@ import cmath
 import math
 import random
 from collections import namedtuple
-from functools import lru_cache
 
 from . import expint, moments, space
-from .errors import ConfigurationError, DomainError, check_order, check_tol
-from .numerics import (_G7_CENTER_W, _K15_CENTER_W, _integrate_panels, _node_factors, _overflowed,
-                       csum, disk_point)
+from .errors import ConfigurationError, DomainError, PrecisionLossError, check_order, check_tol
+from .numerics import _integrate_panels, _overflowed, _panel_table, csum, disk_point
 
 DISK_MARGIN = 1e-6
 _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 _SERIES_TOL = 1e-13  # lerch_phi's default tolerance, which also cuts the phi_n Grams
+_HURWITZ_CANCELLATION = 100.0  # the most hurwitz_zeta_integral's |V| may be of |V + 1/(s-1)|
 # B_2j / (2j)! for j = 1..10, each a correctly rounded quotient of integers.  j = 8..10 add
 # at most 2e-18 of the value; without them 15 of 90 671 seeded (s, a) moved by 1 ulp, 3
 # away from the 40-digit oracle and 12 toward it: no gain worth a larger truncation
@@ -125,13 +125,10 @@ def lerch_phi(z: complex, s: float, a: float, tol: float = _SERIES_TOL) -> compl
     return csum(terms)
 
 
-# t, exp(-t), -expm1(-t) and (1-u)^2 at the nodes of a panel (a, b) of the
-# unit interval, in numerics._node_factors' layout: the factors of both
-# integral routes below that depend on none of s, a and z
-@lru_cache(maxsize=256)
-def _exp_factors(a, b):
-    exp, expm1 = math.exp, math.expm1
-    return _node_factors(a, b, lambda t, j: (t, exp(-t), -expm1(-t), j))
+def _exp_node(t, j):
+    # the node function of both integral routes below, read through
+    # numerics._panel_table: their factors that depend on none of s, a and z
+    return t, math.exp(-t), -math.expm1(-t), j
 
 
 def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
@@ -140,8 +137,8 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
 
     Valid cross-check for s >= 1, where the integrand stays bounded at the
     origin; the adaptive integrator grades the mesh there on its own.  Its
-    panels read e^{-t} from a per-panel table and give the value or error
-    of ``integrate_semi_infinite`` on the scalar integrand, bit for bit.
+    panels read e^{-t} through ``_exp_node`` and give the value or error of
+    ``integrate_semi_infinite`` on the scalar integrand, bit for bit.
     """
     if not s >= 1.0:
         raise ConfigurationError(f"lerch_phi_integral: cross-check route needs s >= 1, got {s}")
@@ -152,11 +149,11 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
     p, na, exp = s - 1.0, -a, math.exp
 
     def sums(lo, hi):  # t ** (s-1) * exp(-a t) / (1 - z exp(-t)) at each node
-        (t, e, _, j), pairs = _exp_factors(lo, hi)
+        (t, e, _, j, wk, wg), pairs = _panel_table(_exp_node, lo, hi)
         try:
             centre = t ** p * exp(na * t) / (1.0 - z * e) / j
-            kronrod = _K15_CENTER_W * centre
-            gauss = _G7_CENTER_W * centre
+            kronrod = wk * centre
+            gauss = wg * centre
             for t, e, _, j, tp, ep, _, jp, wk, wg in pairs:
                 pair = t ** p * exp(na * t) / (1.0 - z * e) / j
                 t = tp
@@ -200,23 +197,29 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     """zeta(s, a) = (1/Gamma(s)) integral of t^{s-1} e^{-a t} / (1 - e^{-t}) for
     s > 1 + 1e-6, a > 0.  The integrand's singular part t^{s-2} is subtracted
     on t < 1 and its integral, exactly 1/(s-1), added back; the bounded rest
-    is integrated to relative tolerance ``tol``.  Its kink at t = 1 falls on
+    V is integrated to relative tolerance ``tol``.  Its kink at t = 1 falls on
     a boundary of the integrator's initial panels.  Its panels read 1 - e^{-t}
-    from the table ``lerch_phi_integral`` reads, and give the value or error
-    of ``integrate_semi_infinite`` on the scalar integrand, bit for bit.  Its
-    domain is hurwitz_zeta's."""
+    through ``_exp_node``, and give the value or error of
+    ``integrate_semi_infinite`` on the scalar integrand, bit for bit.
+
+    The result's relative bound is ``tol`` |V| / |V + 1/(s-1)|.  Where a is
+    large the sum cancels, and where that ratio exceeds 100 the call raises
+    :class:`PrecisionLossError` (at s = 20, a = 1000 the sum reads -1.7e-34
+    for zeta = 5.3e-59).  Its domain checks are hurwitz_zeta's, but t ** (s-1)
+    overflows at the far nodes for s above about 42 at a = 1e-3, 65 at a = 1
+    and 95 at a = 1000, and the call raises :class:`AccuracyError`."""
     _check_hurwitz("hurwitz_zeta_integral", s, a)
     p, q, na, exp = s - 1.0, s - 2.0, -a, math.exp
 
     def sums(lo, hi):  # t ** (s-1) * exp(-a t) / (1 - exp(-t)), less t ** (s-2) on t < 1
-        (t, _, d, j), pairs = _exp_factors(lo, hi)
+        (t, _, d, j, wk, wg), pairs = _panel_table(_exp_node, lo, hi)
         try:
             centre = t ** p * exp(na * t) / d
             if t < 1.0:
                 centre -= t ** q
             centre /= j
-            kronrod = _K15_CENTER_W * centre
-            gauss = _G7_CENTER_W * centre
+            kronrod = wk * centre
+            gauss = wg * centre
             for t, _, d, j, tp, _, dp, jp, wk, wg in pairs:
                 pair = t ** p * exp(na * t) / d
                 if t < 1.0:
@@ -233,7 +236,12 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
             raise _overflowed(t) from exc
         return kronrod, gauss
 
-    return (_integrate_panels(sums, tol).value + 1.0 / (s - 1.0)) / math.gamma(s)
+    v, pole = _integrate_panels(sums, tol).value, 1.0 / (s - 1.0)
+    if abs(v) > _HURWITZ_CANCELLATION * abs(v + pole):
+        raise PrecisionLossError(
+            f"hurwitz_zeta_integral: the integral {v!r} cancels the added 1/(s-1) = {pole!r} "
+            f"more than {_HURWITZ_CANCELLATION:g}-fold at s={s}, a={a}")
+    return (v + pole) / math.gamma(s)
 
 
 def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:

@@ -4,10 +4,10 @@ Three independent routes are provided and cross-checked:
 
 * quadrature of the defining integral, on panels of the adaptive integrator
   that read the weight's node factors (exp(-t) and (1+t)^2, or log t and
-  2 log1p(t)) from a per-panel LRU table, with the same bits as the scalar
-  integrand through ``integrate_semi_infinite``; the shifted moment of the
-  E_n identity below runs on the same panels with factors exp(-t - 1) and
-  1+t,
+  2 log1p(t)) from the integrator's one panel cache, with the same bits as
+  the scalar integrand through ``integrate_semi_infinite``; the shifted
+  moment of the E_n identity below runs on the same panels with factors
+  exp(-t - 1) and 1+t,
 * the closed form eta_0 = 1 - e E1(1), eta_n = r_n Gamma(n) with the
   residual r_n = e (1+n) E_n(1) - 1 carried by its own cancellation-free
   recurrence r_{n+1} = 1/(n+1) - (n+2) r_n / (n (n+1)),
@@ -29,8 +29,7 @@ from functools import lru_cache
 
 from . import expint
 from .errors import AccuracyError, DomainError, PrecisionLossError, check_order, check_tol
-from .numerics import (_G7_CENTER_W, _K15_CENTER_W, IntegralResult, _integrate_panels, _node_factors,
-                       csum, integrate_semi_infinite)
+from .numerics import IntegralResult, _integrate_panels, _panel_table, csum, integrate_semi_infinite
 
 N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
@@ -133,53 +132,43 @@ def log_eta_sequence(n_max: int) -> tuple[float, ...]:
     return _table(n_max).log_eta[:n_max + 1]
 
 
-# The node factors of the moment weights on a panel (a, b) of the unit
-# interval, in numerics._node_factors' layout.  Linear scale: t, exp(-t),
-# (1+t)^2, (1-u)^2 for eta_n, and t, exp(-t - 1), 1+t, (1-u)^2 for the shifted
-# moment of en_integral_identity; each is 1, 0, 1, (1-u)^2 from t = 746 on,
-# where its exponential is 0.0 and t ** n could overflow.  Log scale: log t,
-# t, 2 log1p(t), (1-u)^2.  Each table builds only its own factors.
-@lru_cache(maxsize=256)
-def _linear_factors(a, b):
-    exp = math.exp
-    return _node_factors(a, b, lambda t, j: (
-        (t, exp(-t), (1.0 + t) * (1.0 + t), j) if t < 746.0 else (1.0, 0.0, 1.0, j)))
+# Node functions of the moment weights for numerics._panel_table, at t with
+# j = (1-u)^2.  Linear scale: t, exp(-t), (1+t)^2, j for eta_n and t,
+# exp(-t - 1), 1+t, j for the shifted moment; 1, 0, 1, j from t = 746 on, where
+# the exponential is 0.0 and t ** n could overflow.  Log scale: log t, t, 2 log1p(t), j.
+def _linear_node(t, j):
+    return (t, math.exp(-t), (1.0 + t) * (1.0 + t), j) if t < 746.0 else (1.0, 0.0, 1.0, j)
 
 
-@lru_cache(maxsize=256)
-def _shifted_factors(a, b):
-    exp = math.exp
-    return _node_factors(a, b, lambda t, j: (
-        (t, exp(-t - 1.0), 1.0 + t, j) if t < 746.0 else (1.0, 0.0, 1.0, j)))
+def _shifted_node(t, j):
+    return (t, math.exp(-t - 1.0), 1.0 + t, j) if t < 746.0 else (1.0, 0.0, 1.0, j)
 
 
-@lru_cache(maxsize=256)
-def _log_factors(a, b):
-    log, log1p = math.log, math.log1p
-    return _node_factors(a, b, lambda t, j: (log(t), t, 2.0 * log1p(t), j))
+def _log_node(t, j):
+    return math.log(t), t, 2.0 * math.log1p(t), j
 
 
-def _moment_integral(n, tol, shift=None, factors=_linear_factors) -> IntegralResult:
+def _moment_integral(n, tol, node, shift=None) -> IntegralResult:
     """The integral of t^n e(t)/d(t) over (0, inf) to relative ``tol``, with
-    e and d the weight factors of ``factors``: exp(-t) and (1+t)^2 for
-    eta_n (``_linear_factors``), exp(-t - 1) and 1+t for the shifted moment
-    (``_shifted_factors``).
+    e and d the weight factors of ``node``: exp(-t) and (1+t)^2 for eta_n
+    (``_linear_node``), exp(-t - 1) and 1+t for the shifted moment
+    (``_shifted_node``).
 
     Linear scale, t ** n * e / d, where ``shift`` is None; else eta_n's
-    integrand in log scale, exp(n log t - t - 2 log1p(t) - shift), which
-    cannot overflow at the orders and shifts used here.  Each panel is
-    summed as ``numerics._panel_estimates`` sums it, and every node value is
-    the one the scalar integrand gives, in the same order of operations, so
-    the result or error is that of ``integrate_semi_infinite`` on that
-    integrand, bit for bit.
+    integrand in log scale on ``_log_node``, exp(n log t - t - 2 log1p(t) -
+    shift), which cannot overflow at the orders and shifts used here.  Each
+    panel is summed as ``numerics._panel_estimates`` sums it, and every node
+    value is the one the scalar integrand gives, in the same order of
+    operations, so the result or error is that of ``integrate_semi_infinite``
+    on that integrand, bit for bit.
     """
     p = float(n)  # t ** n and n * log(t) convert an int n to this float
     if shift is None:
         def sums(a, b):
-            (t, e, d, j), pairs = factors(a, b)
+            (t, e, d, j, wk, wg), pairs = _panel_table(node, a, b)
             centre = t ** p * e / d / j
-            kronrod = _K15_CENTER_W * centre
-            gauss = _G7_CENTER_W * centre
+            kronrod = wk * centre
+            gauss = wg * centre
             for t, e, d, j, tp, ep, dp, jp, wk, wg in pairs:
                 pair = t ** p * e / d / j + tp ** p * ep / dp / jp
                 kronrod += wk * pair
@@ -189,10 +178,10 @@ def _moment_integral(n, tol, shift=None, factors=_linear_factors) -> IntegralRes
         exp = math.exp
 
         def sums(a, b):
-            (lt, t, m, j), pairs = _log_factors(a, b)
+            (lt, t, m, j, wk, wg), pairs = _panel_table(node, a, b)
             centre = exp(p * lt - t - m - shift) / j
-            kronrod = _K15_CENTER_W * centre
-            gauss = _G7_CENTER_W * centre
+            kronrod = wk * centre
+            gauss = wg * centre
             for lt, t, m, j, ltp, tp, mp, jp, wk, wg in pairs:
                 pair = exp(p * lt - t - m - shift) / j + exp(p * ltp - tp - mp - shift) / jp
                 kronrod += wk * pair
@@ -206,14 +195,15 @@ def eta_quadrature(n: int, tol: float = 1e-12) -> float:
     ``eta_closed_form``, only defined up to n = 170."""
     n = check_order("eta_quadrature", "n", n, 0, LINEAR_LIMIT)
     # from n = 66 in log scale, where t ** n cannot overflow
-    return _moment_integral(n, tol, None if n <= 65 else 0.0).value
+    node, shift = (_linear_node, None) if n <= 65 else (_log_node, 0.0)
+    return _moment_integral(n, tol, node, shift).value
 
 
 def log_eta_quadrature(n: int, tol: float = 1e-12) -> float:
     """log(eta_n) by quadrature of the integrand rescaled by exp(-lgamma(n+1))."""
     n = check_order("log_eta_quadrature", "n", n, 0, 400)
     shift = math.lgamma(n + 1)
-    return shift + math.log(_moment_integral(n, tol, shift).value)
+    return shift + math.log(_moment_integral(n, tol, _log_node, shift).value)
 
 
 def eta_binomial(n: int) -> float:
@@ -335,7 +325,7 @@ _ACCEL_RATIO = 0.90
 
 @lru_cache(maxsize=1)
 def _laguerre_projection() -> tuple[float, ...]:
-    g0 = _moment_integral(0, 1e-14).value
+    g0 = _moment_integral(0, 1e-14, _linear_node).value
     h0 = integrate_semi_infinite(lambda t: math.exp(-t) / (1.0 + t), 1e-14).value
     g = [g0, 2.0 * g0 - h0]
     h = [h0, 2.0 * h0 - 1.0]
@@ -414,6 +404,6 @@ def en_integral_identity(n: int) -> tuple[float, float]:
     consistency witness for the closed-form moment route.
     """
     n = check_order("en_integral_identity", "n", n, 0, 60)
-    lhs = _moment_integral(n, 1e-11, factors=_shifted_factors).value
+    lhs = _moment_integral(n, 1e-11, _shifted_node).value
     rhs = math.gamma(n + 1) * expint.en(n + 1, 1.0)
     return lhs, rhs

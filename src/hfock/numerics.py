@@ -14,16 +14,15 @@ not finite.  ``integrate_semi_infinite`` hands it the generic panel, which
 calls its integrand on Python floats, sums each panel in Python floats or
 complexes, and raises AccuracyError at once when the integrand overflows.
 The moment and shifted-moment integrals of ``moments`` and the Lerch and
-Hurwitz integrals of ``lerch`` hand it panels of their own, which read the
-argument-free factors of their integrand from a per-panel LRU table and
-compute only the rest at each node, with the bits of their scalar
-integrand through ``integrate_semi_infinite``.  The
-loop keeps the nodes of each dyadic panel it has built (t and (1-u)^2 at
-the 15 nodes, in an LRU cache of 512 panels shared by all calls), and
-re-sums its panels exactly only on steps where running totals, widened by
-their rounding bound, could pass the stopping test; every value, error
-estimate, node count and error message is the one that re-summing on every
-step gives.
+Hurwitz integrals of ``lerch`` hand it panels of their own, which compute
+only the argument-dependent part of their integrand at each node, with the
+bits of their scalar integrand through ``integrate_semi_infinite``.  All
+panels read one LRU cache of 512 panels shared by all calls, ``_panel_table``:
+a node function over the 15 nodes (t, (1-u)^2), each row with its K15 and
+G7 weights.  The loop re-sums its panels exactly only on steps where running
+totals, widened by their rounding bound, could pass the stopping test; every
+value, error estimate, node count and error message is the one that
+re-summing on every step gives.
 
 Only the Gauss rules build arrays; they import numpy when first called, so
 the integrator, the finite differences, the sampler and ``csum`` run on the
@@ -148,35 +147,30 @@ def gauss_hermite(n: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=512)
-def _panel_nodes(a, b):
-    # the K15 nodes of the panel (a, b) of the unit interval, mapped by
-    # t = u/(1-u) with Jacobian 1/(1-u)^2: the centre's (t, (1-u)^2), then
-    # (t-, j-, t+, j+, wk, wg) for each _K15_PAIRS entry; None where a node
-    # rounds to u = 1, where u/(1-u) divides by zero.  Bisection makes the
-    # same dyadic panels recur across calls, so each is built once.
+def _panel_table(node, a, b):
+    # node(t, (1-u)^2) at the K15 nodes of the panel (a, b) of the unit
+    # interval, t = u/(1-u), each row followed by its K15 and G7 weights: the
+    # centre's, then node(t-, j-) + node(t+, j+) + (wk, wg) per _K15_PAIRS
+    # entry; None where a node rounds to u = 1, where u/(1-u) divides by zero.
+    # Bisection makes the same dyadic panels recur across calls, so each is
+    # built once per node function, a module-level one so that it recurs too
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     r = 1.0 - mid
     pairs = []
     try:
-        centre = (mid / r, r * r)
+        centre = node(mid / r, r * r) + (_K15_CENTER_W, _G7_CENTER_W)
         for x, wk, wg in _K15_PAIRS:
             lo, hi = mid - half * x, mid + half * x
             rlo, rhi = 1.0 - lo, 1.0 - hi
-            pairs.append((lo / rlo, rlo * rlo, hi / rhi, rhi * rhi, wk, wg))
+            pairs.append(node(lo / rlo, rlo * rlo) + node(hi / rhi, rhi * rhi) + (wk, wg))
     except ZeroDivisionError:
         return None
     return centre, tuple(pairs)
 
 
-def _node_factors(a, b, node):
-    # per-node factors of the panel (a, b) in _panel_nodes' layout: node(t,
-    # (1-u)^2) for the centre, then node(t-, j-) + node(t+, j+) + (wk, wg)
-    # for each _K15_PAIRS entry.  Panel functions that cache such a table
-    # read their integrand's argument-free factors instead of computing them
-    (t, j), pairs = _panel_nodes(a, b)
-    return node(t, j), tuple(node(tl, jl) + node(th, jh) + (wk, wg)
-                             for tl, jl, th, jh, wk, wg in pairs)
+def _bare(t, j):
+    return t, j
 
 
 def _overflowed(t):
@@ -187,11 +181,11 @@ def _panel_estimates(f, a, b):
     # the K15 and G7 sums of f on the panel (a, b) of the unit interval,
     # through t = u/(1-u), in Python floats or complexes; every panel
     # function sums its nodes in this order
-    (t, j), pairs = _panel_nodes(a, b)
+    (t, j, wk, wg), pairs = _panel_table(_bare, a, b)
     try:
         centre = f(t) / j
-        kronrod = _K15_CENTER_W * centre
-        gauss = _G7_CENTER_W * centre
+        kronrod = wk * centre
+        gauss = wg * centre
         for t, jm, tp, jp, wk, wg in pairs:
             pair = f(t) / jm
             t = tp
@@ -303,7 +297,7 @@ def _integrate_panels(sums, tol):
         popped = heapq.heappop(panels)
         neg_err, _, a, b, val = popped
         mid = 0.5 * (a + b)
-        if b - a < 1e-15 or _panel_nodes(mid, b) is None:
+        if b - a < 1e-15 or _panel_table(_bare, mid, b) is None:
             frozen.append(popped)
             new = ()
             continue

@@ -90,7 +90,7 @@ def _laplace_gaps(route, ns, alphas, tol: float):
 
         for a in alphas:
             quad = integrate_semi_infinite(
-                lambda t: math.exp(-(a + 1.0) * t) * en(t) if t > 0 else 0.0, tol).value
+                lambda t: math.exp(-(a + 1.0) * t) * en(t), tol).value
             yield abs(route(n, a) - quad)
 
 

@@ -35,6 +35,34 @@ def test_spread_uses_inclusive_quartiles():
     assert bench._spread([7.0])["q1"] == 7.0
 
 
+@pytest.mark.parametrize("runs, flagged", [
+    ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], True),
+    ([1.0, 1.0, 1.0, 1.0, 2.0], False),  # one run alone above the gap
+    ([1.0, 1.02, 1.04, 1.08, 1.1], False),  # no gap wider than 5 % of the median
+    ([1.0, 1.5, 2.3, 2.6, 3.0], False),  # the gap is narrower than the other runs' spread
+    ([1.0, 2.0, 2.0], False),
+])
+def test_two_clusters_rule(runs, flagged):
+    assert bench._two_clusters(runs) is flagged
+    assert bench._spread(runs)["two_clusters"] is flagged
+
+
+def test_two_clusters_flags_on_bench_37(capsys):
+    # the rule on a committed BENCH file; the flag is printed and judges nothing
+    doc = json.loads((_ROOT / "BENCH_37.json").read_text())
+    flagged = {(workload, name, side) for workload, body in doc["workloads"].items()
+               for name, s in body["summary"].items() if name != "failed"
+               for side in bench.SIDES if bench._two_clusters(s[side]["runs"])}
+    assert flagged == {("gram", "op_p50_ms", "parent"), ("gram", "op_p50_ms", "change"),
+                       ("gram", "ops_per_s", "parent"), ("gram", "op_tail_ms", "parent"),
+                       ("gram", "setup_s", "change"), ("verify", "setup_s", "change"),
+                       ("verify", "op_tail_ms", "parent")}
+    runs = [{side: {"op_p50_ms": s[side]["runs"][i], "failed": 0} for side in bench.SIDES}
+            for s in [doc["workloads"]["gram"]["summary"]["op_p50_ms"]] for i in range(10)]
+    bench._print_summary("gram", bench._summary(runs, {"op_p50_ms": "lower"}))
+    assert "two clusters: parent, change" in capsys.readouterr().out
+
+
 def _bench_file(path, workloads):
     path.write_text(json.dumps({"workloads": {
         w: {"summary": {name: {"better": "higher", "change": {"median": m}}

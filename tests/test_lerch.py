@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from hfock import expint, lerch, space
-from hfock.errors import ConfigurationError, DomainError
+from hfock import expint, lerch, numerics, space
+from hfock.errors import ConfigurationError, DomainError, PrecisionLossError
 from hfock.numerics import disk_point, integrate_semi_infinite
 
 
@@ -301,6 +301,29 @@ _ZETA_S = [1.0 + 2e-6, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 7.0, 20.0, 55.7, 100.0, 
 _ZETA_A = [1e-3, 0.1, 0.5, 1.0, 3.0, 7.85, 10.0, 100.0, 1956.0, 1e4]
 
 
+def _assert_zeta_integral_meets_its_bound(monkeypatch, mp_oracle, s, a, tol=1e-10):
+    """hurwitz_zeta_integral(s, a, tol) held to mp_oracle within its stated
+    relative bound, tol |V| / |V + 1/(s-1)| with V its integral, which the
+    call reads at most 100 tol; "refused" where it raises PrecisionLossError."""
+    integrals = []
+
+    def record(*args):
+        integrals.append(numerics._integrate_panels(*args))
+        return integrals[-1]
+
+    monkeypatch.setattr(lerch, "_integrate_panels", record)
+    try:
+        value = lerch.hurwitz_zeta_integral(s, a, tol)
+    except PrecisionLossError:
+        return "refused"
+    v = integrals[-1].value
+    bound = tol * abs(v) / abs(v + 1.0 / (s - 1.0))
+    ref = float(mp_oracle.hurwitz_zeta(s, a))
+    assert bound <= 100.0 * tol
+    assert abs(value - ref) <= bound * ref, (s, a)
+    return "kept"
+
+
 class TestHurwitzZeta:
     def test_basel_value(self, gold):
         assert lerch.hurwitz_zeta(2.0, 1.0) == pytest.approx(gold["zeta_2_1"], rel=1e-15)
@@ -325,12 +348,28 @@ class TestHurwitzZeta:
             checked += 1
         assert checked >= 4
 
-    @pytest.mark.parametrize("s", [1.01, 1.2, 1.5])
-    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
-    def test_integral_meets_its_tol_near_one(self, mp_oracle, s, a):
-        # the subtracted t^(s-2) leaves a bounded integrand for every s > 1
-        ref = float(mp_oracle.hurwitz_zeta(s, a))
-        assert lerch.hurwitz_zeta_integral(s, a) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    @pytest.mark.parametrize("s", [1.01, 1.2, 1.5, 4.0, 8.0, 10.0, 20.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0, 30.0, 1000.0])
+    def test_integral_meets_its_tol_near_one(self, monkeypatch, mp_oracle, s, a):
+        # the subtracted t^(s-2) leaves a bounded integrand for every s > 1;
+        # near s = 1 and for a <= 3 the bound is below tol
+        _assert_zeta_integral_meets_its_bound(monkeypatch, mp_oracle, s, a)
+
+    @pytest.mark.parametrize("s, a", [(20.0, 1000.0), (10.0, 1000.0), (4.0, 1000.0), (8.0, 30.0)])
+    def test_integral_refuses_a_cancelling_sum(self, s, a):
+        # unguarded, these returned -1.7e-34 for 5.3e-59, 7.7e-23 for 1.1e-28,
+        # and values 3.5e-8 and 1.2e-9 off
+        with pytest.raises(PrecisionLossError, match=r"cancels the added 1/\(s-1\)"):
+            lerch.hurwitz_zeta_integral(s, a)
+
+    def test_integral_meets_its_bound_or_raises_on_a_seeded_sweep(self, monkeypatch, mp_oracle):
+        # s in (1, 21], a in [1e-3, 1e3] log-uniform; s up to 21 stays below
+        # the overflow of t ** (s-1) at the far nodes
+        rng = random.Random(39)
+        outcomes = [_assert_zeta_integral_meets_its_bound(
+            monkeypatch, mp_oracle, 1.0 + 1e-5 + 20.0 * rng.random(), 10.0 ** rng.uniform(-3.0, 3.0))
+            for _ in range(300)]
+        assert 0 < outcomes.count("refused") < 150
 
     def test_domain(self):
         with pytest.raises(DomainError):

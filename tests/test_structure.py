@@ -4,6 +4,8 @@ has a caller in the package itself, in ``perfbench/`` or in ``tools/``.
 A caller is a reference ``module.name`` (``self.name`` or ``obj.name`` for a
 method), an import of the name, or a use of the name inside its own module
 other than its definition.  Tests do not count.
+
+Also: the integrator's panel rule has one home, ``numerics``.
 """
 import ast
 from pathlib import Path
@@ -78,3 +80,24 @@ def test_every_exception_names_a_public_function():
     # an exception whose function went away or went private is stale
     api = {f"{module}.{name}" for module, name, _ in _public_api()}
     assert sorted(_EXCEPTIONS) == sorted(api & set(_EXCEPTIONS))
+
+
+_PANEL_RULE = {"_K15_CENTER_W", "_G7_CENTER_W", "_K15_PAIRS"}
+
+
+def test_the_panel_rule_has_one_home():
+    # the K15/G7 nodes and weights reach other modules only as rows of
+    # numerics._panel_table, so no other module names them
+    naming = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        if names & _PANEL_RULE:
+            naming[path.stem] = sorted(names & _PANEL_RULE)
+    assert list(naming) == ["numerics"]

@@ -12,9 +12,9 @@ seeds S from ``--seed-base``, it runs
 on both sides, with cwd set to that side and T the ``run_seconds`` of
 BENCHMARK.json; the parent runs first in even pairs and the change first in
 odd ones.  The file it writes holds, per workload and end-to-end metric of
-BENCHMARK.json, each side's median, quartiles, quartile distance over median
-and runs, the number of pairs the change won, the machine, both commits and
-the exact commands.
+BENCHMARK.json, each side's median, quartiles, quartile distance over median,
+runs and whether those runs fall into two clusters, the number of pairs the
+change won, the machine, both commits and the exact commands.
 
     python3 tools/bench.py --parent HEAD~1 --pairs 10 --seed-base 3701 --out BENCH_37.json
     python3 tools/bench.py --compare BENCH_34.json BENCH_37.json
@@ -85,12 +85,26 @@ def _run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {"result": json.loads(lines[-1]), "record": record}
 
 
+def _two_clusters(values: list[float]) -> bool:
+    """Whether the runs fall into two clusters: the widest gap between
+    neighbours of the sorted runs exceeds both 5 % of their median and the
+    spread of all the other runs together (max - min - gap), with at least
+    two runs on each side of it.  A flag for the reader; it judges nothing."""
+    runs = sorted(values)
+    if len(runs) < 4:
+        return False
+    gap, below = max((hi - lo, i + 1) for i, (lo, hi) in enumerate(zip(runs, runs[1:])))
+    return (2 <= below <= len(runs) - 2 and gap > 0.05 * abs(statistics.median(runs))
+            and gap > runs[-1] - runs[0] - gap)
+
+
 def _spread(values: list[float]) -> dict:
     median = statistics.median(values)
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else (median, median, median))
     return {"median": median, "q1": q1, "q3": q3,
-            "iqr_over_median": (q3 - q1) / median if median else None, "runs": values}
+            "iqr_over_median": (q3 - q1) / median if median else None,
+            "two_clusters": _two_clusters(values), "runs": values}
 
 
 def _summary(runs: list[dict], metrics: dict) -> dict:
@@ -120,10 +134,12 @@ def _print_summary(workload: str, summary: dict) -> None:
             print(f"{workload:11s} failed      parent {s['parent']}  change {s['change']}")
             continue
         ratio = s["median_ratio_change_over_parent"]
+        clustered = [side for side in SIDES if s[side]["two_clusters"]]
         print(f"{workload:11s} {name:11s} parent {s['parent']['median']:.6g} "
               f"(IQR/median {s['parent']['iqr_over_median'] or 0:.3f})  change "
               f"{s['change']['median']:.6g}  ratio {ratio if ratio is None else round(ratio, 4)}  "
-              f"change better in {s['change_wins']} of {s['pairs']}")
+              f"change better in {s['change_wins']} of {s['pairs']}"
+              + (f"  two clusters: {', '.join(clustered)}" if clustered else ""))
 
 
 def _machine(record: dict) -> dict:
@@ -155,7 +171,9 @@ def run(args, argv=None) -> int:
                   "directory.  The parent runs first in even pairs and the change first in "
                   "odd ones.  Quartiles are statistics.quantiles(n=4, method='inclusive'); "
                   "change_wins counts the pairs in which the change read better, ties for "
-                  "neither.  Written by tools/bench.py."),
+                  "neither.  two_clusters flags a side whose sorted runs split at their "
+                  "widest gap, wider than 5 % of the median and than the other runs' "
+                  "spread, with two runs or more on each side.  Written by tools/bench.py."),
         "parent": {"commit": parent_commit, "checkout": f"git archive of {args.parent}"},
         "change": {"commit": _change_commit()},
         "pairs": args.pairs, "seed_base": args.seed_base, "seconds": seconds,
