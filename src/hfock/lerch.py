@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from . import expint, moments, space
 from .errors import ConfigurationError, DomainError, PrecisionLossError, check_order, check_tol
-from .numerics import _integrate_panels, _overflowed, _panel_table, csum, disk_point
+from .numerics import _integrate_panels, _overflowed, csum, disk_point
 
 DISK_MARGIN = 1e-6
 _CM_ORDER = 6  # highest finite difference cm_evidence checks
@@ -148,8 +148,8 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
     _check_disk("lerch_phi_integral", abs(z))
     p, na, exp = s - 1.0, -a, math.exp
 
-    def sums(lo, hi):  # t ** (s-1) * exp(-a t) / (1 - z exp(-t)) at each node
-        (t, e, _, j, wk, wg), pairs = _panel_table(_exp_node, lo, hi)
+    def sums(table):  # t ** (s-1) * exp(-a t) / (1 - z exp(-t)) at each node
+        (t, e, _, j, wk, wg), pairs = table
         try:
             centre = t ** p * exp(na * t) / (1.0 - z * e) / j
             kronrod = wk * centre
@@ -164,7 +164,7 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
             raise _overflowed(t) from exc
         return kronrod, gauss
 
-    return _integrate_panels(sums, 1e-10).value / math.gamma(s)
+    return _integrate_panels(sums, _exp_node, 1e-10).value / math.gamma(s)
 
 
 def _check_hurwitz(where: str, s: float, a: float) -> None:  # both routes' domain
@@ -211,8 +211,8 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     _check_hurwitz("hurwitz_zeta_integral", s, a)
     p, q, na, exp = s - 1.0, s - 2.0, -a, math.exp
 
-    def sums(lo, hi):  # t ** (s-1) * exp(-a t) / (1 - exp(-t)), less t ** (s-2) on t < 1
-        (t, _, d, j, wk, wg), pairs = _panel_table(_exp_node, lo, hi)
+    def sums(table):  # t ** (s-1) * exp(-a t) / (1 - exp(-t)), less t ** (s-2) on t < 1
+        (t, _, d, j, wk, wg), pairs = table
         try:
             centre = t ** p * exp(na * t) / d
             if t < 1.0:
@@ -236,7 +236,7 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
             raise _overflowed(t) from exc
         return kronrod, gauss
 
-    v, pole = _integrate_panels(sums, tol).value, 1.0 / (s - 1.0)
+    v, pole = _integrate_panels(sums, _exp_node, tol).value, 1.0 / (s - 1.0)
     if abs(v) > _HURWITZ_CANCELLATION * abs(v + pole):
         raise PrecisionLossError(
             f"hurwitz_zeta_integral: the integral {v!r} cancels the added 1/(s-1) = {pole!r} "

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from . import expint
 from .errors import AccuracyError, DomainError, PrecisionLossError, check_order, check_tol
-from .numerics import IntegralResult, _integrate_panels, _panel_table, csum, integrate_semi_infinite
+from .numerics import IntegralResult, _integrate_panels, csum, integrate_semi_infinite
 
 N_MAX = 10_000
 LINEAR_LIMIT = 170  # linear eta values stop here; log values continue
@@ -164,8 +164,8 @@ def _moment_integral(n, tol, node, shift=None) -> IntegralResult:
     """
     p = float(n)  # t ** n and n * log(t) convert an int n to this float
     if shift is None:
-        def sums(a, b):
-            (t, e, d, j, wk, wg), pairs = _panel_table(node, a, b)
+        def sums(table):
+            (t, e, d, j, wk, wg), pairs = table
             centre = t ** p * e / d / j
             kronrod = wk * centre
             gauss = wg * centre
@@ -177,8 +177,8 @@ def _moment_integral(n, tol, node, shift=None) -> IntegralResult:
     else:
         exp = math.exp
 
-        def sums(a, b):
-            (lt, t, m, j, wk, wg), pairs = _panel_table(node, a, b)
+        def sums(table):
+            (lt, t, m, j, wk, wg), pairs = table
             centre = exp(p * lt - t - m - shift) / j
             kronrod = wk * centre
             gauss = wg * centre
@@ -187,7 +187,7 @@ def _moment_integral(n, tol, node, shift=None) -> IntegralResult:
                 kronrod += wk * pair
                 gauss += wg * pair
             return kronrod, gauss
-    return _integrate_panels(sums, tol)
+    return _integrate_panels(sums, node, tol)
 
 
 def eta_quadrature(n: int, tol: float = 1e-12) -> float:

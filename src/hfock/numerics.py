@@ -7,22 +7,25 @@ convergent integrals on (0, inf) on Gauss-Kronrod G7/K15 panels, central
 finite differences for the Wirtinger derivative d/d(conj z), and a seeded
 uniform sampler of the disk.
 
-The integrator is one adaptive loop over panel functions (a, b) -> (K15
-sum, G7 sum) of the unit interval; the loop alone turns the two sums into
-a panel's value and error estimate and raises AccuracyError when they are
-not finite.  ``integrate_semi_infinite`` hands it the generic panel, which
-calls its integrand on Python floats, sums each panel in Python floats or
-complexes, and raises AccuracyError at once when the integrand overflows.
-The moment and shifted-moment integrals of ``moments`` and the Lerch and
-Hurwitz integrals of ``lerch`` hand it panels of their own, which compute
-only the argument-dependent part of their integrand at each node, with the
-bits of their scalar integrand through ``integrate_semi_infinite``.  All
-panels read one LRU cache of 512 panels shared by all calls, ``_panel_table``:
-a node function over the 15 nodes (t, (1-u)^2), each row with its K15 and
-G7 weights.  The loop re-sums its panels exactly only on steps where running
-totals, widened by their rounding bound, could pass the stopping test; every
-value, error estimate, node count and error message is the one that
-re-summing on every step gives.
+The integrator is one adaptive loop over the panels (a, b) of the unit
+interval, t = u/(1-u).  Its caller hands it a node function of (t, (1-u)^2)
+and a panel function; for each panel the loop reads the node function's
+rows at the 15 K15 nodes, each with its K15 and G7 weights, from
+``_panel_table``, one LRU cache of 512 panels shared by all calls, and the
+panel function turns them into the K15 and G7 sums.  The loop alone turns
+the two sums into a panel's value and error estimate and raises
+AccuracyError when they are not finite.  ``integrate_semi_infinite`` hands
+it the bare nodes and the generic panel, which calls its integrand on
+Python floats, sums each panel in Python floats or complexes, and raises
+AccuracyError at once when the integrand overflows.  The moment and
+shifted-moment integrals of ``moments`` and the Lerch and Hurwitz integrals
+of ``lerch`` hand it node functions of their integrand's argument-free
+factors and panels that compute only the rest at each node, with the bits
+of their scalar integrand through ``integrate_semi_infinite``.  The loop
+re-sums its panels exactly only on steps where running totals, widened by
+their rounding bound, could pass the stopping test; every value, error
+estimate, node count and error message is the one that re-summing on every
+step gives.
 
 Only the Gauss rules build arrays; they import numpy when first called, so
 the integrator, the finite differences, the sampler and ``csum`` run on the
@@ -153,7 +156,8 @@ def _panel_table(node, a, b):
     # centre's, then node(t-, j-) + node(t+, j+) + (wk, wg) per _K15_PAIRS
     # entry; None where a node rounds to u = 1, where u/(1-u) divides by zero.
     # Bisection makes the same dyadic panels recur across calls, so each is
-    # built once per node function, a module-level one so that it recurs too
+    # built once per node function, a module-level one so that it recurs too.
+    # The loop's freeze test reads the table its next panel will sum
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     r = 1.0 - mid
@@ -177,11 +181,10 @@ def _overflowed(t):
     return AccuracyError(f"integrand overflowed at t={t!r}")
 
 
-def _panel_estimates(f, a, b):
-    # the K15 and G7 sums of f on the panel (a, b) of the unit interval,
-    # through t = u/(1-u), in Python floats or complexes; every panel
-    # function sums its nodes in this order
-    (t, j, wk, wg), pairs = _panel_table(_bare, a, b)
+def _panel_estimates(f, table):
+    # the K15 and G7 sums of f on a panel from its _bare table, in Python
+    # floats or complexes; every panel function sums its nodes in this order
+    (t, j, wk, wg), pairs = table
     try:
         centre = f(t) / j
         kronrod = wk * centre
@@ -233,16 +236,16 @@ def integrate_semi_infinite(f, tol: float = 1e-12) -> IntegralResult:
     budget of 100 000 integrand evaluations, raise :class:`AccuracyError`
     carrying the best estimate, with every panel's error counted.
     """
-    return _integrate_panels(partial(_panel_estimates, f), tol)
+    return _integrate_panels(partial(_panel_estimates, f), _bare, tol)
 
 
-def _integrate_panels(sums, tol):
-    # integrate_semi_infinite's adaptive loop on any panel function
-    # sums(a, b) -> (K15 sum, G7 sum) of the panel (a, b) of the unit
-    # interval, summed as _panel_estimates sums them; a panel's value and
-    # error estimate, and the test that they are finite, are made here
-    # only.  Callers with panels of their own keep its messages, so they
-    # name it
+def _integrate_panels(sums, node, tol):
+    # integrate_semi_infinite's adaptive loop on any node function and
+    # panel function sums(_panel_table(node, a, b)) -> (K15 sum, G7 sum) of
+    # the panel (a, b) of the unit interval, summed as _panel_estimates sums
+    # them; a panel's value and error estimate, and the test that they are
+    # finite, are made here only.  Callers with panels of their own keep its
+    # messages, so they name it
     check_tol("integrate_semi_infinite", tol)
 
     panels = []  # (-err, seq, a, b, value)
@@ -257,7 +260,7 @@ def _integrate_panels(sums, tol):
     new = [(i / 8, (i + 1) / 8) for i in range(8)]  # the initial panels
     while True:
         for a, b in new:
-            kronrod, gauss = sums(a, b)
+            kronrod, gauss = sums(_panel_table(node, a, b))
             half = 0.5 * (b - a)
             err = abs(half * (kronrod - gauss))
             if not err < inf:  # err = |...| fails this exactly when inf or nan
@@ -297,7 +300,7 @@ def _integrate_panels(sums, tol):
         popped = heapq.heappop(panels)
         neg_err, _, a, b, val = popped
         mid = 0.5 * (a + b)
-        if b - a < 1e-15 or _panel_table(_bare, mid, b) is None:
+        if b - a < 1e-15 or _panel_table(node, mid, b) is None:
             frozen.append(popped)
             new = ()
             continue

@@ -714,6 +714,19 @@ def test_node_tables_give_the_scalar_node_values(route):
             assert repr(value(*factors)) == repr(f(t) / j), (k, t)
 
 
+@pytest.mark.parametrize("integral", [
+    lambda: moments._moment_integral(5, 1e-12, moments._linear_node),
+    lambda: moments._moment_integral(300, 1e-12, moments._log_node, math.lgamma(301)),
+    lambda: integrate_semi_infinite(lambda t: t ** 3 * math.exp(-t) / (1.0 + t)),
+], ids=["linear", "log", "generic"])
+def test_an_integral_caches_only_the_panels_it_sums(integral):
+    # the loop's freeze test reads the table of the panel it sums next, so a
+    # cold call leaves one table per panel summed, and none for the test alone
+    _clear_panel_caches()
+    panels = integral().nodes_used // numerics._PANEL_EVALS
+    assert numerics._panel_table.cache_info().currsize == panels < 512
+
+
 _LERCH_EDGES = {
     # name: (z, s, a), text the outcome holds
     "overflow": ((0.5, 200.0, 1e-3), "integrand overflowed at t="),
@@ -722,6 +735,7 @@ _LERCH_EDGES = {
     "imaginary_z": ((0.999j, 1.0, 1e-3), "j)"),
     "huge_a": ((0.5, 2.0, 1e300), "0j"),
     "infinite_a": ((0.5, 2.0, math.inf), "0j"),
+    "u_one": ((0.5, 2.0, 1e-200), "refinement floor reached"),  # frozen where a node rounds to u = 1
 }
 
 
@@ -758,6 +772,7 @@ def _hurwitz_cases(count, seed):
 _HURWITZ_EDGES = {
     # name: (s, a, tol), text the outcome holds
     "floor": ((1.000002, 1.0, 1e-10), "refinement floor reached"),
+    "u_one": ((1.5, 1e-200, 1e-10), "refinement floor reached"),  # frozen where a node rounds to u = 1
     "overflow": ((100.0, 1.0, 1e-10), "integrand overflowed at t="),
     "nan_tol": ((2.0, 1.0, math.nan), "tol must be > 0, got nan"),
     "integers": ((2, 1, 1e-10), "1.64493406684"),
