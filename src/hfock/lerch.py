@@ -21,7 +21,7 @@ import random
 from collections import namedtuple
 
 from . import expint, moments, space
-from .errors import ConfigurationError, DomainError, PrecisionLossError, check_order, check_tol
+from .errors import ConfigurationError, DomainError, check_order, check_tol
 from .numerics import _integrate_panels, _overflowed, csum, disk_point
 
 DISK_MARGIN = 1e-6
@@ -29,7 +29,6 @@ _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 _SERIES_TOL = 1e-13  # lerch_phi's default tolerance, which also cuts the phi_n Grams
-_HURWITZ_CANCELLATION = 100.0  # the most hurwitz_zeta_integral's |V| may be of |V + 1/(s-1)|
 # B_2j / (2j)! for j = 1..10, each a correctly rounded quotient of integers.  j = 8..10 add
 # at most 2e-18 of the value; without them 15 of 90 671 seeded (s, a) moved by 1 ulp, 3
 # away from the 40-digit oracle and 12 toward it: no gain worth a larger truncation
@@ -195,53 +194,40 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     """zeta(s, a) = (1/Gamma(s)) integral of t^{s-1} e^{-a t} / (1 - e^{-t}) for
-    s > 1 + 1e-6, a > 0.  The integrand's singular part t^{s-2} is subtracted
-    on t < 1 and its integral, exactly 1/(s-1), added back; the bounded rest
-    V is integrated to relative tolerance ``tol``.  Its kink at t = 1 falls on
-    a boundary of the integrator's initial panels.  Its panels read 1 - e^{-t}
-    through ``_exp_node``, and give the value or error of
-    ``integrate_semi_infinite`` on the scalar integrand, bit for bit.
+    s > 1 + 1e-6, a > 0.  The singular part t^{s-2} e^{-a t} is subtracted on
+    the whole half-line and its integral, exactly Gamma(s) a^{1-s}/(s-1),
+    added back (DLMF 25.11.25, 25.11.27): the rest
+    V = integral of t^{s-1} e^{-a t} (1/(1 - e^{-t}) - 1/t), positive and
+    smooth, is integrated to relative tolerance ``tol``, and the result is
+    V/Gamma(s) + a^{1-s}/(s-1).  Both terms are positive, so the result's
+    relative bound is ``tol``.  Its panels read 1 - e^{-t} through
+    ``_exp_node``, and give the value or error of ``integrate_semi_infinite``
+    on the scalar integrand, bit for bit.
 
-    The result's relative bound is ``tol`` |V| / |V + 1/(s-1)|.  Where a is
-    large the sum cancels, and where that ratio exceeds 100 the call raises
-    :class:`PrecisionLossError` (at s = 20, a = 1000 the sum reads -1.7e-34
-    for zeta = 5.3e-59).  Its domain checks are hurwitz_zeta's, but t ** (s-1)
-    overflows at the far nodes for s above about 42 at a = 1e-3, 65 at a = 1
-    and 95 at a = 1000, and the call raises :class:`AccuracyError`."""
+    Its domain checks are hurwitz_zeta's, but t ** (s-1) overflows at the far
+    nodes for s above about 42 at a = 1e-3, 65 at a = 1 and 95 at a = 1000,
+    and the call raises :class:`AccuracyError`."""
     _check_hurwitz("hurwitz_zeta_integral", s, a)
-    p, q, na, exp = s - 1.0, s - 2.0, -a, math.exp
+    p, na, exp = s - 1.0, -a, math.exp
 
-    def sums(table):  # t ** (s-1) * exp(-a t) / (1 - exp(-t)), less t ** (s-2) on t < 1
+    def sums(table):  # t ** (s-1) * exp(-a t) * (1/(1 - exp(-t)) - 1/t) at each node
         (t, _, d, j, wk, wg), pairs = table
         try:
-            centre = t ** p * exp(na * t) / d
-            if t < 1.0:
-                centre -= t ** q
-            centre /= j
+            centre = t ** p * exp(na * t) * (1.0 / d - 1.0 / t) / j
             kronrod = wk * centre
             gauss = wg * centre
             for t, _, d, j, tp, _, dp, jp, wk, wg in pairs:
-                pair = t ** p * exp(na * t) / d
-                if t < 1.0:
-                    pair -= t ** q
-                pair /= j
+                pair = t ** p * exp(na * t) * (1.0 / d - 1.0 / t) / j
                 t = tp
-                upper = t ** p * exp(na * t) / dp
-                if t < 1.0:
-                    upper -= t ** q
-                pair += upper / jp
+                pair += t ** p * exp(na * t) * (1.0 / dp - 1.0 / t) / jp
                 kronrod += wk * pair
                 gauss += wg * pair
         except (OverflowError, ZeroDivisionError) as exc:
             raise _overflowed(t) from exc
         return kronrod, gauss
 
-    v, pole = _integrate_panels(sums, _exp_node, tol).value, 1.0 / (s - 1.0)
-    if abs(v) > _HURWITZ_CANCELLATION * abs(v + pole):
-        raise PrecisionLossError(
-            f"hurwitz_zeta_integral: the integral {v!r} cancels the added 1/(s-1) = {pole!r} "
-            f"more than {_HURWITZ_CANCELLATION:g}-fold at s={s}, a={a}")
-    return (v + pole) / math.gamma(s)
+    v = _integrate_panels(sums, _exp_node, tol).value
+    return v / math.gamma(s) + a ** (1.0 - s) / (s - 1.0)
 
 
 def dirichlet_kernel_pair(z: complex, w: complex) -> tuple[complex, complex]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hfock import bargmann, lerch, moments, numerics, verify
-from hfock.errors import AccuracyError, ConfigurationError, PrecisionLossError
+from hfock.errors import AccuracyError, ConfigurationError
 from hfock.numerics import (csum, disk_point, gauss_hermite, gauss_laguerre,
                             integrate_semi_infinite, wirtinger_fd)
 
@@ -284,13 +284,8 @@ def _lerch_integrand(z, s, a):
 
 def _hurwitz_integrand(s, a):
     """The scalar integrand of hurwitz_zeta_integral(s, a): Gamma(s) zeta(s, a)'s,
-    less its singular part t^(s-2) on t < 1."""
-
-    def integrand(t):
-        value = t ** (s - 1.0) * math.exp(-a * t) / -math.expm1(-t)
-        return value - t ** (s - 2.0) if t < 1.0 else value
-
-    return integrand
+    less its singular part t^(s-2) e^(-at) on the whole half-line."""
+    return lambda t: t ** (s - 1.0) * math.exp(-a * t) * (1.0 / -math.expm1(-t) - 1.0 / t)
 
 
 def test_hopeless_call_exhausts_the_budget_quickly():
@@ -589,8 +584,6 @@ def _route_outcome(monkeypatch, call, module=moments):
         m.setattr(module, "_integrate_panels", record)
         try:
             value = call()
-        except PrecisionLossError:  # a refused sum: its integrals still count
-            value = "refused"
         except (AccuracyError, ConfigurationError) as exc:
             return str(exc), repr(exc.__cause__), repr(getattr(exc, "result", None))
     return repr(value), repr(results)
@@ -665,15 +658,8 @@ def _lerch_node_value(z, s, a):
 
 
 def _hurwitz_node_value(s, a):
-    p, q, na = s - 1.0, s - 2.0, -a
-
-    def value(t, e, d, j):
-        v = t ** p * math.exp(na * t) / d
-        if t < 1.0:
-            v -= t ** q
-        return v / j
-
-    return value
+    p, na = s - 1.0, -a
+    return lambda t, e, d, j: t ** p * math.exp(na * t) * (1.0 / d - 1.0 / t) / j
 
 
 _NODE_ROUTES = {
@@ -771,7 +757,7 @@ def _hurwitz_cases(count, seed):
 
 _HURWITZ_EDGES = {
     # name: (s, a, tol), text the outcome holds
-    "floor": ((1.000002, 1.0, 1e-10), "refinement floor reached"),
+    "near_one": ((1.000002, 1.0, 1e-10), "500000.577"),  # V tends to Euler's gamma as s -> 1 at a = 1
     "u_one": ((1.5, 1e-200, 1e-10), "refinement floor reached"),  # frozen where a node rounds to u = 1
     "overflow": ((100.0, 1.0, 1e-10), "integrand overflowed at t="),
     "nan_tol": ((2.0, 1.0, math.nan), "tol must be > 0, got nan"),
@@ -780,34 +766,27 @@ _HURWITZ_EDGES = {
 }
 
 
-def _hurwitz_finish(s):
-    # the route's sum of the integral v and 1/(s-1), refused where v
-    # outweighs the sum more than 100-fold
-    def finish(v):
-        if abs(v) > 100.0 * abs(v + 1.0 / (s - 1.0)):
-            return "refused"
-        return (v + 1.0 / (s - 1.0)) / math.gamma(s)
-
-    return finish
+def _hurwitz_finish(s, a):
+    # the route's sum of its two positive terms: the integral over Gamma(s)
+    # and the added-back a^(1-s)/(s-1)
+    return lambda v: v / math.gamma(s) + a ** (1.0 - s) / (s - 1.0)
 
 
 def _assert_hurwitz_route(monkeypatch, s, a, tol):
-    want = _scalar_outcome(_hurwitz_integrand(s, a), tol, _hurwitz_finish(s))
+    want = _scalar_outcome(_hurwitz_integrand(s, a), tol, _hurwitz_finish(s, a))
     assert _route_outcome(
         monkeypatch, lambda: lerch.hurwitz_zeta_integral(s, a, tol), lerch) == want
     return want
 
 
 def test_hurwitz_route_bit_identical_to_its_integrand(monkeypatch):
-    # where the sum cancels, the route raises on the integral the scalar
-    # integrand gives
+    # hurwitz_zeta_integral's panels give the value, error estimate and node
+    # count, or the error, of the scalar integrand through integrate_semi_infinite;
+    # no case of the sweep is refused
     _clear_panel_caches()
-    refused = 0
     for s, a, tol in _hurwitz_cases(400, 29):
         want = _assert_hurwitz_route(monkeypatch, s, a, tol)
-        assert len(want) == 2, (s, a, tol)
-        refused += want[0] == "'refused'"
-    assert refused > 0
+        assert len(want) == 2 and float(want[0]) > 0.0, (s, a, tol)
     for args, text in _HURWITZ_EDGES.values():
         assert text in _assert_hurwitz_route(monkeypatch, *args)[0], args
 
