@@ -370,10 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USER_ERRORS as exc:
-        print(f"hfock: error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (*_USER_ERRORS, OSError) as exc:
         print(f"hfock: error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,9 @@ tol; ``phi`` and ``lerch_phi_integral`` share its disk check.  The two
 integral routes, ``lerch_phi_integral`` and ``hurwitz_zeta_integral``, sum
 their integrator panels from one node function of t, exp(-t) and
 1 - exp(-t), read through the integrator's one panel cache, with the bits
-of their scalar integrands.
+of their scalar integrands.  The Hurwitz integrand, less its singular part
+t^(s-2) e^(-a t), is positive on the whole half-line, so that route's
+result meets its ``tol`` with no cancellation to guard.
 """
 from __future__ import annotations
 

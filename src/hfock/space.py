@@ -298,7 +298,12 @@ def _diagonal_gram(points, log_coeffs) -> GramMatrix:
 
     points = _gram_points(points)
     z = np.array(points)
-    log_c = np.asarray(log_coeffs(max(abs(p) for p in points) ** 2), dtype=float)
+    rmax = max(map(abs, points))
+    try:
+        r = rmax ** 2
+    except OverflowError:
+        raise DomainError(f"build_gram: |z|^2 overflows at |z| = {rmax:g}") from None
+    log_c = np.asarray(log_coeffs(r), dtype=float)
     # column k is column k-1 times z sqrt(c_k / c_{k-1}): the ratio updates of
     # _kernel_terms, which stay finite where z^k or c_k alone would not
     B = np.empty((len(points), len(log_c)), dtype=complex)

@@ -163,9 +163,19 @@ class TestDbar:
                            "[0, 10000], got -1\n"), name
 
     def test_missing_file(self, capsys):
-        code, _, err = _run(capsys, ["dbar", "--problem", "/nonexistent.json"])
-        assert code == 2
-        assert "error" in err
+        code, out, err = _run(capsys, ["dbar", "--problem", "/nonexistent.json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("hfock: error: ")
+        assert err.count("\n") == 1
+
+    # a directory used to end the command with IsADirectoryError and exit 1
+    @pytest.mark.parametrize("argv", [["dbar", "--problem"], ["gram", "--points-file"]],
+                             ids=["dbar", "gram"])
+    def test_directory_is_one_error_line(self, capsys, tmp_path, argv):
+        code, out, err = _run(capsys, [*argv, str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("hfock: error: ")
+        assert err.count("\n") == 1
 
 
 class TestMalformedInput:
@@ -191,8 +201,9 @@ class TestMalformedInput:
         (["dbar", "--problem"], '{"f": [1.0], "u0": [0.0]}'),
         (["gram", "--points-file"], '{"points": [[1, 0], [NaN, 0]]}'),
         (["dbar", "--problem"], '{"f": [1.0], "samples": [[NaN, 0.0]]}'),
+        (["gram", "--points-file"], '{"points": [[1e160, 0]]}'),
     ], ids=["gram-not-json", "gram-no-points", "dbar-not-json", "dbar-no-f", "dbar-no-samples",
-            "gram-nan-point", "dbar-nan-sample"])
+            "gram-nan-point", "dbar-nan-sample", "gram-huge-point"])
     def test_input_file_is_a_configuration_error(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -225,6 +236,7 @@ class TestMalformedInput:
         ["lerch", "--zeta", "2", "1e-300"],
         ["lerch", "--lerch", "0.5", "2", "1e-170"],
         ["lerch", "--lerch", "0.5", "2", "1e200"],
+        ["gram", "--random", "3", "--radius", "1e160"],  # |z|^2 overflows
     ], ids=" ".join)
     def test_out_of_range_argument_is_one_error_line(self, capsys, argv):
         code, out, err = _run(capsys, argv)
