@@ -200,7 +200,7 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     the whole half-line and its integral, exactly Gamma(s) a^{1-s}/(s-1),
     added back (DLMF 25.11.25, 25.11.27): the rest
     V = integral of t^{s-1} e^{-a t} (1/(1 - e^{-t}) - 1/t), positive and
-    smooth, is integrated to relative tolerance ``tol``, and the result is
+    bounded, is integrated to relative tolerance ``tol``, and the result is
     V/Gamma(s) + a^{1-s}/(s-1).  Both terms are positive, so the result's
     relative bound is ``tol``.  Its panels read 1 - e^{-t} through
     ``_exp_node``, and give the value or error of ``integrate_semi_infinite``

@@ -168,7 +168,7 @@ class TestDbar:
         assert err.startswith("hfock: error: ")
         assert err.count("\n") == 1
 
-    # a directory used to end the command with IsADirectoryError and exit 1
+    # a directory is an OSError other than FileNotFoundError
     @pytest.mark.parametrize("argv", [["dbar", "--problem"], ["gram", "--points-file"]],
                              ids=["dbar", "gram"])
     def test_directory_is_one_error_line(self, capsys, tmp_path, argv):

@@ -341,9 +341,8 @@ class TestHurwitzZeta:
 
     @pytest.mark.parametrize("s, a", [(20.0, 1000.0), (10.0, 1000.0), (4.0, 1000.0), (8.0, 30.0)])
     def test_integral_refuses_a_cancelling_sum(self, mp_oracle, s, a):
-        # large a: a sum that subtracted t^(s-2) on t < 1 only cancelled here,
-        # reading -1.7e-34 for 5.3e-59, 7.7e-23 for 1.1e-28, and values 3.5e-8
-        # and 1.2e-9 off; the sum of two positive terms cannot cancel
+        # large a, where zeta(s, a) is far below 1/(s-1): a sum that adds back
+        # 1/(s-1) cancels here, but the route's two positive terms cannot
         _assert_zeta_integral_meets_its_tol(mp_oracle, s, a)
 
     def test_integral_meets_its_bound_or_raises_on_a_seeded_sweep(self, mp_oracle):
