@@ -172,6 +172,8 @@ def _cmd_gram(args) -> int:
     else:
         rng = random.Random(0 if args.seed is None else args.seed)
         radius = 2.0 if args.radius is None else args.radius
+        if not radius >= 0.0:
+            raise ConfigurationError(f"--radius must be >= 0, got {radius}")
         pts = [disk_point(rng, radius) for _ in range(20 if args.random is None else args.random)]
     g = space.gram_kernel(pts, tol)
     _emit(_gram_json(g), args.out)
@@ -220,35 +222,22 @@ def _cmd_bargmann(args) -> int:
 
 
 def _cmd_lerch(args) -> int:
-    mode = next(m for m in ("phi", "zeta", "lerch", "audit") if getattr(args, m) is not None)
-    _refuse_unread(args, f"lerch --{mode}",
-                   [flag for flag, reader in (("--tol", "lerch"), ("--seed", "audit")) if reader != mode])
-    if args.audit is not None:
-        seed = 0 if args.seed is None else args.seed
-        if args.audit == "eta0_K":
-            obj = lerch.ml_audit("eta0_K", seed=seed)
-        elif args.audit.startswith("phi_tilde:"):
-            n = _parse_number(args.audit.split(":", 1)[1], int)
-            obj = lerch.ml_audit("phi_tilde", n, seed=seed)
-        else:
-            raise ConfigurationError(
-                f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
-        _emit_json(obj, args.out)
+    if args.audit is None:
+        _refuse_unread(args, "lerch --phi", ["--seed"])
+        n = _parse_number(args.phi[0], int)
+        z = _parse_complex(args.phi[1])
+        _emit_json({"n": n, "z": _pair(z), "value": _pair(lerch.phi(n, z))}, args.out)
         return 0
-    if args.zeta is not None:
-        s, a = args.zeta
-        _emit_json({"s": s, "a": a, "value": lerch.hurwitz_zeta(s, a)}, args.out)
-        return 0
-    if args.lerch is not None:
-        z = _parse_complex(args.lerch[0])
-        s, a = _parse_number(args.lerch[1]), _parse_number(args.lerch[2])
-        tol = 1e-12 if args.tol is None else args.tol
-        _emit_json({"z": _pair(z), "s": s, "a": a,
-                    "value": _pair(lerch.lerch_phi(z, s, a, tol))}, args.out)
-        return 0
-    n = _parse_number(args.phi[0], int)
-    z = _parse_complex(args.phi[1])
-    _emit_json({"n": n, "z": _pair(z), "value": _pair(lerch.phi(n, z))}, args.out)
+    seed = 0 if args.seed is None else args.seed
+    if args.audit == "eta0_K":
+        obj = lerch.ml_audit("eta0_K", seed=seed)
+    elif args.audit.startswith("phi_tilde:"):
+        n = _parse_number(args.audit.split(":", 1)[1], int)
+        obj = lerch.ml_audit("phi_tilde", n, seed=seed)
+    else:
+        raise ConfigurationError(
+            f"--audit expects 'eta0_K' or 'phi_tilde:N', got {args.audit!r}")
+    _emit_json(obj, args.out)
     return 0
 
 
@@ -335,16 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=61)
     p.set_defaults(func=_cmd_bargmann)
 
-    p = sub.add_parser("lerch", help="disk kernels, Lerch/Hurwitz values, class audits")
+    p = sub.add_parser("lerch", help="disk kernels and class audits")
     common(p)
-    p.add_argument("--tol", type=float, default=None,
-                   help="1e-12 for --lerch; --phi, --zeta and --audit take none")
-    p.add_argument("--seed", type=int, default=None,
-                   help="0 for --audit; --phi, --zeta and --lerch take none")
+    p.add_argument("--seed", type=int, default=None, help="0 for --audit; --phi takes none")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--phi", nargs=2, metavar=("N", "Z"), default=None)
-    what.add_argument("--zeta", nargs=2, type=float, metavar=("S", "A"), default=None)
-    what.add_argument("--lerch", nargs=3, metavar=("Z", "S", "A"), default=None)
     what.add_argument("--audit", default=None, metavar="phi_tilde:N|eta0_K")
     p.set_defaults(func=_cmd_lerch)
 

@@ -1,5 +1,6 @@
-"""Disk kernels phi_n(z) = sum_k z^k/(k+n), their Lerch and Hurwitz-zeta
-relatives, and numerical evidence for the moment-generating kernel class.
+"""Disk kernels phi_n(z) = sum_k z^k/(k+n), their Lerch relative, the Hurwitz
+zeta's integral route, and numerical evidence for the moment-generating kernel
+class.
 
 ``phi`` is ``expint.laplace_en(n, -z)`` on the disk |z| <= 1 - 1e-6.  That
 Laplace representation phi_n(-a) = integral of exp(-a t) E_n(t) makes a ->
@@ -31,12 +32,6 @@ _CM_ORDER = 6  # highest finite difference cm_evidence checks
 _CM_GRID = tuple(0.1 + 0.1 * i for i in range(50))  # the grid cm_evidence samples
 _AUDIT_POINTS = 30  # sample size of ml_audit's Gram condition
 _SERIES_TOL = 1e-13  # lerch_phi's default tolerance, which also cuts the phi_n Grams
-# B_2j / (2j)! for j = 1..10, each a correctly rounded quotient of integers.  j = 8..10 add
-# at most 2e-18 of the value; without them 15 of 90 671 seeded (s, a) moved by 1 ulp, 3
-# away from the 40-digit oracle and 12 toward it: no gain worth a larger truncation
-_EM_COEFFS = tuple(num / (den * math.factorial(2 * j)) for j, (num, den) in enumerate((
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-    (43867, 798), (-174611, 330)), 1))
 
 
 def _check_disk(where: str, r: float) -> None:  # a NaN r is refused
@@ -168,32 +163,6 @@ def lerch_phi_integral(z: complex, s: float, a: float) -> complex:
     return _integrate_panels(sums, _exp_node, 1e-10).value / math.gamma(s)
 
 
-def _check_hurwitz(where: str, s: float, a: float) -> None:  # both routes' domain
-    if not 1.0 + 1e-6 < s < math.inf:
-        raise DomainError(f"{where}: requires finite s > 1, got {s}")
-    if not a > 0.0:
-        raise DomainError(f"{where}: requires a > 0, got {a}")
-    if a < 1.0 and a ** s < space._MIN_NORMAL:
-        raise DomainError(f"{where}: a^s = {a ** s} at s={s}, a={a} is below 2^-1022")
-
-
-def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_k (k+a)^{-s} for s > 1 + 1e-6, a > 0, as one fixed
-    Euler-Maclaurin sum (DLMF 2.10(i)) of 24 terms added by ``math.fsum``, x = 12 + a:
-    sum_{k<12} (k+a)^{-s} + x^{1-s}/(s-1) + x^{-s}/2 + sum_{j=1..10} B_2j/(2j)!
-    s(s+1)...(s+2j-2) x^{-s-2j+1}.  Within 2.4e-16 of mpmath, relative, for s
-    up to 700 and a from 1e-3 to 1e6 wherever the value is a normal double.
-    Raises DomainError where a^s is below 2^-1022."""
-    _check_hurwitz("hurwitz_zeta", s, a)
-    x = 12.0 + a
-    terms = [(k + a) ** -s for k in range(12)] + [x ** (1.0 - s) / (s - 1.0), 0.5 * x ** -s]
-    rising = s * x ** (-s - 1.0)  # s(s+1)...(s+2j-2) x^{-s-2j+1}; left to right, a 0 stays 0
-    for j, coeff in enumerate(_EM_COEFFS, 1):
-        terms.append(coeff * rising)
-        rising = rising * (s + 2 * j - 1) / x * (s + 2 * j) / x
-    return math.fsum(terms)
-
-
 def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     """zeta(s, a) = (1/Gamma(s)) integral of t^{s-1} e^{-a t} / (1 - e^{-t}) for
     s > 1 + 1e-6, a > 0.  The singular part t^{s-2} e^{-a t} is subtracted on
@@ -206,10 +175,15 @@ def hurwitz_zeta_integral(s: float, a: float, tol: float = 1e-10) -> float:
     ``_exp_node``, and give the value or error of ``integrate_semi_infinite``
     on the scalar integrand, bit for bit.
 
-    Its domain checks are hurwitz_zeta's, but t ** (s-1) overflows at the far
-    nodes for s above about 42 at a = 1e-3, 65 at a = 1 and 95 at a = 1000,
-    and the call raises :class:`AccuracyError`."""
-    _check_hurwitz("hurwitz_zeta_integral", s, a)
+    Raises DomainError where a^s is below 2^-1022.  t ** (s-1) overflows at
+    the far nodes for s above about 42 at a = 1e-3, 65 at a = 1 and 95 at
+    a = 1000, and the call raises :class:`AccuracyError`."""
+    if not 1.0 + 1e-6 < s < math.inf:
+        raise DomainError(f"hurwitz_zeta_integral: requires finite s > 1, got {s}")
+    if not a > 0.0:
+        raise DomainError(f"hurwitz_zeta_integral: requires a > 0, got {a}")
+    if a < 1.0 and a ** s < space._MIN_NORMAL:
+        raise DomainError(f"hurwitz_zeta_integral: a^s = {a ** s} at s={s}, a={a} is below 2^-1022")
     p, na, exp = s - 1.0, -a, math.exp
 
     def sums(table):  # t ** (s-1) * exp(-a t) * (1/(1 - exp(-t)) - 1/t) at each node

@@ -434,13 +434,6 @@ def suite_lerch(seed: int = 0) -> list[dict]:
     checks.append(_within("lerch-phi-consistency", 1e-12, max_gap=(
         abs(lerch.lerch_phi_integral(z, 1.0, n) - lerch.phi(n, z)) for z, n in draws)))
 
-    checks.append(_within("hurwitz-zeta-routes", 1e-9, max_gap=(
-        abs(lerch.hurwitz_zeta(s, a) - lerch.hurwitz_zeta_integral(s, a, 1e-11))
-        for s in (1.2, 2.0, 3.0) for a in (1.0, 2.0))))
-
-    checks.append(_within("hurwitz-zeta-index-shift", 1e-10, abs_gap=[
-        abs(lerch.hurwitz_zeta(2.0, 1.0) - lerch.hurwitz_zeta(2.0, 2.0) - 1.0)]))
-
     checks.append(_psd_sampling("phi-gram-psd-sampling", (
         (lerch.gram_phi(n, [disk_point(local, 0.95) for _ in range(30)]),
          lambda z, w, n=n: lerch.phi(n, z * w.conjugate()), local)

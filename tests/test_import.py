@@ -72,7 +72,6 @@ def test_import_builds_no_coefficient_table():
     ["kernel", "--z", "1,0.5", "--w=-0.3,2"],
     ["expint", "--x", "1", "--n", "3", "--laplace", "0.5"],
     ["lerch", "--phi", "2", "0.3,0.4"],
-    ["lerch", "--zeta", "2", "1"],
     ["bargmann", "--z", "0.5,0.2"],
     ["verify", "expint"],
     ["verify", "moments"],

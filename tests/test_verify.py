@@ -97,8 +97,6 @@ def test_suite_rejects_an_argument_it_does_not_read():
 _NAN_ROUTES = [
     ("moments", moments, "eta_binomial", "eta-binomial-vs-closed-form",
      lambda n: n == 7),
-    ("lerch", lerch, "hurwitz_zeta_integral", "hurwitz-zeta-routes",
-     lambda s, a, tol: (s, a) == (3.0, 1.0)),
     ("lerch", lerch, "phi", "phi-negative-axis-vs-quadrature",
      lambda n, z, *tol: (n, z) == (3, -0.5)),
     ("bargmann", bargmann, "kernel_l2_norm_sq", "l2-rotation-invariance",

@@ -55,13 +55,6 @@ COMMANDS = (
     "lerch --phi 1 0.99999",
     "expint --x 1 --laplace -0.999999",
     "lerch --phi 3 -0.7",
-    "lerch --zeta 2 1",
-    "lerch --zeta 1.01 0.5",
-    "lerch --zeta 55.7 1956",
-    "lerch --lerch 0.5,0.3 1.5 2",
-    "lerch --lerch 0 1.5 2",
-    "lerch --lerch 0.999,0 1 1",
-    "lerch --lerch 0.99,0.1 0.5 0.5",
     "lerch --phi 1 0.9,0.4",
     "lerch --audit phi_tilde:1",
     "lerch --audit phi_tilde:2",
