@@ -77,10 +77,53 @@ def test_compare_prints_ratios_warns_and_never_fails(tmp_path, capsys):
                                               "gram": {"ops_per_s": 900.0}})
     assert bench.main(["--compare", prev, cur]) == 0
     out = capsys.readouterr().out
-    assert "ratio 1.2500" in out
+    assert "ratio 1.2500" in out and "runs from different sessions" in out
     assert "has no quadrature setup_s" in out and "has no workload gram" in out
     assert bench.main(["--compare", prev, str(tmp_path / "missing.json")]) == 0
     assert "cannot compare" in capsys.readouterr().out
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_trajectory_multiplies_chained_ratios_and_breaks_where_src_moved(tmp_path, capsys,
+                                                                         monkeypatch):
+    # three commits: the second leaves src/ as the first has it, the third changes it
+    try:
+        _git(tmp_path, "init", "-q")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("no git")
+    commits = []
+    for i, text in enumerate(["a = 1\n", "a = 1\n", "a = 2\n"]):
+        (tmp_path / "src").mkdir(exist_ok=True)
+        (tmp_path / "src" / "m.py").write_text(text)
+        (tmp_path / "notes.txt").write_text(str(i))
+        _git(tmp_path, "add", "-A")
+        _git(tmp_path, "commit", "-q", "-m", str(i))
+        commits.append(_git(tmp_path, "rev-parse", "HEAD"))
+
+    def bench_file(name, parent, change, ratio):
+        s = {"median_ratio_change_over_parent": ratio,
+             "parent": {"q1": 9.0, "q3": 11.0}, "change": {"q1": 9.0 * ratio, "q3": 11.0 * ratio}}
+        path = tmp_path / name
+        path.write_text(json.dumps({"parent": {"commit": parent}, "change": {"commit": change},
+                                    "workloads": {"gram": {"summary": {"ops_per_s": s}}}}))
+        return name
+
+    monkeypatch.chdir(tmp_path)
+    # a -> b chains (b's parent has a's src/), b -> c breaks (c's parent moved src/)
+    files = [bench_file("a.json", commits[0], commits[0], 1.1),
+             bench_file("b.json", commits[1], commits[1], 1.2),
+             bench_file("c.json", commits[2], commits[2], 0.5)]
+    assert bench.main(["--trajectory", *files]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "a.json -> b.json: chained"
+    assert out[1] == (f"b.json -> c.json: break, {commits[1][:7]} and {commits[2][:7]} "
+                      "differ in src/ or perfbench/")
+    assert out[3] == ("gram        ops_per_s   1.1000 1.2000 | 0.5000  product 1.3200 "
+                      "[0.8836, 1.9719] | 0.5000 [0.4091, 0.6111]")
 
 
 @pytest.mark.parametrize("argv", [["--out", "x.json", "--seed-base", "1"],

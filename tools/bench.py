@@ -17,13 +17,25 @@ runs and whether those runs fall into two clusters, the number of pairs the
 change won, the machine, both commits and the exact commands.
 
     python3 tools/bench.py --parent HEAD~1 --pairs 10 --seed-base 3701 --out BENCH_37.json
+    python3 tools/bench.py --trajectory BENCH_37.json BENCH_38.json BENCH_40.json
     python3 tools/bench.py --compare BENCH_34.json BENCH_37.json
 
+``--trajectory FILE ...`` runs nothing: it prints, per workload and metric,
+each file's change/parent median ratio, their product along the chain, and
+that product's range from each file's quartiles, change q1/parent q3 to
+change q3/parent q1.  Each ratio comes from pairs run in one session, so
+the product leaves out the machine's drift between sessions.  The chain
+holds where ``git diff --quiet`` finds no change to ``src/`` or
+``perfbench/`` between one file's change and the next file's parent; where
+it does not, or a ratio is missing, the chain breaks, ``|`` marks the break
+and the product starts again.
+
 ``--compare PREV CURRENT`` runs nothing: it prints, per workload and metric,
-the change's median in CURRENT over the change's median in PREV.  Files
-written on other machines or days differ by their noise too, so the ratios
-are a guide, not a verdict; the comparison warns where a key is missing and
-never fails.  The tool uses only the standard library and judges nothing.
+the change's median in CURRENT over the change's median in PREV.  The two
+files' runs come from different sessions, often on other days, so the ratio
+holds the machine's drift too: a guide, not a verdict.  The comparison warns
+where a key is missing and never fails.  The tool uses only the standard
+library and judges nothing.
 """
 from __future__ import annotations
 
@@ -229,7 +241,7 @@ def compare(prev_path: str, current_path: str) -> None:
     except (OSError, ValueError) as exc:
         print(f"warning: cannot compare: {exc}")
         return
-    print(f"change medians, {current_path} over {prev_path}:")
+    print(f"change medians, {current_path} over {prev_path}, runs from different sessions:")
     for workload, body in current.get("workloads", {}).items():
         old = prev.get("workloads", {}).get(workload, {}).get("summary")
         if old is None:
@@ -247,6 +259,78 @@ def compare(prev_path: str, current_path: str) -> None:
                   f"  ({s['better']} is better)")
 
 
+def _link(prev: dict, nxt: dict) -> str | None:
+    """None where the change of ``prev`` has the src/ and perfbench/ of the
+    parent of ``nxt``, else why the chain breaks between them."""
+    change, parent = prev.get("change", {}).get("commit"), nxt.get("parent", {}).get("commit")
+    if not change or not parent or " " in change:  # " with uncommitted changes ..."
+        return (f"cannot check {change or 'an unrecorded change'} "
+                f"against {parent or 'an unrecorded parent'}")
+    try:
+        proc = subprocess.run(["git", "diff", "--quiet", change, parent, "--", "src", "perfbench"],
+                              capture_output=True, text=True, check=False)
+    except OSError as exc:
+        return f"cannot run git: {exc}"
+    if proc.returncode == 0:
+        return None
+    if proc.returncode == 1:
+        return f"{change[:7]} and {parent[:7]} differ in src/ or perfbench/"
+    return f"cannot check {change[:7]} against {parent[:7]}: {proc.stderr.strip()}"
+
+
+def _factor(doc: dict, workload: str, name: str):
+    """(ratio, low, high) of one file's change/parent medians and quartiles, or None."""
+    try:
+        s = doc["workloads"][workload]["summary"][name]
+        parent, change = s["parent"], s["change"]
+        return (s["median_ratio_change_over_parent"],
+                change["q1"] / parent["q3"], change["q3"] / parent["q1"])
+    except (KeyError, TypeError, ZeroDivisionError):
+        return None
+
+
+def trajectory(paths: list[str]) -> None:
+    """Print each file's change/parent median ratios and their products along the chain."""
+    docs = []
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+        except (OSError, ValueError) as exc:
+            print(f"warning: cannot chain: {exc}")
+            return
+    breaks = [False]
+    for (prev_path, prev), (path, doc) in zip(zip(paths, docs), zip(paths[1:], docs[1:])):
+        why = _link(prev, doc)
+        breaks.append(why is not None)
+        print(f"{prev_path} -> {path}: " + (f"break, {why}" if why else "chained"))
+    names = {}  # workload -> metric names, in the order the files first give them
+    for doc in docs:
+        for workload, body in doc.get("workloads", {}).items():
+            for name in body.get("summary", {}):
+                if name != "failed":
+                    names.setdefault(workload, {})[name] = None
+    print("change/parent median ratios, one per file; product along each chained run "
+          "[range from each file's quartiles]:")
+    for workload, metrics in names.items():
+        for name in metrics:
+            cells, products = [], []
+            for doc, broken in zip(docs, breaks):
+                factor = _factor(doc, workload, name)
+                if broken and cells:
+                    cells.append("|")
+                if factor is None:
+                    cells.append("n/a")
+                    products.append(None)
+                    continue
+                if broken or not products or products[-1] is None:
+                    products.append((1.0, 1.0, 1.0))
+                products[-1] = tuple(p * f for p, f in zip(products[-1], factor))
+                cells.append(f"{factor[0]:.4f}")
+            print(f"{workload:11s} {name:11s} {' '.join(cells)}  product " + " | ".join(
+                f"{p:.4f} [{lo:.4f}, {hi:.4f}]" for p, lo, hi in filter(None, products)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default=None, help="git revision of the parent side")
@@ -256,9 +340,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="the BENCH file to write")
     parser.add_argument("--compare", nargs=2, default=None, metavar=("PREV", "CURRENT"),
                         help="print CURRENT's change medians over PREV's and run nothing")
+    parser.add_argument("--trajectory", nargs="+", default=None, metavar="FILE",
+                        help="print each file's change/parent ratios and their products "
+                             "along the chain, and run nothing")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
+        return 0
+    if args.trajectory:
+        trajectory(args.trajectory)
         return 0
     if None in (args.parent, args.out, args.seed_base):
         parser.error("a run needs --parent, --out and --seed-base")
