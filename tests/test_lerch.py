@@ -297,7 +297,8 @@ def _assert_zeta_integral_meets_its_tol(mp_oracle, s, a, tol=1e-10):
 
 class TestHurwitzZeta:
     def test_basel_value(self, gold):
-        assert lerch.hurwitz_zeta_integral(2.0, 1.0) == pytest.approx(gold["zeta_2_1"], rel=1e-10)
+        value = lerch.hurwitz_zeta_integral(2.0, 1.0)
+        assert value == pytest.approx(gold["zeta_2_1"], rel=1e-10)
 
     def test_index_shift(self):
         lhs = lerch.hurwitz_zeta_integral(2.0, 2.0)
