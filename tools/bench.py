@@ -27,8 +27,8 @@ change q3/parent q1.  Each ratio comes from pairs run in one session, so
 the product leaves out the machine's drift between sessions.  The chain
 holds where ``git diff --quiet`` finds no change to ``src/`` or
 ``perfbench/`` between one file's change and the next file's parent; where
-it does not, or a ratio is missing, the chain breaks, ``|`` marks the break
-and the product starts again.
+it does not, ``|`` marks the break and the product starts again, as it does
+after a missing ratio, printed ``n/a``.
 
 ``--compare PREV CURRENT`` runs nothing: it prints, per workload and metric,
 the change's median in CURRENT over the change's median in PREV.  The two
@@ -300,10 +300,10 @@ def trajectory(paths: list[str]) -> None:
             print(f"warning: cannot chain: {exc}")
             return
     breaks = [False]
-    for (prev_path, prev), (path, doc) in zip(zip(paths, docs), zip(paths[1:], docs[1:])):
-        why = _link(prev, doc)
+    for i in range(1, len(docs)):
+        why = _link(docs[i - 1], docs[i])
         breaks.append(why is not None)
-        print(f"{prev_path} -> {path}: " + (f"break, {why}" if why else "chained"))
+        print(f"{paths[i - 1]} -> {paths[i]}: " + (f"break, {why}" if why else "chained"))
     names = {}  # workload -> metric names, in the order the files first give them
     for doc in docs:
         for workload, body in doc.get("workloads", {}).items():
